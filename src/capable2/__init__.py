@@ -2,7 +2,8 @@
 
 Layers, bottom up: exact normal-form arithmetic in the free class-three group
 (:mod:`hall_core`), relation lattices for the commutator block
-(:mod:`lattice`), the finite ambient quotients (:mod:`nilprod`), the class-two
+(:mod:`lattice`), the operations every group object derives from its law
+(:mod:`group`), the finite ambient quotients (:mod:`nilprod`), the class-two
 classification models (:mod:`class2`), the capability decision with witness
 construction and verification (:mod:`capability`), brute-force referees
 (:mod:`oracle`), and a batch CLI (:mod:`cli`).

@@ -32,12 +32,12 @@ canonical answer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BuildIntegrityError, ParameterError
+from .group import CoordGroup, apply_rows
 
 Word = tuple[tuple[str, int], ...]  # symbols 'a', 'b', 'c' with c = [a,b]
 
@@ -62,6 +62,11 @@ class TypeParams:
 
 def validate(kind: str, alpha=None, beta=None, gamma=None, sigma=None) -> TypeParams:
     """Canonical TypeParams, or ParameterError naming the violated constraint."""
+    if not isinstance(kind, str):
+        raise ParameterError(f"unknown type {kind!r}: expected i, ii or iii")
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("sigma", sigma)):
+        _need(value is None or (isinstance(value, int) and not isinstance(value, bool)),
+              f"{name} must be an integer, got {value!r}")
     kind = kind.lower()
     if kind == "i":
         _need(alpha is not None and beta is not None and gamma is not None,
@@ -105,7 +110,7 @@ def type_iii(gamma) -> TypeParams:
     return validate("iii", gamma=gamma)
 
 
-class Class2Group:
+class Class2Group(CoordGroup):
     """Coordinate model a^i b^j [a,b]^k of one presented group.
 
     Multiplication is (i1,j1,k1)*(i2,j2,k2) = fold(i1+i2, j1+j2, k1+k2-j1*i2);
@@ -131,19 +136,17 @@ class Class2Group:
         self.b = (0, 1, 0)
         self.gens = (self.a, self.b)
 
-    # -- scalar arithmetic --------------------------------------------------
+    # -- the law (scalars, or int64 columns through mul_arrays) --------------
 
-    def fold(self, i: int, j: int, k: int):
+    def fold(self, i, j, k):
         p = self.params
         if p.kind == "i":
             return (i % self.mi, j % self.mj, k % self.mk)
-        if p.kind == "ii":
-            q, k = divmod(k, self.mk)
-            return ((i + q * self._carry_i) % self.mi, j % self.mj, k)
         q, k = divmod(k, self.mk)
-        i += q * self._carry_i
+        if p.kind == "ii":
+            return ((i + q * self._carry_i) % self.mi, j % self.mj, k)
         qj, j = divmod(j, self.mj)
-        return ((i + qj * self._carry_i) % self.mi, j, k)
+        return ((i + (q + qj) * self._carry_i) % self.mi, j, k)
 
     def mul(self, x, y):
         return self.fold(x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0])
@@ -151,82 +154,11 @@ class Class2Group:
     def inverse(self, x):
         return self.fold(-x[0], -x[1], -x[2] - x[0] * x[1])
 
-    def power(self, x, n: int):
-        if n < 0:
-            return self.power(self.inverse(x), -n)
-        acc, base = self.identity, x
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
-
-    def commutator(self, x, y):
-        return self.mul(self.mul(self.inverse(x), self.inverse(y)), self.mul(x, y))
-
-    def order_of(self, x) -> int:
-        n, cur = 1, x
-        while cur != self.identity:
-            cur = self.mul(cur, cur)
-            n <<= 1
-        return n
-
-    def elements(self):
-        return itertools.product(range(self.mi), range(self.mj), range(self.mk))
-
-    def is_central(self, x) -> bool:
-        return (self.commutator(x, self.a) == self.identity
-                and self.commutator(x, self.b) == self.identity)
-
-    # -- vectorized arithmetic ------------------------------------------------
-
-    def coords_array(self) -> np.ndarray:
-        grids = np.meshgrid(
-            *(np.arange(m, dtype=np.int64) for m in self.radices), indexing="ij"
-        )
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-    def fold_arrays(self, i, j, k) -> np.ndarray:
-        p = self.params
-        if p.kind == "i":
-            return np.stack(
-                np.broadcast_arrays(i % self.mi, j % self.mj, k % self.mk), axis=-1
-            )
-        if p.kind == "ii":
-            q = k // self.mk
-            k = k - q * self.mk
-            return np.stack(
-                np.broadcast_arrays((i + q * self._carry_i) % self.mi, j % self.mj, k),
-                axis=-1,
-            )
-        q = k // self.mk
-        k = k - q * self.mk
-        i = i + q * self._carry_i
-        qj = j // self.mj
-        j = j - qj * self.mj
-        return np.stack(
-            np.broadcast_arrays((i + qj * self._carry_i) % self.mi, j, k), axis=-1
-        )
-
     def mul_arrays(self, X, Y) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
-        return self.fold_arrays(
-            X[..., 0] + Y[..., 0],
-            X[..., 1] + Y[..., 1],
-            X[..., 2] + Y[..., 2] - X[..., 1] * Y[..., 0],
-        )
+        return apply_rows(self.mul, X, Y)
 
     def inv_arrays(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        return self.fold_arrays(
-            -X[..., 0], -X[..., 1], -X[..., 2] - X[..., 0] * X[..., 1]
-        )
-
-    def key_rows(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        return (X[..., 0] * self.mj + X[..., 1]) * self.mk + X[..., 2]
+        return apply_rows(self.inverse, X)
 
     # -- presentation --------------------------------------------------------
 

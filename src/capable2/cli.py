@@ -90,12 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Capability of two-generator 2-groups of class two, "
         "with verified class-three witnesses.",
     )
-    parser.add_argument(
-        "--max-order",
-        type=int,
-        default=oracle.DEFAULT_MAX_ORDER,
-        help="enumeration budget for witness verification (default 2^16)",
-    )
+    budget_help = "enumeration budget for witness verification (default 2^16)"
+    parser.add_argument("--max-order", type=int, default=oracle.DEFAULT_MAX_ORDER,
+                        help=budget_help)
+    # the verifying subcommands also accept the budget after their name; the
+    # suppressed default leaves a value given before the name in place
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-order", type=int, default=argparse.SUPPRESS, help=budget_help)
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, helptext in (
@@ -105,16 +106,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "build the witness and verify the central quotient"),
         ("export-cas", "emit a GAP script re-checking a verified witness"),
     ):
-        sub = subs.add_parser(name, help=helptext)
+        parents = [budget] if name in ("verify", "export-cas") else []
+        sub = subs.add_parser(name, help=helptext, parents=parents)
         _add_param_flags(sub)
 
-    sweep = subs.add_parser("sweep", help="capability table over all valid tuples")
+    sweep = subs.add_parser("sweep", help="capability table over all valid tuples",
+                            parents=[budget])
     sweep.add_argument("--max-alpha", type=int, required=True)
     sweep.add_argument("--format", choices=["text", "tsv"], default="tsv")
     sweep.add_argument("--no-verify", action="store_true",
                        help="skip witness verification, report verdicts only")
 
-    subs.add_parser("selftest", help="run a quick built-in check battery")
+    subs.add_parser("selftest", help="run a quick built-in check battery", parents=[budget])
     return parser
 
 
@@ -186,6 +189,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.max_alpha < 1:
+        raise ParameterError(f"--max-alpha >= 1 required, got {args.max_alpha}")
     rows, warnings = sweep_rows(
         args.max_alpha, args.max_order, verify=not args.no_verify
     )
@@ -203,7 +208,7 @@ def _cmd_sweep(args) -> int:
             "warning: table is partial; raise --max-order to verify skipped rows",
             file=sys.stderr,
         )
-    print(f"# {capability.NONCERT_NOTE}")
+    print(f"# {capability.NONCERT_NOTE}", file=sys.stderr)
     return 1 if any(r.verified == "FAIL" for r in rows) else 0
 
 

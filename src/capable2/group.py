@@ -1,0 +1,114 @@
+"""Operations every coordinate group derives from its own law.
+
+A group object supplies ``identity``, ``gens`` (which generate it), ``order``,
+``radices`` (element coordinate i lies in ``range(radices[i])``) and the
+scalar law ``mul``/``inverse``; :class:`CoordGroup` derives the rest.
+
+Each law is written once, for scalars, using only ``+ - * // %`` on the
+indexed coordinates ``x[i]``.  Fed the int64 columns ``X[..., i]`` of
+coordinate-row arrays by :func:`apply_rows`, the same code computes every row
+at once.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from .errors import BuildIntegrityError
+
+
+# rows per block in apply_rows: the temporaries of a block stay in cache, and
+# temporaries of millions of rows would cost page faults on every call
+BLOCK_ROWS = 1 << 13
+
+
+def apply_rows(law, *arrays) -> np.ndarray:
+    """Run a coordinate law on int64 coordinate-row arrays, broadcast against
+    each other; the law's result has as many coordinates as its inputs.
+
+    The law is fed the columns ``X[..., i]``, ``BLOCK_ROWS`` rows at a time.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(A, dtype=np.int64) for A in arrays))
+    shape = arrays[0].shape
+    width = shape[-1]
+    flat = [A.reshape(-1, width) for A in arrays]
+    out = np.empty(flat[0].shape, dtype=np.int64)
+    for lo in range(0, len(out), BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        cols = law(*([A[block, i] for i in range(width)] for A in flat))
+        for i, col in enumerate(cols):
+            out[block, i] = col
+    return out.reshape(shape)
+
+
+class CoordGroup:
+    """Derived operations on coordinate tuples; see the module docstring."""
+
+    def power(self, x, n: int):
+        """x^n by binary exponentiation; n may be negative."""
+        if n < 0:
+            return self.power(self.inverse(x), -n)
+        acc, base = self.identity, x
+        while n:
+            if n & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return acc
+
+    def commutator(self, x, y):
+        """[x, y] = x^-1 y^-1 x y."""
+        return self.mul(self.mul(self.inverse(x), self.inverse(y)), self.mul(x, y))
+
+    def order_of(self, x) -> int:
+        """Smallest power of two k with x^k trivial, by repeated squaring."""
+        n, cur = 1, x
+        while cur != self.identity:
+            cur = self.mul(cur, cur)
+            n <<= 1
+            if n > 2 * self.order:
+                raise BuildIntegrityError("element order exceeds group order")
+        return n
+
+    def is_central(self, x) -> bool:
+        """Commutes with every designated generator, hence with everything."""
+        return all(self.commutator(x, g) == self.identity for g in self.gens)
+
+    def closure(self, gens):
+        """Yield each element of the subgroup generated by ``gens`` once, in
+        breadth-first order over right multiplication by the generators."""
+        gens = [tuple(map(int, g)) for g in gens]
+        seen = {self.identity}
+        frontier = [self.identity]
+        yield self.identity
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = self.mul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+                        yield y
+            frontier = nxt
+
+    def elements(self):
+        """All boxed coordinate tuples, lexicographic."""
+        return itertools.product(*(range(m) for m in self.radices))
+
+    def coords_array(self) -> np.ndarray:
+        """All boxed coordinate rows, lexicographic (that is, in key order)."""
+        grids = np.meshgrid(
+            *(np.arange(m, dtype=np.int64) for m in self.radices), indexing="ij"
+        )
+        return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+    def key_rows(self, X) -> np.ndarray:
+        """Mixed-radix key of each boxed coordinate row."""
+        X = np.asarray(X, dtype=np.int64)
+        key = X[..., 0]
+        for i, m in enumerate(self.radices[1:], start=1):
+            key = key * m + X[..., i]
+        return key

@@ -9,7 +9,10 @@ representation.  The two weight-three commutators are central, the commutator
 subgroup is abelian, and all weight-four commutators vanish; multiplication is
 a fixed polynomial in the ten exponents.  The closed form used here is
 hard-coded and refereed by the independent word-collection oracle in
-:mod:`capable2.oracle`.
+:mod:`capable2.oracle`.  It is written once, as :func:`mul_coords` and
+:func:`inverse_coords` on any coordinate 5-sequence, so the finite quotients
+in :mod:`capable2.nilprod` run the same polynomial on Python ints and on
+int64 coordinate columns.
 
 Commutator convention: [x, y] = x^-1 y^-1 x y, left-normed beyond that.
 """
@@ -36,6 +39,9 @@ class FreeElt:
 
     def coords(self) -> tuple[int, int, int, int, int]:
         return (self.r, self.s, self.t, self.u, self.v)
+
+    def __iter__(self):
+        return iter(self.coords())
 
     def comm_coords(self) -> tuple[int, int, int]:
         """The ([a,b], [a,b,a], [a,b,b]) exponent block."""
@@ -71,31 +77,45 @@ D = FreeElt(u=1)  # [a,b,a]
 E = FreeElt(v=1)  # [a,b,b]
 
 
-def mul(x: FreeElt, y: FreeElt) -> FreeElt:
-    """Normal form of the concatenation x*y.
+def mul_coords(x, y):
+    """Coordinates of the normal form of x*y, for any two coordinate 5-sequences.
 
     Collecting a^{y.r} leftward past [a,b]^{x.t} deposits [a,b,a]^{y.r*x.t};
     past b^{x.s} it deposits [a,b]^{-y.r*x.s} and the binomial correction
-    terms; finally b^{y.s} passes the accumulated [a,b]-power.
+    terms; finally b^{y.s} passes the accumulated [a,b]-power.  Only
+    ``+ - * //`` appear, so the entries may be ints or int64 arrays.
     """
-    t_mid = x.t - y.r * x.s
-    return FreeElt(
-        x.r + y.r,
-        x.s + y.s,
-        t_mid + y.t,
-        x.u + y.u + y.r * x.t - x.s * binom2(y.r),
-        x.v + y.v + y.s * t_mid - y.r * binom2(x.s),
+    xr, xs, xt, xu, xv = x
+    yr, ys, yt, yu, yv = y
+    t_mid = xt - yr * xs
+    return (
+        xr + yr,
+        xs + ys,
+        t_mid + yt,
+        xu + yu + yr * xt - xs * binom2(yr),
+        xv + yv + ys * t_mid - yr * binom2(xs),
     )
+
+
+def inverse_coords(x):
+    """Coordinates of x^-1; entries may be ints or int64 arrays."""
+    r, s, t, u, v = x
+    return (
+        -r,
+        -s,
+        -t - r * s,
+        r * t - u + s * binom2(-r),
+        s * t - v + r * binom2(-s),
+    )
+
+
+def mul(x: FreeElt, y: FreeElt) -> FreeElt:
+    """Normal form of the concatenation x*y."""
+    return FreeElt(*mul_coords(x, y))
 
 
 def inverse(x: FreeElt) -> FreeElt:
-    return FreeElt(
-        -x.r,
-        -x.s,
-        -x.t - x.r * x.s,
-        x.r * x.t - x.u + x.s * binom2(-x.r),
-        x.s * x.t - x.v + x.r * binom2(-x.s),
-    )
+    return FreeElt(*inverse_coords(x))
 
 
 def power(x: FreeElt, n: int) -> FreeElt:

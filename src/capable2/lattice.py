@@ -11,9 +11,10 @@ pivots are powers of two.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
-from .errors import RankDeficientError
+from .errors import ParameterError, RankDeficientError
 
 Vec3 = tuple[int, int, int]
 
@@ -34,18 +35,18 @@ class CommLattice:
         return p0 * p1 * p2
 
     def reduce(self, vec) -> Vec3:
-        """Unique representative of vec + L with coordinate i in [0, pivot_i)."""
+        """Unique representative of vec + L with coordinate i in [0, pivot_i).
+
+        The entries of ``vec`` may be ints or int64 arrays (one lattice vector
+        per position); arrays are never modified.
+        """
         t, u, v = vec
         (p0, a01, a02), (_, p1, a12), (_, _, p2) = self.rows
         k = t // p0
-        t -= k * p0
-        u -= k * a01
-        v -= k * a02
+        t, u, v = t - k * p0, u - k * a01, v - k * a02
         k = u // p1
-        u -= k * p1
-        v -= k * a12
-        v -= (v // p2) * p2
-        return (t, u, v)
+        u, v = u - k * p1, v - k * a12
+        return (t, u, v % p2)
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) == (0, 0, 0)
@@ -56,27 +57,19 @@ class CommLattice:
         return itertools.product(range(p0), range(p1), range(p2))
 
 
-def reduce_vector(vec, L: CommLattice) -> Vec3:
-    """Function form of :meth:`CommLattice.reduce`."""
-    return L.reduce(vec)
-
-
-def contains(vec, L: CommLattice) -> bool:
-    """Function form of :meth:`CommLattice.contains`."""
-    return L.contains(vec)
-
-
 def canonical_basis(generators) -> CommLattice:
     """Canonical form of the lattice spanned by integer triples.
 
     Independent of generator order and of redundant generators; raises
     :class:`RankDeficientError` when the span has rank below three (the
-    quotient's commutator block would then be infinite).
+    quotient's commutator block would then be infinite).  Raises
+    :class:`ParameterError` for anything but integer triples.
     """
-    work = [list(map(int, g)) for g in generators]
-    work = [g for g in work if any(g)]
-    if any(len(g) != 3 for g in work):
-        raise ValueError("generators must be integer triples")
+    work = [list(g) for g in generators]
+    for g in work:
+        if len(g) != 3 or not all(isinstance(x, numbers.Integral) for x in g):
+            raise ParameterError(f"generators must be integer triples, got {g!r}")
+    work = [[int(x) for x in g] for g in work if any(g)]
 
     basis = []
     for col in range(3):

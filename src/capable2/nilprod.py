@@ -15,7 +15,11 @@ the normal form; with no extras its size must reproduce the classical counts
 with extras [a,b,a]^(2^gamma), [a,b,b]^(2^gamma) it must give
 2^(alpha+2*beta+2*gamma); the build fails loudly otherwise.
 
-Group elements (``NilElt``) are plain 5-tuples of boxed coordinates.
+Group elements (``NilElt``) are plain 5-tuples of boxed coordinates.  The
+product is :func:`hall_core.mul_coords` followed by :meth:`NilGroup.reduce`
+(r and s modulo the factor orders, (t, u, v) by :meth:`CommLattice.reduce`);
+``mul_arrays`` runs the same two functions on int64 coordinate columns, and
+the derived operations come from :class:`capable2.group.CoordGroup`.
 Everything is immutable after build and all operations are pure.
 """
 
@@ -28,6 +32,7 @@ import numpy as np
 
 from . import hall_core as hall
 from .errors import BuildIntegrityError, CentralityError, ParameterError
+from .group import CoordGroup, apply_rows
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
 
@@ -49,7 +54,7 @@ class GroupSpec:
     extra_central: tuple[FreeElt, ...] = ()
 
 
-class NilGroup:
+class NilGroup(CoordGroup):
     """A built quotient with canonical boxed coordinates.  Use :func:`build`."""
 
     def __init__(self, spec: GroupSpec, comm_lattice: CommLattice):
@@ -63,162 +68,42 @@ class NilGroup:
         self.b = self.reduce(hall.B)
         self.gens = (self.a, self.b)
         self.radices = (self.r_modulus, self.s_modulus) + comm_lattice.pivots
-        # modulus of the [a,b] coordinate in the quotient by <[a,b,a],[a,b,b]>
-        self.g3_t_modulus = canonical_basis(
-            comm_lattice.rows + ((0, 1, 0), (0, 0, 1))
-        ).pivots[0]
 
-    # -- scalar arithmetic -------------------------------------------------
+    # -- the law: hall_core's polynomial, then the boxed reduction -----------
 
     def lift(self, x: NilElt) -> FreeElt:
         return FreeElt(*x)
 
-    def reduce(self, g: FreeElt) -> NilElt:
-        r = g.r % self.r_modulus
-        s = g.s % self.s_modulus
-        t, u, v = self.comm_lattice.reduce((g.t, g.u, g.v))
-        return (r, s, t, u, v)
+    def reduce(self, g) -> NilElt:
+        """Boxed coordinates of a FreeElt or of any coordinate 5-sequence."""
+        r, s, t, u, v = g
+        return (r % self.r_modulus, s % self.s_modulus, *self.comm_lattice.reduce((t, u, v)))
 
     def mul(self, x: NilElt, y: NilElt) -> NilElt:
-        return self.reduce(hall.mul(self.lift(x), self.lift(y)))
+        return self.reduce(hall.mul_coords(x, y))
 
     def inverse(self, x: NilElt) -> NilElt:
-        return self.reduce(hall.inverse(self.lift(x)))
-
-    def power(self, x: NilElt, n: int) -> NilElt:
-        return self.reduce(hall.power(self.lift(x), n))
-
-    def commutator(self, x: NilElt, y: NilElt) -> NilElt:
-        return self.reduce(hall.commutator(self.lift(x), self.lift(y)))
-
-    def order_of(self, x: NilElt) -> int:
-        """Smallest power of two k with x^k trivial, by repeated squaring."""
-        n = 1
-        cur = x
-        while cur != self.identity:
-            cur = self.mul(cur, cur)
-            n <<= 1
-            if n > 2 * self.order:
-                raise BuildIntegrityError("element order exceeds group order")
-        return n
-
-    def equal_mod_g3(self, x: NilElt, y: NilElt) -> bool:
-        """Equality in the quotient by <[a,b,a],[a,b,b]>."""
-        return (
-            x[0] == y[0]
-            and x[1] == y[1]
-            and (x[2] - y[2]) % self.g3_t_modulus == 0
-        )
-
-    def elements(self):
-        """All boxed coordinate tuples, lexicographic."""
-        return itertools.product(
-            range(self.r_modulus),
-            range(self.s_modulus),
-            *(range(p) for p in self.comm_lattice.pivots),
-        )
-
-    def subgroup_closure(self, gens) -> set[NilElt]:
-        """Subgroup generated by ``gens`` (BFS over right multiplication)."""
-        gens = [tuple(g) for g in gens]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    def is_central(self, x: NilElt) -> bool:
-        """Commutes with a and b, which generate the group."""
-        return (
-            self.commutator(x, self.a) == self.identity
-            and self.commutator(x, self.b) == self.identity
-        )
-
-    # -- vectorized arithmetic (same law on int64 coordinate rows) ----------
-
-    def coords_array(self) -> np.ndarray:
-        grids = np.meshgrid(
-            *(np.arange(m, dtype=np.int64) for m in self.radices), indexing="ij"
-        )
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-    def reduce_arrays(self, r, s, t, u, v) -> np.ndarray:
-        r = r % self.r_modulus
-        s = s % self.s_modulus
-        (p0, a01, a02), (_, p1, a12), (_, _, p2) = self.comm_lattice.rows
-        k = t // p0
-        t = t - k * p0
-        u = u - k * a01
-        v = v - k * a02
-        k = u // p1
-        u = u - k * p1
-        v = v - k * a12
-        v = v % p2
-        return np.stack(np.broadcast_arrays(r, s, t, u, v), axis=-1)
+        return self.reduce(hall.inverse_coords(x))
 
     def mul_arrays(self, X, Y) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        Y = np.asarray(Y, dtype=np.int64)
-        xr, xs, xt, xu, xv = (X[..., i] for i in range(5))
-        yr, ys, yt, yu, yv = (Y[..., i] for i in range(5))
-        t_mid = xt - yr * xs
-        return self.reduce_arrays(
-            xr + yr,
-            xs + ys,
-            t_mid + yt,
-            xu + yu + yr * xt - xs * (yr * (yr - 1) // 2),
-            xv + yv + ys * t_mid - yr * (xs * (xs - 1) // 2),
-        )
+        return apply_rows(self.mul, X, Y)
 
     def inv_arrays(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        r, s, t, u, v = (X[..., i] for i in range(5))
-        return self.reduce_arrays(
-            -r,
-            -s,
-            -t - r * s,
-            r * t - u + s * (-r * (-r - 1) // 2),
-            s * t - v + r * (-s * (-s - 1) // 2),
-        )
-
-    def key_rows(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        key = X[..., 0]
-        for i, m in enumerate(self.radices[1:], start=1):
-            key = key * m + X[..., i]
-        return key
+        return apply_rows(self.inverse, X)
 
     # -- centers and quotients ----------------------------------------------
 
     def generates_with_center(self, elems) -> bool:
         """Do ``elems`` generate the whole group together with the center?
 
-        BFS closure with an early exit: a subgroup of more than half the
-        order is the whole group.
+        Stops as soon as the subgroup exceeds half the order: it is then the
+        whole group.
         """
-        gens = [tuple(g) for g in elems] + self.center()
         half = self.order // 2
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        if len(seen) >= half:
-                            return True
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen) == self.order
+        for n, _ in enumerate(self.closure([*elems, *self.center()]), start=1):
+            if n > half:
+                return True
+        return False
 
     def center(self) -> list[NilElt]:
         """Generators of the exact center.
@@ -230,19 +115,12 @@ class NilGroup:
         """
         if hasattr(self, "_center_gens"):
             return list(self._center_gens)
-        sols = []
-        p_t = self.comm_lattice.pivots[0]
-        for r in range(self.r_modulus):
-            for s in range(self.s_modulus):
-                for t in range(p_t):
-                    z = FreeElt(r, s, t, 0, 0)
-                    if self.reduce(hall.commutator(z, hall.A)) != self.identity:
-                        continue
-                    if self.reduce(hall.commutator(z, hall.B)) != self.identity:
-                        continue
-                    sols.append(self.reduce(z))
-        sols.append(self.reduce(hall.D))
-        sols.append(self.reduce(hall.E))
+        box = itertools.product(
+            range(self.r_modulus), range(self.s_modulus),
+            range(self.comm_lattice.pivots[0]), (0,), (0,),
+        )
+        sols = [z for z in box if self.is_central(z)]
+        sols += [self.reduce(hall.D), self.reduce(hall.E)]
 
         gens: list[NilElt] = []
         known = {self.identity}
@@ -250,7 +128,7 @@ class NilGroup:
             if cand in known:
                 continue
             gens.append(cand)
-            known = self.subgroup_closure(gens)
+            known = set(self.closure(gens))
         self._center_gens = tuple(gens)
         return gens
 

@@ -6,7 +6,10 @@ pushes single letters past each other with the five basic swap rules and their
 sign variants, so it referees :mod:`capable2.hall_core`.  The table-level
 routines (center, closure, quotient, isomorphism) referee the congruence-level
 computations elsewhere in the package; they reuse each group's own
-multiplication law but never its structural shortcuts.
+multiplication law (written once, in :mod:`capable2.hall_core` and
+:meth:`capable2.class2.Class2Group.fold`, and run on int64 rows through
+``mul_arrays``) and the breadth-first :meth:`capable2.group.CoordGroup.closure`,
+but never a structural shortcut such as :meth:`capable2.nilprod.NilGroup.center`.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EnumerationBudgetError
+from .group import CoordGroup
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -166,7 +170,6 @@ class GroupTable:
         self.coords = coords
         self.keys = group.key_rows(coords)
         self.order = len(coords)
-        self.identity_idx = int(self.idx_rows(np.asarray([group.identity]))[0])
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -179,21 +182,6 @@ class GroupTable:
         if len(coords) != group.order:
             raise EnumerationBudgetError("enumeration does not match the declared order")
         return GroupTable(group, coords)
-
-    def idx_rows(self, X) -> np.ndarray:
-        k = self.group.key_rows(np.asarray(X, dtype=np.int64))
-        return np.searchsorted(self.keys, k)
-
-    def rows(self, idx) -> np.ndarray:
-        return self.coords[idx]
-
-    def element_set(self) -> set[tuple]:
-        return {tuple(r) for r in self.coords.tolist()}
-
-
-def enumerate_group(group, max_order: int | None = None) -> GroupTable:
-    """Full element table of a group object; errors past the budget."""
-    return GroupTable.from_group(group, max_order)
 
 
 def is_identity_rows(group, X) -> np.ndarray:
@@ -221,10 +209,7 @@ def order_exponent_rows(group, X) -> np.ndarray:
 
 def comm_rows(group, X, y) -> np.ndarray:
     """[x, y] for each row x against a fixed element y."""
-    y = np.asarray(y, dtype=np.int64)
-    xi = group.inv_arrays(X)
-    yi = group.inv_arrays(y[None])[0]
-    return group.mul_arrays(group.mul_arrays(xi, yi[None]), group.mul_arrays(X, y[None]))
+    return comm_rows_pairwise(group, X, np.asarray(y, dtype=np.int64)[None])
 
 
 def comm_rows_pairwise(group, X, Y) -> np.ndarray:
@@ -278,24 +263,9 @@ def brute_center(table: GroupTable) -> np.ndarray:
 
 
 def closure(table: GroupTable, gens) -> np.ndarray:
-    """Subgroup generated by ``gens`` inside the table's group."""
+    """Subgroup generated by ``gens`` inside the table's group, in key order."""
     g = table.group
-    seen = {int(g.key_rows(np.asarray([g.identity]))[0])}
-    rows = [tuple(g.identity)]
-    frontier = [tuple(g.identity)]
-    gens = [tuple(x) for x in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for h in gens:
-                y = g.mul(x, h)
-                k = int(g.key_rows(np.asarray([y]))[0])
-                if k not in seen:
-                    seen.add(k)
-                    rows.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    out = np.asarray(rows, dtype=np.int64)
+    out = np.asarray(list(g.closure(gens)), dtype=np.int64)
     return out[np.argsort(g.key_rows(out), kind="stable")]
 
 
@@ -320,7 +290,7 @@ def normal_closure(table: GroupTable, gens) -> np.ndarray:
             return sub
 
 
-class QuotientGroup:
+class QuotientGroup(CoordGroup):
     """Quotient of a table's group by a verified central subgroup.
 
     Elements are the minimum-key coset representatives; products are computed
@@ -361,23 +331,11 @@ class QuotientGroup:
     def inv_arrays(self, X) -> np.ndarray:
         return self._canon_rows(self.parent.inv_arrays(X))
 
-    def key_rows(self, X) -> np.ndarray:
-        return self.parent.key_rows(np.asarray(X, dtype=np.int64))
-
     def mul(self, x, y):
         return tuple(self.mul_arrays(np.asarray([x]), np.asarray([y]))[0].tolist())
 
     def inverse(self, x):
         return tuple(self.inv_arrays(np.asarray([x]))[0].tolist())
-
-    def power(self, x, n: int):
-        return tuple(pow_rows(self, np.asarray([x]), n)[0].tolist())
-
-    def commutator(self, x, y):
-        return self.mul(self.mul(self.inverse(x), self.inverse(y)), self.mul(x, y))
-
-    def order_of(self, x) -> int:
-        return 1 << int(order_exponent_rows(self, np.asarray([x]))[0])
 
     def elements(self):
         return (tuple(r) for r in self._rep.tolist())

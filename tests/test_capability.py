@@ -141,7 +141,7 @@ def test_verify_boundary_general_type_witness():
     # the killed subgroup is central and cyclic of order two
     g32 = build(GroupSpec(3, 2))
     w = cap.build_witness(type_ii(3, 2, 2, 1))
-    nset = g32.subgroup_closure([g32.reduce(x) for x in w.ambient.extra_central])
+    nset = set(g32.closure([g32.reduce(x) for x in w.ambient.extra_central]))
     assert len(nset) == 2
 
 

@@ -4,8 +4,10 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capable2 import class2, oracle
+from capable2 import class2, group, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii, validate
 from capable2.errors import ParameterError
 
@@ -25,6 +27,47 @@ def test_validate_accepts_and_rejects():
         type_iii(0)
     with pytest.raises(ParameterError, match="unknown type"):
         validate("iv", gamma=1)
+
+
+def test_validate_rejects_non_integer_parameters():
+    # a float must not pass through to the printed parameters, nor a bool
+    # stand in for 1
+    with pytest.raises(ParameterError, match="alpha must be an integer"):
+        type_i(2.5, 1, 1)
+    with pytest.raises(ParameterError, match="alpha must be an integer"):
+        type_i(True, True, True)
+    with pytest.raises(ParameterError, match="sigma must be an integer"):
+        type_ii(4, 4, 2, 1.0)
+    with pytest.raises(ParameterError, match="gamma must be an integer"):
+        type_iii("1")
+    with pytest.raises(ParameterError, match="unknown type"):
+        validate(None, gamma=1)
+
+
+_KIND = st.sampled_from(["i", "ii", "iii", "II", "iv"])
+_INT = st.one_of(st.none(), st.integers(-2, 7))
+_NON_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=2))
+_VALID = set(class2.iter_valid_params(7))
+
+
+@given(kind=_KIND, values=st.tuples(_INT, _INT, _INT, _INT))
+def test_validate_accepts_exactly_the_enumerated_tuples(kind, values):
+    expected = class2.TypeParams(kind.lower(), *values)
+    try:
+        p = validate(kind, *values)
+    except ParameterError:
+        assert expected not in _VALID
+    else:
+        assert p == expected and p in _VALID
+
+
+@given(p=st.sampled_from(sorted(_VALID, key=str)), pos=st.integers(0, 3), bad=_NON_INT)
+def test_validate_rejects_every_non_integer_parameter(p, pos, bad):
+    # a valid tuple with one entry replaced by a bool, float or string
+    values = [p.alpha, p.beta, p.gamma, p.sigma]
+    values[pos] = bad
+    with pytest.raises(ParameterError):
+        validate(p.kind, *values)
 
 
 def test_model_orders():
@@ -179,6 +222,30 @@ def test_fold_closure_counts():
         for x in list(elems)[:64]:
             for y in list(elems)[:64]:
                 assert g.mul(x, y) in elems
+
+
+@pytest.mark.parametrize("block_rows", [group.BLOCK_ROWS, 7])
+def test_array_law_matches_scalar_for_every_kind(monkeypatch, block_rows):
+    # mul_arrays/inv_arrays run the scalar fold on columns; compare them row
+    # by row on every pair, in one block and in blocks of 7 rows
+    monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
+    for p in [type_i(3, 2, 1), type_ii(4, 4, 2, 1), type_ii(3, 2, 2, 1), type_iii(1), type_iii(2)]:
+        g = model(p)
+        coords = g.coords_array()
+        prod = g.mul_arrays(coords[:, None, :], coords[None, :, :])
+        inv = g.inv_arrays(coords)
+        elems = [tuple(x) for x in coords.tolist()]
+        for i, x in enumerate(elems):
+            assert tuple(inv[i].tolist()) == g.inverse(x)
+            for j, y in enumerate(elems):
+                assert tuple(prod[i, j].tolist()) == g.mul(x, y)
+        if p.kind == "iii":
+            # the double carry: both the [a,b] and the b coordinate overflow
+            assert any(
+                x[1] + y[1] >= g.mj and not 0 <= x[2] + y[2] - x[1] * y[0] < g.mk
+                for x in elems
+                for y in elems
+            )
 
 
 def test_iter_valid_params_alpha1():

@@ -65,19 +65,27 @@ def test_classify(capsys):
 def test_sweep_alpha_1_rows(capsys):
     code, out, _ = run(capsys, "sweep", "--max-alpha", "1")
     assert code == 0
-    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
-    assert lines[0].split("\t") == list(TSV_COLUMNS)
-    rows = [l.split("\t") for l in lines[1:]]
-    assert [r[0] for r in rows] == ["i", "iii"]
-    assert rows[0] == ["i", "1", "1", "1", "-", "8", "capable", "a", "PASS"]
-    assert rows[1] == ["iii", "-", "-", "1", "-", "8", "not_capable", "-", "n/a"]
+    # stdout is exactly the TSV: header plus one line per tuple
+    assert out.splitlines() == [
+        "\t".join(TSV_COLUMNS),
+        "\t".join(["i", "1", "1", "1", "-", "8", "capable", "a", "PASS"]),
+        "\t".join(["iii", "-", "-", "1", "-", "8", "not_capable", "-", "n/a"]),
+    ]
 
 
 def test_sweep_known_row_and_statement(capsys):
-    code, out, _ = run(capsys, "sweep", "--max-alpha", "2")
+    code, out, err = run(capsys, "sweep", "--max-alpha", "2")
     assert code == 0
     assert "i\t2\t2\t1\t-\t32\tcapable\ta\tPASS" in out
-    assert "exhaustive search" in out  # limitation statement printed
+    assert "exhaustive search" in err  # limitation statement printed
+
+
+@pytest.mark.parametrize("max_alpha", ["0", "-3"])
+def test_sweep_rejects_max_alpha_below_one(capsys, max_alpha):
+    code, out, err = run(capsys, "sweep", "--max-alpha", max_alpha)
+    assert code == 2
+    assert out == ""
+    assert "--max-alpha >= 1" in err
 
 
 def test_sweep_rows_round_trip():
@@ -99,6 +107,24 @@ def test_sweep_budget_warning(capsys):
     assert code == 0
     assert "SKIPPED" in out
     assert "partial" in err
+
+
+def test_max_order_after_the_subcommand(capsys):
+    # the budget is accepted after the subcommand name, where README puts it,
+    # and there it overrides a value given before the name
+    params = ("--type", "i", "--alpha", "1", "--beta", "1", "--gamma", "1")
+    code, out, _ = run(capsys, "verify", *params, "--max-order", "100")
+    assert code == 0 and "iso=PASS" in out
+    code, _, err = run(capsys, "verify", *params, "--max-order", "8")
+    assert code == 1 and "exceeds the enumeration bound 8" in err
+    code, _, _ = run(capsys, "--max-order", "8", "verify", *params, "--max-order", "100")
+    assert code == 0
+    code, out, err = run(capsys, "sweep", "--max-alpha", "2", "--max-order", "32")
+    assert code == 0 and "SKIPPED" in out and "partial" in err
+    code, _, err = run(capsys, "export-cas", *params, "--max-order", "8")
+    assert code == 1 and "exceeds the enumeration bound 8" in err
+    code, _, err = run(capsys, "selftest", "--max-order", "8")
+    assert code == 1 and "exceeds the enumeration bound 8" in err
 
 
 def test_selftest(capsys):

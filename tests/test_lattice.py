@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from capable2.errors import RankDeficientError
+from capable2.errors import ParameterError, RankDeficientError
 from capable2.lattice import canonical_basis
 
 
@@ -37,14 +40,11 @@ def test_canonical_form_independent_of_generator_order():
 
 
 def test_reduce_examples():
-    from capable2.lattice import contains, reduce_vector
-
     L = canonical_basis([(4, -2, 0), (2, 0, 1), (0, 2, 0), (0, 0, 2)])
     assert L.reduce((2, 0, 1)) == (0, 0, 0)
-    assert reduce_vector((2, 0, 1), L) == (0, 0, 0)
-    assert contains((2, 0, 1), L) and L.contains((2, 0, 1))
+    assert L.contains((2, 0, 1))
     assert not L.contains((1, 0, 0))
-    assert contains((0, 0, 0), L)
+    assert L.contains((0, 0, 0))
     D = canonical_basis([(2, 0, 0), (0, 2, 0), (0, 0, 2)])
     assert D.reduce((0, 0, 3)) == (0, 0, 1)
     assert D.reduce((5, 1, 7)) == D.reduce(D.reduce((5, 1, 7)))
@@ -96,3 +96,39 @@ def test_rank_deficient_generators_rejected():
         canonical_basis([(2, 0, 0), (4, 0, 0), (0, 1, 0)])
     with pytest.raises(RankDeficientError):
         canonical_basis([])
+
+
+def test_non_integral_entries_rejected():
+    # 1.5 must not be truncated to a pivot of 1
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([(1.5, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([("2", 0, 0), (0, 1, 0), (0, 0, 1)])
+    L = canonical_basis([(np.int64(2), 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert L.rows == ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert all(type(x) is int for row in L.rows for x in row)
+
+
+def test_wrong_length_rejected_even_when_zero():
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([(0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([(0, 0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([(2, 0), (0, 2, 0), (0, 0, 2)])
+
+
+_TRIPLE = st.tuples(*[st.integers(-12, 12)] * 3)
+
+
+@given(gens=st.lists(_TRIPLE, max_size=4), diag=st.tuples(*[st.integers(1, 6)] * 3))
+def test_reduce_on_arrays_matches_scalar_and_leaves_input_alone(gens, diag):
+    L = canonical_basis(gens + [(diag[0], 0, 0), (0, diag[1], 0), (0, 0, diag[2])])
+    assert all(L.contains(g) for g in gens)
+    rng = np.random.default_rng(len(gens))
+    vecs = rng.integers(-50, 50, size=(3, 64))
+    before = vecs.copy()
+    red = L.reduce(tuple(vecs))
+    assert (vecs == before).all()
+    for i in range(64):
+        assert tuple(int(c[i]) for c in red) == L.reduce(tuple(int(c) for c in vecs[:, i]))

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from capable2 import hall_core as hall
+from capable2 import group, hall_core as hall
 from capable2 import nilprod, oracle
 from capable2.errors import CentralityError, ParameterError
 from capable2.hall_core import FreeElt
@@ -230,6 +230,23 @@ def test_vectorized_arithmetic_matches_scalar():
         assert tuple(inv[i].tolist()) == g.inverse(X[i])
 
 
+@pytest.mark.parametrize("block_rows", [group.BLOCK_ROWS, 7])
+def test_mul_arrays_matches_word_collection(monkeypatch, block_rows):
+    # the array path is refereed by word collection directly, in one block
+    # and in blocks of 7 rows, and against a broadcast single row
+    monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
+    rng = random.Random(4)
+    for g in [build(GroupSpec(3, 2)), K(3, 3, 1), build(GroupSpec(4, 4))]:
+        X = [tuple(rng.randrange(m) for m in g.radices) for _ in range(60)]
+        Y = [tuple(rng.randrange(m) for m in g.radices) for _ in range(60)]
+        prod = g.mul_arrays(np.array(X), np.array(Y))
+        with_first = g.mul_arrays(np.array(X), np.array(Y[:1]))
+        for i, (x, y) in enumerate(zip(X, Y)):
+            word = oracle.word_of(g.lift(x)) + oracle.word_of(g.lift(y))
+            assert tuple(prod[i].tolist()) == g.reduce(oracle.collect_word(word))
+            assert tuple(with_first[i].tolist()) == g.mul(x, Y[0])
+
+
 def test_membership_congruences_for_general_type_subgroup():
     # inside the killed-power group with alpha=beta, the subgroup generated by
     # [a,b]^(2^(alpha+sigma-gamma)) [a,b,b]^(-2^sigma) and [a,b,a]^(2^sigma)
@@ -273,7 +290,7 @@ def test_membership_congruences_for_halved_step_subgroup():
         )
         n1 = g.reduce(hall.commutator(w, hall.A))
         n2 = g.reduce(hall.commutator(w, hall.B))
-        nset = g.subgroup_closure([n1, n2])
+        nset = set(g.closure([n1, n2]))
         assert len(nset) == 2  # central and cyclic of order two
         assert n2 in {n1, g.inverse(n1)}
         mods = (1 << (beta + 1), 1 << beta, 1 << (beta + 1), 1 << (beta - 1), 1 << (beta - 1))

@@ -70,9 +70,9 @@ def test_enumeration_bound():
 
 
 def test_table_counts():
-    assert oracle.enumerate_group(build(GroupSpec(1, 1))).order == 16
-    assert oracle.enumerate_group(model(type_iii(1))).order == 8
-    assert oracle.enumerate_group(model(type_i(1, 1, 1))).order == 8
+    assert oracle.GroupTable.from_group(build(GroupSpec(1, 1))).order == 16
+    assert oracle.GroupTable.from_group(model(type_iii(1))).order == 8
+    assert oracle.GroupTable.from_group(model(type_i(1, 1, 1))).order == 8
 
 
 def test_tables_are_deterministic():
