@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from . import capability, class2, nilprod, oracle
 from .class2 import TypeParams
 from .errors import (
+    BuildIntegrityError,
     CentralityError,
     EnumerationBudgetError,
     NotCapableError,
     ParameterError,
+    RankDeficientError,
 )
 
 TSV_COLUMNS = ("type", "alpha", "beta", "gamma", "sigma", "order", "verdict", "clause", "verified")
@@ -128,7 +130,13 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (NotCapableError, CentralityError, EnumerationBudgetError) as exc:
+    except (
+        NotCapableError,
+        CentralityError,
+        EnumerationBudgetError,
+        BuildIntegrityError,
+        RankDeficientError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -105,10 +105,14 @@ class CoordGroup:
         )
         return np.stack([g.reshape(-1) for g in grids], axis=1)
 
+    def key(self, x):
+        """Mixed-radix key of a boxed coordinate tuple (or of coordinate columns)."""
+        key = x[0]
+        for i, m in enumerate(self.radices[1:], start=1):
+            key = key * m + x[i]
+        return key
+
     def key_rows(self, X) -> np.ndarray:
         """Mixed-radix key of each boxed coordinate row."""
         X = np.asarray(X, dtype=np.int64)
-        key = X[..., 0]
-        for i, m in enumerate(self.radices[1:], start=1):
-            key = key * m + X[..., i]
-        return key
+        return self.key([X[..., i] for i in range(X.shape[-1])])

@@ -11,6 +11,14 @@ multiplication law (written once, in :mod:`capable2.hall_core` and
 ``mul_arrays``) and the breadth-first :meth:`capable2.group.CoordGroup.closure`,
 but never a structural shortcut such as :meth:`capable2.nilprod.NilGroup.center`.
 
+Both table referees do O(|K|) row products.  ``brute_center`` keeps the rows
+that commute with the designated generators and proves, by a breadth-first
+search over right multiplication, that those generators reach every row of
+the table: a row that commutes with the generators, when the generators reach
+every row, is central.  ``quotient_central`` picks a few generators of the
+central subgroup from its own rows and finds each coset's minimum-key element
+as an orbit minimum over their right multiplications.
+
 Tables are immutable after construction and deterministically ordered.
 """
 
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
+from .errors import BuildIntegrityError, EnumerationBudgetError
 from .group import CoordGroup
 from .hall_core import FreeElt
 
@@ -169,6 +177,8 @@ class GroupTable:
         self.group = group
         self.coords = coords
         self.keys = group.key_rows(coords)
+        if (self.keys[1:] <= self.keys[:-1]).any():
+            raise ValueError("table rows must be in strictly increasing key order")
         self.order = len(coords)
 
     @staticmethod
@@ -182,6 +192,13 @@ class GroupTable:
         if len(coords) != group.order:
             raise EnumerationBudgetError("enumeration does not match the declared order")
         return GroupTable(group, coords)
+
+    def index_of(self, keys) -> np.ndarray:
+        """Table index of each key; ``BuildIntegrityError`` if one is absent."""
+        idx = np.minimum(np.searchsorted(self.keys, keys), self.order - 1)
+        if not (self.keys[idx] == keys).all():
+            raise BuildIntegrityError("a product left the table")
+        return idx
 
 
 def is_identity_rows(group, X) -> np.ndarray:
@@ -240,26 +257,46 @@ def pow_rows(group, X, n: int) -> np.ndarray:
 
 
 def brute_center(table: GroupTable) -> np.ndarray:
-    """{z : zg = gz for all g}, coordinate rows.
+    """{z : zg = gz for all g}, coordinate rows in table order.
 
-    Candidates are first cut down by the designated generators, then every
-    survivor is verified against the whole element list, so each returned row
-    commutes with everything and each excluded row has a witness.
+    A row is kept when it commutes with every designated generator.  A
+    breadth-first search over the index maps "right-multiply by a generator"
+    then proves that the generators reach every row of the table, so they
+    generate it: a kept row commutes with the generators, the generators
+    reach every row, so the row is central, and every dropped row fails
+    against a generator.  Raises ``BuildIntegrityError`` when the generators
+    reach only part of the table.  O(|K|) row products.
     """
     g = table.group
-    cand = table.coords
+    keep = np.ones(table.order, dtype=bool)
+    steps = []
     for gen in g.gens:
-        row = np.asarray(gen, dtype=np.int64)
-        left = g.mul_arrays(cand, row[None])
-        right = g.mul_arrays(row[None], cand)
-        cand = cand[(left == right).all(axis=1)]
-    keep = np.ones(len(cand), dtype=bool)
-    for i, z in enumerate(cand):
-        left = g.mul_arrays(table.coords, z[None])
-        right = g.mul_arrays(z[None], table.coords)
-        if not (left == right).all():
-            keep[i] = False
-    return cand[keep]
+        row = np.asarray(gen, dtype=np.int64)[None]
+        right = g.key_rows(g.mul_arrays(table.coords, row))
+        keep &= right == g.key_rows(g.mul_arrays(row, table.coords))
+        steps.append(table.index_of(right))
+    start = table.index_of(g.key_rows([g.identity]))
+    if not _reached(steps, start, table.order).all():
+        raise BuildIntegrityError("the designated generators do not generate the table")
+    return table.coords[keep]
+
+
+def _reached(steps, start, n: int) -> np.ndarray:
+    """Mask of the indices 0..n-1 reached from ``start`` by the index maps
+    ``steps``, breadth first."""
+    seen = np.zeros(n, dtype=bool)
+    slot = np.empty(n, dtype=np.intp)
+    seen[start] = True
+    frontier = np.asarray(start).reshape(-1)
+    while len(frontier):
+        nxt = np.concatenate([s[frontier] for s in steps])
+        nxt = nxt[~seen[nxt]]
+        # deduplicate in O(len(nxt)): keep the entry that wins its slot
+        pos = np.arange(len(nxt))
+        slot[nxt] = pos
+        frontier = nxt[slot[nxt] == pos]
+        seen[frontier] = True
+    return seen
 
 
 def closure(table: GroupTable, gens) -> np.ndarray:
@@ -291,36 +328,46 @@ def normal_closure(table: GroupTable, gens) -> np.ndarray:
 
 
 class QuotientGroup(CoordGroup):
-    """Quotient of a table's group by a verified central subgroup.
+    """Quotient of a table's group by the central subgroup Z that ``gens``
+    generate.
 
-    Elements are the minimum-key coset representatives; products are computed
-    in the parent and renormalized through a dense coset-id array.
+    Elements are the minimum-key coset representatives.  The coset xZ is the
+    orbit of x under right multiplication by the generators, so its minimum
+    key is found by propagating ``lab = minimum(lab, lab[step])`` over the
+    generators' index maps until nothing changes: O(|K|) row products per
+    generator.  Products are computed in the parent and renormalized through
+    a dense coset-id array.
     """
 
-    def __init__(self, table: GroupTable, sub: np.ndarray):
+    def __init__(self, table: GroupTable, gens):
         parent = table.group
-        self.parent = parent
-        minkey = table.keys.copy()
-        for z in sub:
-            k = parent.key_rows(parent.mul_arrays(table.coords, z[None]))
-            np.minimum(minkey, k, out=minkey)
-        rep_keys, cid = np.unique(minkey, return_inverse=True)
-        # table.keys is dense 0..N-1 for base groups, so cid indexes by key
         if not np.array_equal(table.keys, np.arange(table.order)):
             raise ValueError("quotients require a densely keyed parent table")
+        self.parent = parent
+        # keys are dense, so a key is its row's table index
+        steps = [parent.key_rows(parent.mul_arrays(table.coords, [z])) for z in gens]
+        lab = table.keys
+        while True:
+            nxt = lab
+            for step in steps:
+                nxt = np.minimum(nxt, nxt[step])
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
+        rep_keys, cid = np.unique(lab, return_inverse=True)
         self._cid_of_key = cid.astype(np.int64)
         self._rep = table.coords[rep_keys]
+        self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(rep_keys)
-        self.identity = tuple(self._canon_rows(np.asarray([parent.identity]))[0].tolist())
-        self.gens = tuple(
-            tuple(r.tolist())
-            for r in self._canon_rows(np.asarray(parent.gens, dtype=np.int64))
-        )
         self.radices = parent.radices
+        self.identity = self._canon(parent.identity)
+        self.gens = tuple(self._canon(x) for x in parent.gens)
+
+    def _canon(self, x):
+        return self._rep_tuples[self._cid_of_key[self.key(x)]]
 
     def _canon_rows(self, X) -> np.ndarray:
-        keys = self.parent.key_rows(np.asarray(X, dtype=np.int64))
-        return self._rep[self._cid_of_key[keys]]
+        return self._rep[self._cid_of_key[self.parent.key_rows(X)]]
 
     def coords_array(self) -> np.ndarray:
         return self._rep.copy()
@@ -332,32 +379,49 @@ class QuotientGroup(CoordGroup):
         return self._canon_rows(self.parent.inv_arrays(X))
 
     def mul(self, x, y):
-        return tuple(self.mul_arrays(np.asarray([x]), np.asarray([y]))[0].tolist())
+        return self._canon(self.parent.mul(x, y))
 
     def inverse(self, x):
-        return tuple(self.inv_arrays(np.asarray([x]))[0].tolist())
+        return self._canon(self.parent.inverse(x))
 
     def elements(self):
-        return (tuple(r) for r in self._rep.tolist())
+        return iter(self._rep_tuples)
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
-    """Table of the quotient by a central subgroup; rejects non-central input."""
+    """Table of the quotient by a central subgroup; ``ValueError`` when the
+    rows miss the identity, are not central or are not closed."""
     g = table.group
-    sub = np.asarray(sub, dtype=np.int64)
-    sub_set = {tuple(r) for r in sub.tolist()}
-    if tuple(g.identity) not in sub_set:
+    rows = [tuple(r) for r in np.asarray(sub, dtype=np.int64).tolist()]
+    if tuple(g.identity) not in rows:
         raise ValueError("subgroup must contain the identity")
-    for z in sub.tolist():
-        zt = tuple(z)
-        for gen in g.gens:
-            if g.commutator(zt, gen) != tuple(g.identity):
-                raise ValueError(f"subgroup element {zt} is not central")
-        for w in sub.tolist():
-            if g.mul(zt, tuple(w)) not in sub_set:
-                raise ValueError("input is not closed under multiplication")
-    q = QuotientGroup(table, sub)
+    for z in rows:
+        if not g.is_central(z):
+            raise ValueError(f"subgroup element {z} is not central")
+    q = QuotientGroup(table, _subgroup_generators(g, rows))
     return GroupTable(q, q.coords_array())
+
+
+def _subgroup_generators(group, rows) -> list:
+    """Some of ``rows``, picked greedily in order, that generate them;
+    ``ValueError`` unless the rows form a subgroup.
+
+    Each pick at least doubles the span, so there are at most log2 |rows|.
+    The rows are a subgroup exactly when the closure of the picks stays
+    inside them, and then that closure is all of them.
+    """
+    members = set(rows)
+    gens, spanned = [], {group.identity}
+    for x in rows:
+        if x in spanned:
+            continue
+        gens.append(x)
+        spanned = set()
+        for y in group.closure(gens):
+            if y not in members:
+                raise ValueError("input is not closed under multiplication")
+            spanned.add(y)
+    return gens
 
 
 def lcs(table: GroupTable) -> list[np.ndarray]:

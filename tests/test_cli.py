@@ -2,8 +2,9 @@
 
 import pytest
 
-from capable2 import class2, cli
+from capable2 import class2, cli, nilprod, oracle
 from capable2.cli import TSV_COLUMNS, main, sweep_rows
+from capable2.errors import BuildIntegrityError, RankDeficientError
 
 
 def run(capsys, *argv):
@@ -60,6 +61,30 @@ def test_classify(capsys):
                        "--beta", "2", "--gamma", "1")
     assert code == 0
     assert "order=32" in out
+
+
+def test_build_integrity_error_exits_1(capsys, monkeypatch):
+    def broken(table):
+        raise BuildIntegrityError("the designated generators do not generate the table")
+
+    monkeypatch.setattr(oracle, "brute_center", broken)
+    code, out, err = run(capsys, "verify", "--type", "i", "--alpha", "1",
+                         "--beta", "1", "--gamma", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the designated generators do not generate the table\n"
+
+
+def test_rank_deficient_error_exits_1(capsys, monkeypatch):
+    def broken(spec):
+        raise RankDeficientError("relation lattice has rank 2 < 3")
+
+    monkeypatch.setattr(nilprod, "build", broken)
+    code, out, err = run(capsys, "witness", "--type", "ii", "--alpha", "3",
+                         "--beta", "2", "--gamma", "2", "--sigma", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: relation lattice has rank 2 < 3\n"
 
 
 def test_sweep_alpha_1_rows(capsys):

@@ -1,5 +1,6 @@
 """Word collection, tables, brute-force subgroup machinery, isomorphism search."""
 
+import copy
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from capable2 import class2, hall_core as hall, nilprod, oracle
 from capable2.class2 import model, type_i, type_iii
+from capable2.errors import BuildIntegrityError
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
 
@@ -111,6 +113,91 @@ def test_brute_center_of_abelian_table_is_everything():
     assert len(oracle.brute_center(q)) == q.order == 4
 
 
+# O(|Z|*|K|) reference definitions of the two table referees
+
+
+def reference_center(table):
+    """Rows commuting with the generators, each then checked against every row."""
+    g = table.group
+    cand = table.coords
+    for gen in g.gens:
+        row = np.asarray(gen, dtype=np.int64)[None]
+        cand = cand[(g.mul_arrays(cand, row) == g.mul_arrays(row, cand)).all(axis=1)]
+    central = [
+        (g.mul_arrays(table.coords, z[None]) == g.mul_arrays(z[None], table.coords)).all()
+        for z in cand
+    ]
+    return cand[np.asarray(central, dtype=bool)]
+
+
+def reference_quotient_reps(table, sub):
+    """Minimum-key element of each coset, over all |Z| translates."""
+    g = table.group
+    minkey = table.keys.copy()
+    for z in sub:
+        np.minimum(minkey, g.key_rows(g.mul_arrays(table.coords, z[None])), out=minkey)
+    return table.coords[np.unique(minkey)]
+
+
+def small_ambients(max_order=1 << 12):
+    # order >= 2^(alpha + 4*beta - 1) without extras and 2^(alpha + 2*beta + 2)
+    # with them, so alpha <= 12 and beta <= 3 cover every ambient up to 2^12
+    for alpha in range(1, 13):
+        for beta in range(1, min(alpha, 3) + 1):
+            for spec in [GroupSpec(alpha, beta)] + [
+                GroupSpec(alpha, beta, (FreeElt(u=1 << g), FreeElt(v=1 << g)))
+                for g in range(1, beta)
+            ]:
+                K = build(spec)
+                if K.order <= max_order:
+                    yield K
+
+
+def test_referees_match_reference_definitions():
+    groups = list(small_ambients())
+    assert len(groups) == 18
+    groups += [model(p) for p in class2.iter_valid_params(3)]
+    for G in groups:
+        t = oracle.GroupTable.from_group(G)
+        zc = oracle.brute_center(t)
+        assert np.array_equal(zc, reference_center(t))
+        subs = [zc] + [oracle.closure(t, [z]) for z in zc[1:3]]
+        for sub in subs:
+            q = oracle.quotient_central(t, sub)
+            assert np.array_equal(q.coords, reference_quotient_reps(t, sub))
+            # quotient tables are keyed by representatives, so not densely
+            assert np.array_equal(oracle.brute_center(q), reference_center(q))
+
+
+def test_brute_center_rejects_generators_of_a_proper_subgroup():
+    g = build(GroupSpec(2, 1))
+    stub = copy.copy(g)
+    stub.gens = (g.a,)
+    t = oracle.GroupTable(stub, oracle.GroupTable.from_group(g).coords)
+    with pytest.raises(BuildIntegrityError, match="do not generate"):
+        oracle.brute_center(t)
+
+
+def test_referees_do_linear_work(monkeypatch):
+    g = build(GroupSpec(3, 3))
+    t = oracle.GroupTable.from_group(g)
+    rows = []
+    real = nilprod.NilGroup.mul_arrays
+
+    def counted(self, X, Y):
+        out = real(self, X, Y)
+        rows.append(out.size // out.shape[-1])
+        return out
+
+    monkeypatch.setattr(nilprod.NilGroup, "mul_arrays", counted)
+    zc = oracle.brute_center(t)
+    assert len(zc) == 32  # rescanning the table per survivor cost 66 rows per element
+    assert sum(rows) <= 4 * t.order
+    rows.clear()
+    oracle.quotient_central(t, zc)
+    assert sum(rows) <= 3 * t.order  # the minimum over all translates cost 32
+
+
 def test_closure_examples():
     g = build(GroupSpec(2, 1))
     t = oracle.GroupTable.from_group(g)
@@ -136,6 +223,17 @@ def test_quotient_rejects_noncentral_subgroup():
         oracle.quotient_central(t, sub)
 
 
+def test_quotient_rejects_non_subgroups():
+    g = build(GroupSpec(2, 1))
+    t = oracle.GroupTable.from_group(g)
+    zc = oracle.brute_center(t)
+    with pytest.raises(ValueError, match="identity"):
+        oracle.quotient_central(t, zc[1:])
+    assert len(zc) > 3  # three central rows cannot form a 2-group
+    with pytest.raises(ValueError, match="not closed"):
+        oracle.quotient_central(t, zc[:3])
+
+
 def test_quotient_group_scalar_ops_consistent():
     g = build(GroupSpec(2, 1))
     t = oracle.GroupTable.from_group(g)
@@ -148,6 +246,20 @@ def test_quotient_group_scalar_ops_consistent():
         y = elems[rng.randrange(len(elems))]
         assert qg.mul(x, y) in set(elems)
         assert qg.mul(qg.inverse(x), x) == qg.identity
+
+
+def test_quotient_scalar_products_match_array_products():
+    t = oracle.GroupTable.from_group(build(GroupSpec(2, 2)))
+    q = oracle.quotient_central(t, oracle.brute_center(t))
+    qg = q.group
+    X = q.coords
+    prods = qg.mul_arrays(X[:, None], X[None, :])
+    invs = qg.inv_arrays(X)
+    elems = [tuple(r) for r in X.tolist()]
+    for i, x in enumerate(elems):
+        assert qg.inverse(x) == tuple(invs[i].tolist())
+        for j, y in enumerate(elems):
+            assert qg.mul(x, y) == tuple(prods[i, j].tolist())
 
 
 def test_lower_central_series():
