@@ -32,6 +32,7 @@ canonical answer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +201,16 @@ def evaluate_word(group, images: dict, word: Word):
     return acc
 
 
+@functools.cache
 def model(p: TypeParams) -> Class2Group:
-    """Build the coordinate model and check its defining relations."""
+    """The coordinate model of ``p``, with its defining relations checked.
+
+    Built once per tuple: every call with an equal ``p`` returns the same
+    shared object, which also carries its cached fingerprint, so callers must
+    not mutate it (code that patches the model class calls
+    ``model.cache_clear()``).  The cache keeps every tuple asked for, for the
+    life of the process; a model is a few integers plus that fingerprint.
+    """
     g = Class2Group(p)
     images = {"a": g.a, "b": g.b, "c": g.commutator(g.a, g.b)}
     for lhs, rhs in g.relations():
@@ -262,13 +271,36 @@ def fingerprint(group, max_order: int | None = None) -> Fingerprint:
 def _abelian_invariants(table, derived) -> tuple[int, ...]:
     """Cyclic decomposition of the quotient by the derived subgroup.
 
+    With f(k) = log2 #{cosets of order dividing 2^k} (from
+    :func:`_coset_exponents`), the number of invariant factors of exponent
+    >= k is f(k) - f(k-1).
+    """
+    counts = np.cumsum(np.bincount(_coset_exponents(table, derived))).tolist()
+    n = table.order // len(derived)
+    maxe = len(counts) - 1
+    f = []
+    for total in counts:
+        cnt = total // len(derived)
+        if cnt & (cnt - 1):
+            raise BuildIntegrityError("quotient by the derived subgroup is not abelian")
+        f.append(cnt.bit_length() - 1)
+    if (1 << f[-1]) != n:
+        raise BuildIntegrityError("quotient by the derived subgroup is not abelian")
+    ge = [f[k] - f[k - 1] for k in range(1, maxe + 1)] if maxe else []
+    out = []
+    for k in range(1, maxe + 1):
+        exactly = ge[k - 1] - (ge[k] if k < maxe else 0)
+        out.extend([1 << k] * exactly)
+    return tuple(sorted(out, reverse=True))
+
+
+def _coset_exponents(table, derived) -> np.ndarray:
+    """log2 of the order of each row's coset modulo the derived subgroup.
+
     The coset of x has order dividing 2^k exactly when x^(2^k) lands in the
     derived subgroup, so coset orders come from repeated squaring with a
-    membership test; with f(k) = log2 #{cosets of order dividing 2^k}, the
-    number of invariant factors of exponent >= k is f(k) - f(k-1).
+    membership test.
     """
-    from . import oracle
-
     g = table.group
     dkeys = np.sort(g.key_rows(np.asarray(derived, dtype=np.int64)))
     exps = np.zeros(table.order, dtype=np.int64)
@@ -283,23 +315,7 @@ def _abelian_invariants(table, derived) -> tuple[int, ...]:
         done = alive & _in_keys(g, cur, dkeys)
         exps[done] = k
         alive &= ~done
-    exps_list = exps.tolist()
-    n = table.order // len(derived)
-    maxe = max(exps_list)
-    f = []
-    for k in range(maxe + 1):
-        cnt = sum(1 for e in exps_list if e <= k) // len(derived)
-        if cnt & (cnt - 1):
-            raise BuildIntegrityError("quotient by the derived subgroup is not abelian")
-        f.append(cnt.bit_length() - 1)
-    if (1 << f[-1]) != n:
-        raise BuildIntegrityError("quotient by the derived subgroup is not abelian")
-    ge = [f[k] - f[k - 1] for k in range(1, maxe + 1)] if maxe else []
-    out = []
-    for k in range(1, maxe + 1):
-        exactly = ge[k - 1] - (ge[k] if k < maxe else 0)
-        out.extend([1 << k] * exactly)
-    return tuple(sorted(out, reverse=True))
+    return exps
 
 
 def _in_keys(group, X, sorted_keys: np.ndarray) -> np.ndarray:

@@ -13,15 +13,31 @@ at once.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .errors import BuildIntegrityError
+from .errors import BuildIntegrityError, ParameterError
 
 
 # rows per block in apply_rows: the temporaries of a block stay in cache, and
 # temporaries of millions of rows would cost page faults on every call
 BLOCK_ROWS = 1 << 13
+
+
+INT64_BOUND = 1 << 62
+
+
+def check_int64(radices) -> None:
+    """``ParameterError`` unless the int64 row paths stay below
+    ``INT64_BOUND`` on rows with these radices: the largest mixed-radix key
+    (the product of the radices) and the largest intermediate of a law (the
+    class-three term x_s * binom2(y_r) is under the cube of the largest
+    radix)."""
+    if math.prod(radices) >= INT64_BOUND or max(radices) ** 3 >= INT64_BOUND:
+        raise ParameterError(
+            f"radices {tuple(radices)} are too large for the int64 array paths"
+        )
 
 
 def apply_rows(law, *arrays) -> np.ndarray:
@@ -41,6 +57,12 @@ def apply_rows(law, *arrays) -> np.ndarray:
         for i, col in enumerate(cols):
             out[block, i] = col
     return out.reshape(shape)
+
+
+def box_rows(radices) -> np.ndarray:
+    """Every int64 row with coordinate i in ``range(radices[i])``, lexicographic."""
+    grids = np.meshgrid(*(np.arange(m, dtype=np.int64) for m in radices), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 class CoordGroup:
@@ -100,10 +122,7 @@ class CoordGroup:
 
     def coords_array(self) -> np.ndarray:
         """All boxed coordinate rows, lexicographic (that is, in key order)."""
-        grids = np.meshgrid(
-            *(np.arange(m, dtype=np.int64) for m in self.radices), indexing="ij"
-        )
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
+        return box_rows(self.radices)
 
     def key(self, x):
         """Mixed-radix key of a boxed coordinate tuple (or of coordinate columns)."""

@@ -25,14 +25,13 @@ Everything is immutable after build and all operations are pure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hall_core as hall
 from .errors import BuildIntegrityError, CentralityError, ParameterError
-from .group import CoordGroup, apply_rows
+from .group import CoordGroup, apply_rows, box_rows, check_int64
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
 
@@ -110,16 +109,21 @@ class NilGroup(CoordGroup):
 
         An element is central iff it commutes with a and b.  Its (u, v) part
         never matters, so solve the two commutator congruences over the
-        (r, s, t) box and append generators of the full (u, v) block, then
-        greedily drop redundant generators.
+        (r, s, t) box, all at once: the box's rows (u = v = 0, lexicographic)
+        are kept where the commutator law, run on their int64 columns by
+        :func:`capable2.group.apply_rows`, gives the identity against both a
+        and b.  Append generators of the full (u, v) block, then greedily drop
+        redundant generators.  ``ParameterError`` when the radices are too
+        large for int64 rows.
         """
         if hasattr(self, "_center_gens"):
             return list(self._center_gens)
-        box = itertools.product(
-            range(self.r_modulus), range(self.s_modulus),
-            range(self.comm_lattice.pivots[0]), (0,), (0,),
-        )
-        sols = [z for z in box if self.is_central(z)]
+        check_int64(self.radices)
+        box = box_rows((self.r_modulus, self.s_modulus, self.comm_lattice.pivots[0], 1, 1))
+        keep = np.ones(len(box), dtype=bool)
+        for g in self.gens:
+            keep &= ~apply_rows(self.commutator, box, [g]).any(axis=1)
+        sols = [tuple(z) for z in box[keep].tolist()]
         sols += [self.reduce(hall.D), self.reduce(hall.E)]
 
         gens: list[NilElt] = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import CoordGroup
+from .group import CoordGroup, check_int64
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -183,11 +183,15 @@ class GroupTable:
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
+        """Table of every element; ``EnumerationBudgetError`` above
+        ``max_order`` elements, ``ParameterError`` when the radices are too
+        large for int64 rows."""
         limit = DEFAULT_MAX_ORDER if max_order is None else max_order
         if group.order > limit:
             raise EnumerationBudgetError(
                 f"group of order {group.order} exceeds the enumeration bound {limit}"
             )
+        check_int64(group.radices)
         coords = np.asarray(group.coords_array(), dtype=np.int64)
         if len(coords) != group.order:
             raise EnumerationBudgetError("enumeration does not match the declared order")
@@ -453,10 +457,12 @@ def iso_2gen(table: GroupTable, target):
     Searches pairs (g, h) with the same generator and commutator orders as
     the target's (a, b), checks every defining relation of the target's
     presentation (plus centrality of the commutator), and accepts only when
-    the image of the full coordinate box fills the table.  Relations holding
-    for (g, h) make the coordinate map a homomorphism by the usual collection
-    argument, so a full image of equal size certifies an isomorphism.  Sound
-    and complete for two-generator targets.
+    the image of the target's coordinate box a^i b^j [a,b]^k (``radices``,
+    |target| points; not the element orders, which overcount) fills the
+    table.  Relations holding for (g, h) make the coordinate map a
+    homomorphism by the usual collection argument, so a full image of equal
+    size certifies an isomorphism.  Sound and complete for two-generator
+    targets.
     """
     if table.order != target.order:
         return None
@@ -499,7 +505,7 @@ def iso_2gen(table: GroupTable, target):
             rval = _eval_word_rows(g, grow, H, Cm, rhs)
             ok &= (lval == rval).all(axis=1)
         for h, c in zip(H[ok], Cm[ok]):
-            if _image_fills(g, table, grow, h, c, ea, eb, ec):
+            if _image_fills(g, table, grow, h, c, target.radices):
                 return (tuple(grow.tolist()), tuple(h.tolist()))
     return None
 
@@ -518,23 +524,24 @@ def _eval_word_rows(group, grow, H, C, word) -> np.ndarray:
     return acc
 
 
-def _image_fills(group, table, grow, h, c, ea, eb, ec) -> bool:
-    keys = set()
-    gp = grow[None]
-    gpow = [gp[0]]
-    for _ in range((1 << ea) - 1):
-        gp = group.mul_arrays(gp, grow[None])
-        gpow.append(gp[0])
-    hp = h[None]
-    hpow = [hp[0]]
-    for _ in range((1 << eb) - 1):
-        hp = group.mul_arrays(hp, h[None])
-        hpow.append(hp[0])
-    hpow = np.asarray(hpow)
-    for gi in gpow:
-        rows = group.mul_arrays(gi[None], hpow)
-        cur = rows
-        for _ in range(1 << ec):
-            keys.update(group.key_rows(cur).tolist())
-            cur = group.mul_arrays(cur, c[None])
-    return len(keys) == table.order
+def _image_fills(group, table, grow, h, c, radices) -> bool:
+    """Does g^i h^j c^k, over the target's coordinate box
+    i < radices[0], j < radices[1], k < radices[2], hit every row of the
+    table?  The box has exactly |target| = |table| points, so it fills the
+    table exactly when the image is a bijection."""
+    gi, hj, ck = (_powers(group, x, m) for x, m in zip((grow, h, c), radices))
+    image = group.mul_arrays(group.mul_arrays(gi[:, None], hj[None, :])[:, :, None], ck)
+    hit = np.zeros(table.order, dtype=bool)
+    hit[table.index_of(group.key_rows(image.reshape(-1, image.shape[-1])))] = True
+    return bool(hit.all())
+
+
+def _powers(group, x, n: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(n-1) as rows, for n a power of two: each doubling
+    step appends the rows so far times x^(their count)."""
+    rows = np.asarray([group.identity], dtype=np.int64)
+    step = np.asarray(x, dtype=np.int64)[None]
+    while len(rows) < n:
+        rows = np.concatenate([rows, group.mul_arrays(rows, step)])
+        step = group.mul_arrays(step, step)
+    return rows

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capable2 import class2, group, oracle
+from capable2 import class2, group, nilprod, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii, validate
 from capable2.errors import ParameterError
 
@@ -76,6 +76,59 @@ def test_model_orders():
     assert model(type_ii(3, 2, 2, 1)).order == 64
     assert model(type_iii(1)).order == 8
     assert model(type_iii(2)).order == 64
+
+
+def test_model_is_built_once_per_tuple():
+    p = type_ii(3, 2, 2, 1)
+    assert model(p) is model(p)
+    assert model(validate("ii", 3, 2, 2, 1)) is model(p)  # equal tuples share it
+    assert model(type_i(3, 2, 2)) is not model(p)
+
+
+def test_second_recognition_fingerprints_no_new_model(monkeypatch):
+    class2.model.cache_clear()  # so that the first recognition builds its candidates
+    scans = []
+    real = oracle.brute_center
+
+    def counted(table):
+        if isinstance(table.group, class2.Class2Group):
+            scans.append(table.group.params)
+        return real(table)
+
+    monkeypatch.setattr(oracle, "brute_center", counted)
+    spec = nilprod.GroupSpec(3, 2)
+    assert str(nilprod.build(spec).central_quotient()) == "i(3,2,2)"
+    assert scans  # the candidate models of order 2^7 were fingerprinted
+    assert len(set(scans)) == len(scans)
+    scans.clear()
+    assert str(nilprod.build(spec).central_quotient()) == "i(3,2,2)"
+    assert scans == []
+
+
+def per_k_abelian_invariants(exps, order: int, derived: int) -> tuple[int, ...]:
+    """The invariant factors from coset order exponents, counting the cosets
+    of order dividing 2^k one k at a time."""
+    maxe = max(exps)
+    f = [(sum(1 for e in exps if e <= k) // derived).bit_length() - 1 for k in range(maxe + 1)]
+    assert 1 << f[-1] == order // derived
+    ge = [f[k] - f[k - 1] for k in range(1, maxe + 1)]
+    out = []
+    for k in range(1, maxe + 1):
+        out.extend([1 << k] * (ge[k - 1] - (ge[k] if k < maxe else 0)))
+    return tuple(sorted(out, reverse=True))
+
+
+def test_abelian_invariants_match_the_per_k_count():
+    # exponents <= 9 reach every model of order <= 2^10
+    models = [model(p) for p in class2.iter_valid_params(9) if model(p).order <= 1 << 10]
+    assert len(models) == 108
+    for g in models:
+        t = oracle.GroupTable.from_group(g)
+        derived = oracle.normal_closure(t, [g.commutator(g.a, g.b)])
+        exps = class2._coset_exponents(t, derived).tolist()
+        assert class2._abelian_invariants(t, derived) == per_k_abelian_invariants(
+            exps, t.order, len(derived)
+        )
 
 
 def test_dihedral_and_quaternion_models():

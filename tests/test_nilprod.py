@@ -1,12 +1,13 @@
 """Ambient class-three groups: builds, normal forms, arithmetic, centers."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from capable2 import group, hall_core as hall
-from capable2 import nilprod, oracle
+from capable2 import capability, class2, nilprod, oracle
 from capable2.errors import CentralityError, ParameterError
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
@@ -135,6 +136,58 @@ def test_center_small_groups_match_brute_force():
         assert {tuple(r) for r in solved.tolist()} == {
             tuple(r) for r in brute.tolist()
         }
+
+
+def scalar_box_center(g):
+    """The center solve as one scalar ``is_central`` test per (r, s, t) box
+    point, with the same greedy generator pass."""
+    box = itertools.product(
+        range(g.r_modulus), range(g.s_modulus), range(g.comm_lattice.pivots[0]), (0,), (0,)
+    )
+    sols = [z for z in box if g.is_central(z)] + [g.reduce(hall.D), g.reduce(hall.E)]
+    gens, known = [], {g.identity}
+    for cand in sols:
+        if cand not in known:
+            gens.append(cand)
+            known = set(g.closure(gens))
+    return gens
+
+
+def test_center_matches_the_scalar_box_loop():
+    # every ambient with |K| <= 2^14 (the order is at least 2^(alpha+3)),
+    # and every witness ambient with exponents <= 3
+    specs = [
+        spec
+        for alpha in range(1, 12)
+        for beta in range(1, alpha + 1)
+        for spec in [GroupSpec(alpha, beta)]
+        + [GroupSpec(alpha, beta, (FreeElt(u=1 << c), FreeElt(v=1 << c))) for c in range(1, beta)]
+    ]
+    groups = [g for g in map(build, specs) if g.order <= 1 << 14]
+    assert len(groups) == 30
+    groups += [
+        build(capability.build_witness(p).ambient)
+        for p in class2.iter_valid_params(3)
+        if capability.decide(p).capable
+    ]
+    for g in groups:
+        solved = g.center()
+        assert solved == scalar_box_center(g)
+        assert all(type(x) is int for z in solved for x in z)
+
+
+def test_array_paths_refuse_radices_beyond_int64():
+    # 2^21 cubed is 2^63: the law's largest term would leave int64
+    with pytest.raises(ParameterError, match="int64"):
+        build(GroupSpec(21, 1)).center()
+    # radices 2^20, 2^11, ...: the largest key 2^64 would leave int64
+    g = build(GroupSpec(20, 11))
+    assert max(g.radices) == 1 << 20 and g.order == 1 << 64
+    with pytest.raises(ParameterError, match="int64"):
+        g.center()
+    group.check_int64((1 << 20, 1 << 20, 1 << 20))
+    with pytest.raises(ParameterError, match="int64"):
+        group.check_int64((1 << 20, 1 << 20, 1 << 20, 4))
 
 
 def test_center_of_small_product_is_generated_by_weight3_b_commutator():

@@ -1,14 +1,16 @@
 """Word collection, tables, brute-force subgroup machinery, isomorphism search."""
 
 import copy
+import math
 import random
 
 import numpy as np
 import pytest
 
-from capable2 import class2, hall_core as hall, nilprod, oracle
+from capable2 import capability, class2, hall_core as hall, nilprod, oracle
 from capable2.class2 import model, type_i, type_iii
-from capable2.errors import BuildIntegrityError
+from capable2.errors import BuildIntegrityError, ParameterError
+from capable2.group import CoordGroup
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
 
@@ -69,6 +71,27 @@ def test_enumeration_bound():
         oracle.GroupTable.from_group(g, max_order=1 << 10)
     t = oracle.GroupTable.from_group(g)  # default bound 2^16 admits 2^14
     assert t.order == g.order
+
+
+class HugeRadices(CoordGroup):
+    """Declares radices only; enumerating it fails the test."""
+
+    def __init__(self, radices):
+        self.radices = radices
+        self.order = math.prod(radices)
+
+    def coords_array(self):
+        raise AssertionError("enumerated a group whose keys leave int64")
+
+
+def test_table_refuses_radices_beyond_int64():
+    # the largest key 2^64, then the largest law term (2^21)^3 = 2^63
+    for radices in [(1 << 16,) * 4, (1 << 21,)]:
+        with pytest.raises(ParameterError, match="int64"):
+            oracle.GroupTable.from_group(HugeRadices(radices), max_order=1 << 70)
+    # the enumeration bound is still checked first
+    with pytest.raises(oracle.EnumerationBudgetError):
+        oracle.GroupTable.from_group(HugeRadices((1 << 21,)))
 
 
 def test_table_counts():
@@ -318,3 +341,42 @@ def test_iso_mapped_images_satisfy_relations():
     img = {"a": iso[0], "b": iso[1], "c": qg.commutator(iso[0], iso[1])}
     for lhs, rhs in target.relations():
         assert class2.evaluate_word(qg, img, lhs) == class2.evaluate_word(qg, img, rhs)
+
+
+def set_image_fills(group, table, grow, h, c, ea, eb, ec) -> bool:
+    """The image check as a set of keys over g^i h^j c^k, with i, j, k
+    running to the target's element orders 2^ea, 2^eb, 2^ec."""
+    keys = set()
+    gi = grow[None]
+    for _ in range(1 << ea):
+        hj = gi
+        for _ in range(1 << eb):
+            cur = hj
+            for _ in range(1 << ec):
+                keys.add(int(group.key_rows(cur)[0]))
+                cur = group.mul_arrays(cur, c[None])
+            hj = group.mul_arrays(hj, h[None])
+        gi = group.mul_arrays(gi, grow[None])
+    return len(keys) == table.order
+
+
+def test_image_fills_matches_the_set_loop():
+    # on every witness quotient with exponents <= 3: the accepted pair, the
+    # pair (g, g), which spans a cyclic subgroup, and the pair (g, gh)
+    for p in class2.iter_valid_params(3):
+        if not capability.decide(p).capable:
+            continue
+        K = build(capability.build_witness(p).ambient)
+        t = oracle.GroupTable.from_group(K)
+        q = oracle.quotient_central(t, oracle.brute_center(t))
+        m = model(p)
+        exps = [m.order_of(x).bit_length() - 1 for x in (m.a, m.b, m.commutator(m.a, m.b))]
+        G = q.group
+        g, h = oracle.iso_2gen(q, m)
+        verdicts = []
+        for x, y in [(g, h), (g, g), (g, G.mul(g, h))]:
+            rows = [np.asarray(z, dtype=np.int64) for z in (x, y, G.commutator(x, y))]
+            fills = oracle._image_fills(G, q, *rows, m.radices)
+            assert fills == set_image_fills(G, q, *rows, *exps), (p, x, y)
+            verdicts.append(fills)
+        assert verdicts[:2] == [True, False], p
