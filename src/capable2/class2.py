@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildIntegrityError, ParameterError
-from .group import CoordGroup, apply_rows
+from .group import CoordGroup
 
 Word = tuple[tuple[str, int], ...]  # symbols 'a', 'b', 'c' with c = [a,b]
 
@@ -156,10 +156,10 @@ class Class2Group(CoordGroup):
         return self.fold(-x[0], -x[1], -x[2] - x[0] * x[1])
 
     def mul_arrays(self, X, Y) -> np.ndarray:
-        return apply_rows(self.mul, X, Y)
+        return self.apply_law(self.mul, X, Y)
 
     def inv_arrays(self, X) -> np.ndarray:
-        return apply_rows(self.inverse, X)
+        return self.apply_law(self.inverse, X)
 
     # -- presentation --------------------------------------------------------
 

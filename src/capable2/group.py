@@ -7,7 +7,8 @@ scalar law ``mul``/``inverse``; :class:`CoordGroup` derives the rest.
 Each law is written once, for scalars, using only ``+ - * // %`` on the
 indexed coordinates ``x[i]``.  Fed the int64 columns ``X[..., i]`` of
 coordinate-row arrays by :func:`apply_rows`, the same code computes every row
-at once.
+at once; composed with the mixed-radix key it gives ``mul_keys``, one key per
+product with no product rows in between.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def check_int64(radices) -> None:
 
 def apply_rows(law, *arrays) -> np.ndarray:
     """Run a coordinate law on int64 coordinate-row arrays, broadcast against
-    each other; the law's result has as many coordinates as its inputs.
+    each other; the result has as many coordinates as the law returns.
 
     The law is fed the columns ``X[..., i]``, ``BLOCK_ROWS`` rows at a time.
     """
@@ -50,13 +51,17 @@ def apply_rows(law, *arrays) -> np.ndarray:
     shape = arrays[0].shape
     width = shape[-1]
     flat = [A.reshape(-1, width) for A in arrays]
-    out = np.empty(flat[0].shape, dtype=np.int64)
-    for lo in range(0, len(out), BLOCK_ROWS):
-        block = slice(lo, lo + BLOCK_ROWS)
+    n = len(flat[0])
+    # an empty input still runs the law once, to learn the result's width
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)] or [slice(0, 0)]
+    out = None
+    for block in blocks:
         cols = law(*([A[block, i] for i in range(width)] for A in flat))
+        if out is None:
+            out = np.empty((n, len(cols)), dtype=np.int64)
         for i, col in enumerate(cols):
             out[block, i] = col
-    return out.reshape(shape)
+    return out.reshape(shape[:-1] + out.shape[1:])
 
 
 def box_rows(radices) -> np.ndarray:
@@ -67,6 +72,21 @@ def box_rows(radices) -> np.ndarray:
 
 class CoordGroup:
     """Derived operations on coordinate tuples; see the module docstring."""
+
+    _int64_checked = False
+
+    def apply_law(self, law, *arrays) -> np.ndarray:
+        """:func:`apply_rows`, after checking once per group object that its
+        radices keep the int64 row paths exact (``ParameterError`` if not)."""
+        if not self._int64_checked:
+            check_int64(self.radices)
+            self._int64_checked = True
+        return apply_rows(law, *arrays)
+
+    def mul_keys(self, X, Y) -> np.ndarray:
+        """Key of each row product x*y of broadcast row arrays, computed block
+        by block without materializing the product rows."""
+        return self.apply_law(lambda x, y: (self.key(self.mul(x, y)),), X, Y)[..., 0]
 
     def power(self, x, n: int):
         """x^n by binary exponentiation; n may be negative."""

@@ -85,10 +85,10 @@ class NilGroup(CoordGroup):
         return self.reduce(hall.inverse_coords(x))
 
     def mul_arrays(self, X, Y) -> np.ndarray:
-        return apply_rows(self.mul, X, Y)
+        return self.apply_law(self.mul, X, Y)
 
     def inv_arrays(self, X) -> np.ndarray:
-        return apply_rows(self.inverse, X)
+        return self.apply_law(self.inverse, X)
 
     # -- centers and quotients ----------------------------------------------
 

@@ -11,13 +11,19 @@ multiplication law (written once, in :mod:`capable2.hall_core` and
 ``mul_arrays``) and the breadth-first :meth:`capable2.group.CoordGroup.closure`,
 but never a structural shortcut such as :meth:`capable2.nilprod.NilGroup.center`.
 
-Both table referees do O(|K|) row products.  ``brute_center`` keeps the rows
-that commute with the designated generators and proves, by a breadth-first
-search over right multiplication, that those generators reach every row of
-the table: a row that commutes with the generators, when the generators reach
-every row, is central.  ``quotient_central`` picks a few generators of the
-central subgroup from its own rows and finds each coset's minimum-key element
-as an orbit minimum over their right multiplications.
+Both table referees do O(|K|) row products, and they work on |K|-length key
+columns: each full-table product goes straight into its mixed-radix key
+(``mul_keys``), never into a |K|-by-5 array of rows.  On a dense table, one
+whose keys are exactly 0..|K|-1, a key is its row's index, so a product key
+column is the index map "multiply by this element" with no lookup.
+``brute_center`` keeps the rows that commute with the designated generators
+and proves, by a breadth-first search over right multiplication, that those
+generators reach every row of the table: a row that commutes with the
+generators, when the generators reach every row, is central.
+``quotient_central`` picks a few generators of the central subgroup from its
+own rows and finds each coset's minimum-key element as an orbit minimum over
+their right multiplications, by doubling: log2 of each generator's order
+rounds of gathers.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -170,7 +176,10 @@ class GroupTable:
 
     The group supplies the multiplication law; the table only enumerates,
     indexes and memoizes.  Elements are int64 coordinate rows sorted by their
-    mixed-radix key, which makes construction deterministic.
+    mixed-radix key, which makes construction deterministic.  The table is
+    *dense* when its keys are exactly 0, 1, ..., order-1 (every boxed tuple
+    is an element, as for ambient groups and models), so that a key is its
+    row's index; quotient tables, keyed by coset representatives, are not.
     """
 
     def __init__(self, group, coords: np.ndarray):
@@ -180,6 +189,8 @@ class GroupTable:
         if (self.keys[1:] <= self.keys[:-1]).any():
             raise ValueError("table rows must be in strictly increasing key order")
         self.order = len(coords)
+        # strictly increasing integers from 0 to order-1 are all of them
+        self.dense = bool(self.keys[0] == 0 and self.keys[-1] == self.order - 1)
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -198,7 +209,16 @@ class GroupTable:
         return GroupTable(group, coords)
 
     def index_of(self, keys) -> np.ndarray:
-        """Table index of each key; ``BuildIntegrityError`` if one is absent."""
+        """Table index of each key; ``BuildIntegrityError`` if one is absent.
+
+        On a dense table a key is its own index, so only its range is
+        checked; otherwise the keys are looked up by binary search.
+        """
+        if self.dense:
+            keys = np.asarray(keys)
+            if keys.size and (keys.min() < 0 or keys.max() >= self.order):
+                raise BuildIntegrityError("a product left the table")
+            return keys
         idx = np.minimum(np.searchsorted(self.keys, keys), self.order - 1)
         if not (self.keys[idx] == keys).all():
             raise BuildIntegrityError("a product left the table")
@@ -234,10 +254,12 @@ def comm_rows(group, X, y) -> np.ndarray:
 
 
 def comm_rows_pairwise(group, X, Y) -> np.ndarray:
-    return group.mul_arrays(
-        group.mul_arrays(group.inv_arrays(X), group.inv_arrays(Y)),
-        group.mul_arrays(X, Y),
-    )
+    return _comm_with_inverses(group, X, group.inv_arrays(X), Y, group.inv_arrays(Y))
+
+
+def _comm_with_inverses(group, X, X_inv, Y, Y_inv) -> np.ndarray:
+    """[x, y] = x^-1 y^-1 x y for broadcast rows given with their inverses."""
+    return group.mul_arrays(group.mul_arrays(X_inv, Y_inv), group.mul_arrays(X, Y))
 
 
 def pow_rows(group, X, n: int) -> np.ndarray:
@@ -269,15 +291,17 @@ def brute_center(table: GroupTable) -> np.ndarray:
     generate it: a kept row commutes with the generators, the generators
     reach every row, so the row is central, and every dropped row fails
     against a generator.  Raises ``BuildIntegrityError`` when the generators
-    reach only part of the table.  O(|K|) row products.
+    reach only part of the table.  O(|K|) row products, each computed
+    straight into its key (``mul_keys``), so the referee holds key columns
+    and index maps, never a table-sized array of product rows.
     """
     g = table.group
     keep = np.ones(table.order, dtype=bool)
     steps = []
     for gen in g.gens:
         row = np.asarray(gen, dtype=np.int64)[None]
-        right = g.key_rows(g.mul_arrays(table.coords, row))
-        keep &= right == g.key_rows(g.mul_arrays(row, table.coords))
+        right = g.mul_keys(table.coords, row)
+        keep &= right == g.mul_keys(row, table.coords)
         steps.append(table.index_of(right))
     start = table.index_of(g.key_rows([g.identity]))
     if not _reached(steps, start, table.order).all():
@@ -335,34 +359,35 @@ class QuotientGroup(CoordGroup):
     """Quotient of a table's group by the central subgroup Z that ``gens``
     generate.
 
-    Elements are the minimum-key coset representatives.  The coset xZ is the
-    orbit of x under right multiplication by the generators, so its minimum
-    key is found by propagating ``lab = minimum(lab, lab[step])`` over the
-    generators' index maps until nothing changes: O(|K|) row products per
-    generator.  Products are computed in the parent and renormalized through
-    a dense coset-id array.
+    Elements are the minimum-key coset representatives.  The parent table
+    must be dense, so a key is its row's index and ``mul_keys(coords, z)`` is
+    the index map "right-multiply by z".  For a generator z of order 2^m,
+    m doubling rounds ``lab = minimum(lab, lab[step]); step = step[step]``
+    turn each row's label into the minimum over its orbit under <z>; doing
+    this for one generator after another minimizes over the products of
+    the orbits, which is the coset xZ because Z is central.  A row is a
+    representative when its label is its own key, and coset ids are a
+    running count of representatives: no sort.  O(|K|) row products per
+    generator plus O(|K| log |Z|) gathers.  Products are computed in the
+    parent and renormalized through a dense coset-id array.
     """
 
     def __init__(self, table: GroupTable, gens):
         parent = table.group
-        if not np.array_equal(table.keys, np.arange(table.order)):
+        if not table.dense:
             raise ValueError("quotients require a densely keyed parent table")
         self.parent = parent
-        # keys are dense, so a key is its row's table index
-        steps = [parent.key_rows(parent.mul_arrays(table.coords, [z])) for z in gens]
         lab = table.keys
-        while True:
-            nxt = lab
-            for step in steps:
-                nxt = np.minimum(nxt, nxt[step])
-            if np.array_equal(nxt, lab):
-                break
-            lab = nxt
-        rep_keys, cid = np.unique(lab, return_inverse=True)
-        self._cid_of_key = cid.astype(np.int64)
-        self._rep = table.coords[rep_keys]
+        for z in gens:
+            step = parent.mul_keys(table.coords, [z])
+            for _ in range(parent.order_of(tuple(z)).bit_length() - 1):
+                lab = np.minimum(lab, lab[step])
+                step = step[step]
+        is_rep = lab == table.keys
+        self._cid_of_key = (np.cumsum(is_rep) - 1)[lab]
+        self._rep = table.coords[is_rep]
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
-        self.order = len(rep_keys)
+        self.order = len(self._rep)
         self.radices = parent.radices
         self.identity = self._canon(parent.identity)
         self.gens = tuple(self._canon(x) for x in parent.gens)
@@ -381,6 +406,10 @@ class QuotientGroup(CoordGroup):
 
     def inv_arrays(self, X) -> np.ndarray:
         return self._canon_rows(self.parent.inv_arrays(X))
+
+    def mul_keys(self, X, Y) -> np.ndarray:
+        # the scalar law indexes Python lists, so it cannot run on columns
+        return self.key_rows(self.mul_arrays(X, Y))
 
     def mul(self, x, y):
         return self._canon(self.parent.mul(x, y))
@@ -481,46 +510,47 @@ def iso_2gen(table: GroupTable, target):
         return None
 
     relations = target.relations()
+    h_inv = g.inv_arrays(h_rows)
     for grow in g_rows:
-        C = comm_rows_pairwise(
-            g, np.broadcast_to(grow, h_rows.shape).copy(), h_rows
-        )
+        # the fixed candidate g, its inverse and its powers are single rows,
+        # computed by the scalar law and broadcast by the row products
+        g_elt = tuple(grow.tolist())
+        g_row, g_inv = grow[None], np.asarray([g.inverse(g_elt)], dtype=np.int64)
+        C = _comm_with_inverses(g, g_row, g_inv, h_rows, h_inv)
         mask = order_exponent_rows(g, C) == ec
         if not mask.any():
             continue
-        H = h_rows[mask]
-        Cm = C[mask]
+        H, H_inv, Cm = h_rows[mask], h_inv[mask], C[mask]
         # commutator must be central: [c, g] = [c, h] = 1
-        mask2 = is_identity_rows(g, comm_rows(g, Cm, grow))
-        mask2 &= is_identity_rows(
-            g, comm_rows_pairwise(g, Cm, H)
-        )
+        C_inv = g.inv_arrays(Cm)
+        mask2 = is_identity_rows(g, _comm_with_inverses(g, Cm, C_inv, g_row, g_inv))
+        mask2 &= is_identity_rows(g, _comm_with_inverses(g, Cm, C_inv, H, H_inv))
         if not mask2.any():
             continue
         H = H[mask2]
         Cm = Cm[mask2]
         ok = np.ones(len(H), dtype=bool)
         for lhs, rhs in relations:
-            lval = _eval_word_rows(g, grow, H, Cm, lhs)
-            rval = _eval_word_rows(g, grow, H, Cm, rhs)
+            lval = _eval_word_rows(g, g_elt, H, Cm, lhs)
+            rval = _eval_word_rows(g, g_elt, H, Cm, rhs)
             ok &= (lval == rval).all(axis=1)
         for h, c in zip(H[ok], Cm[ok]):
             if _image_fills(g, table, grow, h, c, target.radices):
-                return (tuple(grow.tolist()), tuple(h.tolist()))
+                return (g_elt, tuple(h.tolist()))
     return None
 
 
-def _eval_word_rows(group, grow, H, C, word) -> np.ndarray:
+def _eval_word_rows(group, g_elt, H, C, word) -> np.ndarray:
+    """The word in a -> g, b -> each row of H, c -> each row of C; the powers
+    of the fixed element g come from the scalar law, as one row."""
     ident = np.asarray(group.identity, dtype=np.int64)
     acc = np.broadcast_to(ident, H.shape).copy()
     for sym, exp in word:
         if sym == "a":
-            base = np.broadcast_to(grow, H.shape).copy()
-        elif sym == "b":
-            base = H
+            power = np.asarray([group.power(g_elt, exp)], dtype=np.int64)
         else:
-            base = C
-        acc = group.mul_arrays(acc, pow_rows(group, base, exp))
+            power = pow_rows(group, H if sym == "b" else C, exp)
+        acc = group.mul_arrays(acc, power)
     return acc
 
 
@@ -530,9 +560,9 @@ def _image_fills(group, table, grow, h, c, radices) -> bool:
     table?  The box has exactly |target| = |table| points, so it fills the
     table exactly when the image is a bijection."""
     gi, hj, ck = (_powers(group, x, m) for x, m in zip((grow, h, c), radices))
-    image = group.mul_arrays(group.mul_arrays(gi[:, None], hj[None, :])[:, :, None], ck)
+    image = group.mul_keys(group.mul_arrays(gi[:, None], hj[None, :])[:, :, None], ck)
     hit = np.zeros(table.order, dtype=bool)
-    hit[table.index_of(group.key_rows(image.reshape(-1, image.shape[-1])))] = True
+    hit[table.index_of(image.reshape(-1))] = True
     return bool(hit.all())
 
 

@@ -1,0 +1,45 @@
+"""Derived row operations shared by every coordinate group."""
+
+import numpy as np
+import pytest
+
+from capable2 import group, oracle
+from capable2.class2 import model, type_ii, type_iii
+from capable2.nilprod import GroupSpec, build
+
+
+def quotient_group():
+    t = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
+    return oracle.quotient_central(t, oracle.brute_center(t)).group
+
+
+@pytest.mark.parametrize("n", [group.BLOCK_ROWS, group.BLOCK_ROWS + 1000])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(GroupSpec(3, 2)), lambda: model(type_ii(4, 4, 2, 1)),
+     lambda: model(type_iii(2)), quotient_group],
+    ids=["nilgroup", "class2-ii", "class2-iii", "quotient"],
+)
+def test_mul_keys_matches_keys_of_products(make, n):
+    g = make()
+    rng = np.random.default_rng(n)
+    elements = g.coords_array()
+    X, Y = (elements[rng.integers(len(elements), size=n)] for _ in range(2))
+    for A, B in [(X, Y), (Y, X), (X, Y[:1]), (Y[:1], X), (X[:50, None], Y[None, :60])]:
+        keys = g.mul_keys(A, B)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, g.key_rows(g.mul_arrays(A, B)))
+
+
+def test_apply_rows_result_width_follows_the_law(monkeypatch):
+    monkeypatch.setattr(group, "BLOCK_ROWS", 7)
+    X = np.arange(5 * 30, dtype=np.int64).reshape(3, 10, 5)
+    pair = group.apply_rows(lambda x, y: (x[0] + y[4], x[1] * y[2]), X, X[:1])
+    assert pair.shape == (3, 10, 2)
+    assert np.array_equal(pair[..., 0], X[..., 0] + X[:1, :, 4])
+    assert np.array_equal(pair[..., 1], X[..., 1] * X[:1, :, 2])
+    wide = group.apply_rows(lambda x: (*x, x[0] - x[1]), X)
+    assert wide.shape == (3, 10, 6)
+    assert np.array_equal(wide[..., :5], X)
+    assert np.array_equal(wide[..., 5], X[..., 0] - X[..., 1])
+    assert group.apply_rows(lambda x: (x[0],), X[:0]).shape == (0, 10, 1)

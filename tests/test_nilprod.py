@@ -176,10 +176,16 @@ def test_center_matches_the_scalar_box_loop():
         assert all(type(x) is int for z in solved for x in z)
 
 
-def test_array_paths_refuse_radices_beyond_int64():
+def test_array_paths_refuse_radices_beyond_int64(monkeypatch):
     # 2^21 cubed is 2^63: the law's largest term would leave int64
     with pytest.raises(ParameterError, match="int64"):
         build(GroupSpec(21, 1)).center()
+    # direct array calls, without a table, are refused too, in both laws
+    for big in [build(GroupSpec(21, 1)), class2.Class2Group(class2.type_i(21, 1, 1))]:
+        rows = np.asarray([big.a, big.b], dtype=np.int64)
+        for call in [big.mul_arrays, big.mul_keys, lambda X, Y: big.inv_arrays(X)]:
+            with pytest.raises(ParameterError, match="int64"):
+                call(rows, rows)
     # radices 2^20, 2^11, ...: the largest key 2^64 would leave int64
     g = build(GroupSpec(20, 11))
     assert max(g.radices) == 1 << 20 and g.order == 1 << 64
@@ -188,6 +194,16 @@ def test_array_paths_refuse_radices_beyond_int64():
     group.check_int64((1 << 20, 1 << 20, 1 << 20))
     with pytest.raises(ParameterError, match="int64"):
         group.check_int64((1 << 20, 1 << 20, 1 << 20, 4))
+    # direct array calls are checked once per group object, not on every call
+    checks = []
+    monkeypatch.setattr(group, "check_int64", lambda radices: checks.append(radices))
+    g = build(GroupSpec(2, 1))
+    rows = np.asarray([g.a, g.b], dtype=np.int64)
+    for _ in range(3):
+        g.mul_arrays(rows, rows)
+        g.mul_keys(rows, rows)
+        g.inv_arrays(rows)
+    assert checks == [g.radices]
 
 
 def test_center_of_small_product_is_generated_by_weight3_b_commutator():

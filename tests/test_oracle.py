@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def test_table_counts():
     assert oracle.GroupTable.from_group(build(GroupSpec(1, 1))).order == 16
     assert oracle.GroupTable.from_group(model(type_iii(1))).order == 8
     assert oracle.GroupTable.from_group(model(type_i(1, 1, 1))).order == 8
+
+
+def test_index_of_rejects_absent_keys():
+    t = oracle.GroupTable.from_group(build(GroupSpec(2, 1)))
+    assert t.dense
+    assert np.array_equal(t.index_of(t.keys[::-1]), np.arange(t.order)[::-1])
+    for bad in [-1, t.order]:
+        with pytest.raises(BuildIntegrityError, match="left the table"):
+            t.index_of(np.asarray([0, bad]))
+    q = oracle.quotient_central(t, oracle.brute_center(t))
+    assert not q.dense
+    assert np.array_equal(q.index_of(q.keys[::-1]), np.arange(q.order)[::-1])
+    absent = np.setdiff1d(np.arange(q.keys[-1]), q.keys)[:1]
+    with pytest.raises(BuildIntegrityError, match="left the table"):
+        q.index_of(np.concatenate([q.keys[:1], absent]))
 
 
 def test_tables_are_deterministic():
@@ -205,20 +221,46 @@ def test_referees_do_linear_work(monkeypatch):
     g = build(GroupSpec(3, 3))
     t = oracle.GroupTable.from_group(g)
     rows = []
-    real = nilprod.NilGroup.mul_arrays
 
-    def counted(self, X, Y):
-        out = real(self, X, Y)
-        rows.append(out.size // out.shape[-1])
-        return out
+    def counter(real, rows_of):
+        def counted(self, X, Y):
+            out = real(self, X, Y)
+            rows.append(rows_of(out))
+            return out
 
-    monkeypatch.setattr(nilprod.NilGroup, "mul_arrays", counted)
+        return counted
+
+    # products computed as rows and products computed straight into keys
+    monkeypatch.setattr(
+        nilprod.NilGroup, "mul_arrays",
+        counter(nilprod.NilGroup.mul_arrays, lambda out: out.size // out.shape[-1]),
+    )
+    monkeypatch.setattr(nilprod.NilGroup, "mul_keys", counter(nilprod.NilGroup.mul_keys, np.size))
     zc = oracle.brute_center(t)
     assert len(zc) == 32  # rescanning the table per survivor cost 66 rows per element
     assert sum(rows) <= 4 * t.order
     rows.clear()
     oracle.quotient_central(t, zc)
     assert sum(rows) <= 3 * t.order  # the minimum over all translates cost 32
+
+
+def test_referees_hold_key_columns_not_product_rows():
+    # |K| = 2^16; a table-sized array of 5-column product rows alone is 5
+    # int64 words per element
+    t = oracle.GroupTable.from_group(build(GroupSpec(4, 3)))
+    assert t.order == 1 << 16
+    budget = 6 * 8 * t.order
+    tracemalloc.start()
+    try:
+        zc = oracle.brute_center(t)
+        _, center_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        oracle.quotient_central(t, zc)
+        _, quotient_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert center_peak < budget, center_peak / (8 * t.order)
+    assert quotient_peak < budget, quotient_peak / (8 * t.order)
 
 
 def test_closure_examples():
