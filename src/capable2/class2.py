@@ -271,9 +271,9 @@ def fingerprint(group, max_order: int | None = None) -> Fingerprint:
 def _abelian_invariants(table, derived) -> tuple[int, ...]:
     """Cyclic decomposition of the quotient by the derived subgroup.
 
-    With f(k) = log2 #{cosets of order dividing 2^k} (from
-    :func:`_coset_exponents`), the number of invariant factors of exponent
-    >= k is f(k) - f(k-1).
+    With f(k) = log2 #{cosets of order dividing 2^k} (from the coset
+    exponents of :func:`oracle.order_exponent_rows`), the number of invariant
+    factors of exponent >= k is f(k) - f(k-1).
     """
     counts = np.cumsum(np.bincount(_coset_exponents(table, derived))).tolist()
     n = table.order // len(derived)
@@ -295,34 +295,12 @@ def _abelian_invariants(table, derived) -> tuple[int, ...]:
 
 
 def _coset_exponents(table, derived) -> np.ndarray:
-    """log2 of the order of each row's coset modulo the derived subgroup.
+    """log2 of the order of each row's coset modulo the derived subgroup."""
+    from . import oracle
 
-    The coset of x has order dividing 2^k exactly when x^(2^k) lands in the
-    derived subgroup, so coset orders come from repeated squaring with a
-    membership test.
-    """
-    g = table.group
-    dkeys = np.sort(g.key_rows(np.asarray(derived, dtype=np.int64)))
-    exps = np.zeros(table.order, dtype=np.int64)
-    cur = table.coords.copy()
-    alive = ~_in_keys(g, cur, dkeys)
-    k = 0
-    while alive.any():
-        k += 1
-        if k > 64:
-            raise BuildIntegrityError("coset orders exceed 2^64")
-        cur[alive] = g.mul_arrays(cur[alive], cur[alive])
-        done = alive & _in_keys(g, cur, dkeys)
-        exps[done] = k
-        alive &= ~done
-    return exps
-
-
-def _in_keys(group, X, sorted_keys: np.ndarray) -> np.ndarray:
-    k = group.key_rows(np.asarray(X, dtype=np.int64))
-    pos = np.searchsorted(sorted_keys, k)
-    pos = np.minimum(pos, len(sorted_keys) - 1)
-    return sorted_keys[pos] == k
+    members = np.zeros(table.order, dtype=bool)
+    members[table.group.key_rows(derived)] = True
+    return oracle.order_exponent_rows(table.group, table.coords, members)
 
 
 def overlap_partner(p: TypeParams) -> TypeParams | None:

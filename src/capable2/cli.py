@@ -142,6 +142,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.max_order < 1:
+        raise ParameterError(f"--max-order >= 1 required, got {args.max_order}")
     cmd = args.command
     if cmd == "classify":
         return _cmd_classify(args)

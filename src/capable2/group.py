@@ -136,6 +136,27 @@ class CoordGroup:
                         yield y
             frontier = nxt
 
+    def pick_generators(self, elems, within=None) -> list:
+        """Some of ``elems``, picked greedily in order, that generate the
+        same subgroup: each is kept unless the ones before it generate it.
+
+        Each pick at least doubles the span, so there are at most log2 of
+        its order.  With ``within``, a set, ``ValueError`` as soon as the
+        span leaves it: for ``within=set(elems)`` the call returns exactly
+        when ``elems`` are closed under multiplication.
+        """
+        gens, spanned = [], {self.identity}
+        for x in elems:
+            if x in spanned:
+                continue
+            gens.append(x)
+            spanned = set()
+            for y in self.closure(gens):
+                if within is not None and y not in within:
+                    raise ValueError("input is not closed under multiplication")
+                spanned.add(y)
+        return gens
+
     def elements(self):
         """All boxed coordinate tuples, lexicographic."""
         return itertools.product(*(range(m) for m in self.radices))

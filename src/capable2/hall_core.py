@@ -135,8 +135,3 @@ def power(x: FreeElt, n: int) -> FreeElt:
 def commutator(x: FreeElt, y: FreeElt) -> FreeElt:
     """[x, y] = x^-1 y^-1 x y."""
     return mul(mul(inverse(x), inverse(y)), mul(x, y))
-
-
-def conjugate(x: FreeElt, y: FreeElt) -> FreeElt:
-    """x^y = y^-1 x y."""
-    return mul(mul(inverse(y), x), y)

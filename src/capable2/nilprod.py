@@ -125,16 +125,8 @@ class NilGroup(CoordGroup):
             keep &= ~apply_rows(self.commutator, box, [g]).any(axis=1)
         sols = [tuple(z) for z in box[keep].tolist()]
         sols += [self.reduce(hall.D), self.reduce(hall.E)]
-
-        gens: list[NilElt] = []
-        known = {self.identity}
-        for cand in sols:
-            if cand in known:
-                continue
-            gens.append(cand)
-            known = set(self.closure(gens))
-        self._center_gens = tuple(gens)
-        return gens
+        self._center_gens = tuple(self.pick_generators(sols))
+        return list(self._center_gens)
 
     def central_quotient(self, max_order: int | None = None):
         """Recognize G/Z(G) as validated presentation parameters.
@@ -198,8 +190,14 @@ class NilGroup(CoordGroup):
 
 
 def build(spec: GroupSpec) -> NilGroup:
-    """Construct the quotient described by ``spec``, with integrity checks."""
+    """Construct the quotient described by ``spec``, with integrity checks;
+    ``ParameterError`` for exponents that are not integers with
+    alpha >= beta >= 1, and for extras that are not integer ``FreeElt``."""
     alpha, beta = spec.alpha, spec.beta
+    if not (_is_int(alpha) and _is_int(beta)):
+        raise ParameterError(
+            f"integer alpha, beta required, got alpha={alpha!r}, beta={beta!r}"
+        )
     if beta < 1 or alpha < beta:
         raise ParameterError(f"alpha >= beta >= 1 required, got alpha={alpha}, beta={beta}")
     pa, pb = 1 << alpha, 1 << beta
@@ -215,6 +213,10 @@ def build(spec: GroupSpec) -> NilGroup:
     lat = canonical_basis(gens)
 
     for x in spec.extra_central:
+        if not (isinstance(x, FreeElt) and all(map(_is_int, x.coords()))):
+            raise ParameterError(
+                f"extra central relator must be an integer FreeElt, got {x!r}"
+            )
         if x.r or x.s:
             raise ParameterError(
                 f"extra central relator must lie in the commutator subgroup: {x}"
@@ -235,6 +237,10 @@ def build(spec: GroupSpec) -> NilGroup:
             f"normal-form count {group.order} does not match the expected {expected}"
         )
     return group
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _expected_order(spec: GroupSpec) -> int | None:

@@ -11,11 +11,12 @@ multiplication law (written once, in :mod:`capable2.hall_core` and
 ``mul_arrays``) and the breadth-first :meth:`capable2.group.CoordGroup.closure`,
 but never a structural shortcut such as :meth:`capable2.nilprod.NilGroup.center`.
 
-Both table referees do O(|K|) row products, and they work on |K|-length key
-columns: each full-table product goes straight into its mixed-radix key
-(``mul_keys``), never into a |K|-by-5 array of rows.  On a dense table, one
-whose keys are exactly 0..|K|-1, a key is its row's index, so a product key
-column is the index map "multiply by this element" with no lookup.
+Every table is keyed 0..n-1: an ambient or model table by the mixed-radix
+key of its boxed coordinates, a quotient table by coset id.  A key is its
+row's index, so a product key column is the index map "multiply by this
+element" with no lookup.  Both table referees do O(|K|) row products, and
+they work on |K|-length key columns: each full-table product goes straight
+into its key (``mul_keys``), never into a |K|-by-5 array of rows.
 ``brute_center`` keeps the rows that commute with the designated generators
 and proves, by a breadth-first search over right multiplication, that those
 generators reach every row of the table: a row that commutes with the
@@ -174,23 +175,21 @@ def word_of(x: FreeElt, expand_commutators: bool = False) -> list[tuple[str, int
 class GroupTable:
     """Element list plus fast coordinate-level access for one group object.
 
-    The group supplies the multiplication law; the table only enumerates,
-    indexes and memoizes.  Elements are int64 coordinate rows sorted by their
-    mixed-radix key, which makes construction deterministic.  The table is
-    *dense* when its keys are exactly 0, 1, ..., order-1 (every boxed tuple
-    is an element, as for ambient groups and models), so that a key is its
-    row's index; quotient tables, keyed by coset representatives, are not.
+    The group supplies the multiplication law and the key; the table only
+    enumerates, indexes and memoizes.  Elements are int64 coordinate rows in
+    key order, and the keys must be exactly 0, 1, ..., |group|-1, so a key is
+    its row's index: every boxed tuple of an ambient group or a model is an
+    element, and a quotient keys each element by its coset id.  Raises
+    ``ValueError`` for any other rows.
     """
 
     def __init__(self, group, coords: np.ndarray):
         self.group = group
         self.coords = coords
         self.keys = group.key_rows(coords)
-        if (self.keys[1:] <= self.keys[:-1]).any():
-            raise ValueError("table rows must be in strictly increasing key order")
         self.order = len(coords)
-        # strictly increasing integers from 0 to order-1 are all of them
-        self.dense = bool(self.keys[0] == 0 and self.keys[-1] == self.order - 1)
+        if not np.array_equal(self.keys, np.arange(group.order)):
+            raise ValueError("table rows must be keyed 0..order-1 in order")
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -203,26 +202,15 @@ class GroupTable:
                 f"group of order {group.order} exceeds the enumeration bound {limit}"
             )
         check_int64(group.radices)
-        coords = np.asarray(group.coords_array(), dtype=np.int64)
-        if len(coords) != group.order:
-            raise EnumerationBudgetError("enumeration does not match the declared order")
-        return GroupTable(group, coords)
+        return GroupTable(group, np.asarray(group.coords_array(), dtype=np.int64))
 
     def index_of(self, keys) -> np.ndarray:
-        """Table index of each key; ``BuildIntegrityError`` if one is absent.
-
-        On a dense table a key is its own index, so only its range is
-        checked; otherwise the keys are looked up by binary search.
-        """
-        if self.dense:
-            keys = np.asarray(keys)
-            if keys.size and (keys.min() < 0 or keys.max() >= self.order):
-                raise BuildIntegrityError("a product left the table")
-            return keys
-        idx = np.minimum(np.searchsorted(self.keys, keys), self.order - 1)
-        if not (self.keys[idx] == keys).all():
+        """Table index of each key, which is the key itself;
+        ``BuildIntegrityError`` if one lies outside 0..order-1."""
+        keys = np.asarray(keys)
+        if keys.size and (keys.min() < 0 or keys.max() >= self.order):
             raise BuildIntegrityError("a product left the table")
-        return idx
+        return keys
 
 
 def is_identity_rows(group, X) -> np.ndarray:
@@ -230,27 +218,30 @@ def is_identity_rows(group, X) -> np.ndarray:
     return (np.asarray(X) == ident).all(axis=-1)
 
 
-def order_exponent_rows(group, X) -> np.ndarray:
-    """log2 of each row's order, by repeated squaring."""
+def order_exponent_rows(group, X, members=None) -> np.ndarray:
+    """log2 of each row's order, by repeated squaring; with ``members``, a
+    boolean mask over the keys of a normal subgroup N, log2 of the order of
+    each row's coset modulo N (x^(2^k) lands in N)."""
+
+    def inside(Y):
+        if members is None:
+            return is_identity_rows(group, Y)
+        return members[group.key_rows(Y)]
+
     X = np.asarray(X, dtype=np.int64)
     res = np.zeros(len(X), dtype=np.int64)
     cur = X.copy()
-    alive = ~is_identity_rows(group, cur)
+    alive = ~inside(cur)
     k = 0
     while alive.any():
         k += 1
         if k > 64:
             raise RuntimeError("order exceeds 2^64; not a finite 2-group table")
         cur[alive] = group.mul_arrays(cur[alive], cur[alive])
-        done = alive & is_identity_rows(group, cur)
+        done = alive & inside(cur)
         res[done] = k
         alive &= ~done
     return res
-
-
-def comm_rows(group, X, y) -> np.ndarray:
-    """[x, y] for each row x against a fixed element y."""
-    return comm_rows_pairwise(group, X, np.asarray(y, dtype=np.int64)[None])
 
 
 def comm_rows_pairwise(group, X, Y) -> np.ndarray:
@@ -359,9 +350,10 @@ class QuotientGroup(CoordGroup):
     """Quotient of a table's group by the central subgroup Z that ``gens``
     generate.
 
-    Elements are the minimum-key coset representatives.  The parent table
-    must be dense, so a key is its row's index and ``mul_keys(coords, z)`` is
-    the index map "right-multiply by z".  For a generator z of order 2^m,
+    Elements are the minimum-key coset representatives, and an element's
+    key is its coset id, so the quotient's own table is keyed 0..n-1 too.
+    In the parent table a key is its row's index, so ``mul_keys(coords, z)``
+    is the index map "right-multiply by z".  For a generator z of order 2^m,
     m doubling rounds ``lab = minimum(lab, lab[step]); step = step[step]``
     turn each row's label into the minimum over its orbit under <z>; doing
     this for one generator after another minimizes over the products of
@@ -369,13 +361,11 @@ class QuotientGroup(CoordGroup):
     representative when its label is its own key, and coset ids are a
     running count of representatives: no sort.  O(|K|) row products per
     generator plus O(|K| log |Z|) gathers.  Products are computed in the
-    parent and renormalized through a dense coset-id array.
+    parent and mapped to coset ids through one parent-key-indexed array.
     """
 
     def __init__(self, table: GroupTable, gens):
         parent = table.group
-        if not table.dense:
-            raise ValueError("quotients require a densely keyed parent table")
         self.parent = parent
         lab = table.keys
         for z in gens:
@@ -392,11 +382,15 @@ class QuotientGroup(CoordGroup):
         self.identity = self._canon(parent.identity)
         self.gens = tuple(self._canon(x) for x in parent.gens)
 
+    def key(self, x):
+        """Coset id of a parent element (or of parent coordinate columns)."""
+        return self._cid_of_key[self.parent.key(x)]
+
     def _canon(self, x):
-        return self._rep_tuples[self._cid_of_key[self.key(x)]]
+        return self._rep_tuples[self.key(x)]
 
     def _canon_rows(self, X) -> np.ndarray:
-        return self._rep[self._cid_of_key[self.parent.key_rows(X)]]
+        return self._rep[self.key_rows(X)]
 
     def coords_array(self) -> np.ndarray:
         return self._rep.copy()
@@ -408,8 +402,7 @@ class QuotientGroup(CoordGroup):
         return self._canon_rows(self.parent.inv_arrays(X))
 
     def mul_keys(self, X, Y) -> np.ndarray:
-        # the scalar law indexes Python lists, so it cannot run on columns
-        return self.key_rows(self.mul_arrays(X, Y))
+        return self._cid_of_key[self.parent.mul_keys(X, Y)]
 
     def mul(self, x, y):
         return self._canon(self.parent.mul(x, y))
@@ -431,30 +424,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     for z in rows:
         if not g.is_central(z):
             raise ValueError(f"subgroup element {z} is not central")
-    q = QuotientGroup(table, _subgroup_generators(g, rows))
+    q = QuotientGroup(table, g.pick_generators(rows, within=set(rows)))
     return GroupTable(q, q.coords_array())
-
-
-def _subgroup_generators(group, rows) -> list:
-    """Some of ``rows``, picked greedily in order, that generate them;
-    ``ValueError`` unless the rows form a subgroup.
-
-    Each pick at least doubles the span, so there are at most log2 |rows|.
-    The rows are a subgroup exactly when the closure of the picks stays
-    inside them, and then that closure is all of them.
-    """
-    members = set(rows)
-    gens, spanned = [], {group.identity}
-    for x in rows:
-        if x in spanned:
-            continue
-        gens.append(x)
-        spanned = set()
-        for y in group.closure(gens):
-            if y not in members:
-                raise ValueError("input is not closed under multiplication")
-            spanned.add(y)
-    return gens
 
 
 def lcs(table: GroupTable) -> list[np.ndarray]:
@@ -463,10 +434,9 @@ def lcs(table: GroupTable) -> list[np.ndarray]:
     chain = [table.coords]
     cur = table.coords
     while len(cur) > 1:
-        comms = []
-        for gen in g.gens:
-            comms.append(comm_rows(g, cur, np.asarray(gen, dtype=np.int64)))
-        rows = np.concatenate(comms, axis=0)
+        rows = np.concatenate(
+            [comm_rows_pairwise(g, cur, np.asarray([gen], dtype=np.int64)) for gen in g.gens]
+        )
         uniq = {tuple(r) for r in rows.tolist()}
         nxt = normal_closure(table, sorted(uniq))
         if len(nxt) == len(cur):
@@ -483,20 +453,27 @@ def lcs(table: GroupTable) -> list[np.ndarray]:
 def iso_2gen(table: GroupTable, target):
     """Explicit generator-image isomorphism from ``target`` onto the table.
 
-    Searches pairs (g, h) with the same generator and commutator orders as
-    the target's (a, b), checks every defining relation of the target's
-    presentation (plus centrality of the commutator), and accepts only when
-    the image of the target's coordinate box a^i b^j [a,b]^k (``radices``,
-    |target| points; not the element orders, which overcount) fills the
-    table.  Relations holding for (g, h) make the coordinate map a
-    homomorphism by the usual collection argument, so a full image of equal
-    size certifies an isomorphism.  Sound and complete for two-generator
-    targets.
+    Only a table of class at most two can match a class-two target, and only
+    there is every commutator [g, h] central: ``None`` unless every
+    [[x, y], z] over the table's designated generators is trivial (in a
+    finite 2-group, which is nilpotent, that makes the third term of the
+    lower central series trivial).  Then it searches pairs (g, h) with the
+    same generator and commutator orders as the target's (a, b), checks
+    every defining relation of the target's presentation, and accepts only
+    when the image of the target's coordinate box a^i b^j [a,b]^k
+    (``radices``, |target| points; not the element orders, which overcount)
+    fills the table.  Relations holding for (g, h), with [g, h] central,
+    make the coordinate map a homomorphism by the usual collection argument,
+    so a full image of equal size certifies an isomorphism.  Sound and
+    complete for two-generator targets.
     """
     if table.order != target.order:
         return None
     g = table.group
     coords = table.coords
+    if any(g.commutator(g.commutator(x, y), z) != g.identity
+           for x in g.gens for y in g.gens for z in g.gens):
+        return None
 
     ta, tb = target.gens
     ea = target.order_of(ta).bit_length() - 1
@@ -520,15 +497,7 @@ def iso_2gen(table: GroupTable, target):
         mask = order_exponent_rows(g, C) == ec
         if not mask.any():
             continue
-        H, H_inv, Cm = h_rows[mask], h_inv[mask], C[mask]
-        # commutator must be central: [c, g] = [c, h] = 1
-        C_inv = g.inv_arrays(Cm)
-        mask2 = is_identity_rows(g, _comm_with_inverses(g, Cm, C_inv, g_row, g_inv))
-        mask2 &= is_identity_rows(g, _comm_with_inverses(g, Cm, C_inv, H, H_inv))
-        if not mask2.any():
-            continue
-        H = H[mask2]
-        Cm = Cm[mask2]
+        H, Cm = h_rows[mask], C[mask]
         ok = np.ones(len(H), dtype=bool)
         for lhs, rhs in relations:
             lval = _eval_word_rows(g, g_elt, H, Cm, lhs)

@@ -113,6 +113,20 @@ def test_sweep_rejects_max_alpha_below_one(capsys, max_alpha):
     assert "--max-alpha >= 1" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("verify", "--type", "i", "--alpha", "2", "--beta", "2", "--gamma", "2"),
+    ("sweep", "--max-alpha", "1"),
+    ("selftest",),
+])
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_max_order_below_one_exits_2(capsys, command, max_order):
+    for argv in [(*command, "--max-order", max_order), ("--max-order", max_order, *command)]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--max-order >= 1" in err
+
+
 def test_sweep_rows_round_trip():
     rows, warnings = sweep_rows(2, verify=False)
     assert not warnings

@@ -37,6 +37,12 @@ def test_build_rejects_bad_parameters():
         build(GroupSpec(1, 0))
     with pytest.raises(ParameterError, match="commutator subgroup"):
         build(GroupSpec(2, 2, (FreeElt(r=2),)))
+    for alpha, beta in [(2.0, 1), (2, 1.0), ("2", 1), (True, True), (2, True)]:
+        with pytest.raises(ParameterError, match="integer alpha, beta"):
+            build(GroupSpec(alpha, beta))
+    for extra in [(0, 0, 0, 4, 0), "u^4", FreeElt(u=4.0), FreeElt(v=True)]:
+        with pytest.raises(ParameterError, match="integer FreeElt"):
+            build(GroupSpec(2, 1, (extra,)))
 
 
 def test_build_rejects_noncentral_extra():

@@ -103,17 +103,28 @@ def test_table_counts():
 
 def test_index_of_rejects_absent_keys():
     t = oracle.GroupTable.from_group(build(GroupSpec(2, 1)))
-    assert t.dense
-    assert np.array_equal(t.index_of(t.keys[::-1]), np.arange(t.order)[::-1])
-    for bad in [-1, t.order]:
-        with pytest.raises(BuildIntegrityError, match="left the table"):
-            t.index_of(np.asarray([0, bad]))
     q = oracle.quotient_central(t, oracle.brute_center(t))
-    assert not q.dense
-    assert np.array_equal(q.index_of(q.keys[::-1]), np.arange(q.order)[::-1])
-    absent = np.setdiff1d(np.arange(q.keys[-1]), q.keys)[:1]
-    with pytest.raises(BuildIntegrityError, match="left the table"):
-        q.index_of(np.concatenate([q.keys[:1], absent]))
+    for table in (t, q):
+        assert np.array_equal(table.keys, np.arange(table.order))
+        assert np.array_equal(table.index_of(table.keys[::-1]), np.arange(table.order)[::-1])
+        for bad in [-1, table.order]:
+            with pytest.raises(BuildIntegrityError, match="left the table"):
+                table.index_of(np.asarray([0, bad]))
+
+
+def test_table_refuses_rows_not_keyed_zero_to_n_minus_one():
+    g = build(GroupSpec(2, 1))
+    t = oracle.GroupTable.from_group(g)
+    q = oracle.quotient_central(t, oracle.brute_center(t))
+    for table in (t, q):
+        coords = table.coords
+        for bad in [coords[::-1], coords[:-1], coords[1:], np.delete(coords, 1, axis=0),
+                    np.concatenate([coords[:1], coords])]:
+            with pytest.raises(ValueError, match="keyed 0..order-1"):
+                oracle.GroupTable(table.group, bad)
+    # every parent row has a coset id, so the parent's rows repeat each key
+    with pytest.raises(ValueError, match="keyed 0..order-1"):
+        oracle.GroupTable(q.group, t.coords)
 
 
 def test_tables_are_deterministic():
@@ -204,7 +215,7 @@ def test_referees_match_reference_definitions():
         for sub in subs:
             q = oracle.quotient_central(t, sub)
             assert np.array_equal(q.coords, reference_quotient_reps(t, sub))
-            # quotient tables are keyed by representatives, so not densely
+            # quotient tables are keyed by coset id, 0..n-1 like any other
             assert np.array_equal(oracle.brute_center(q), reference_center(q))
 
 
@@ -347,6 +358,15 @@ def test_iso_found_for_the_central_quotient_of_the_small_product():
 def test_iso_rejects_dihedral_vs_quaternion():
     t = oracle.GroupTable.from_group(model(type_i(1, 1, 1)))
     assert oracle.iso_2gen(t, model(type_iii(1))) is None
+
+
+def test_iso_rejects_a_class_three_table():
+    # G(2,1) has order 64 and class three; both targets have order 64
+    t = oracle.GroupTable.from_group(build(GroupSpec(2, 1)))
+    assert len(oracle.lcs(t)) == 4
+    for p in [type_i(2, 2, 2), class2.type_ii(3, 2, 2, 1)]:
+        assert model(p).order == t.order
+        assert oracle.iso_2gen(t, model(p)) is None
 
 
 def test_iso_identity_mapping_found():
