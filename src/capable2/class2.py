@@ -298,8 +298,7 @@ def _coset_exponents(table, derived) -> np.ndarray:
     """log2 of the order of each row's coset modulo the derived subgroup."""
     from . import oracle
 
-    members = np.zeros(table.order, dtype=bool)
-    members[table.group.key_rows(derived)] = True
+    members = oracle.key_mask(table.group, derived)
     return oracle.order_exponent_rows(table.group, table.coords, members)
 
 

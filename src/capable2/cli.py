@@ -92,10 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Capability of two-generator 2-groups of class two, "
         "with verified class-three witnesses.",
     )
-    budget_help = "enumeration budget for witness verification (default 2^16)"
+    budget_help = ("enumeration budget: the largest group whose element table is "
+                   "built, for every table a command enumerates (default 2^16)")
     parser.add_argument("--max-order", type=int, default=oracle.DEFAULT_MAX_ORDER,
                         help=budget_help)
-    # the verifying subcommands also accept the budget after their name; the
+    # the enumerating subcommands also accept the budget after their name; the
     # suppressed default leaves a value given before the name in place
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--max-order", type=int, default=argparse.SUPPRESS, help=budget_help)
@@ -108,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "build the witness and verify the central quotient"),
         ("export-cas", "emit a GAP script re-checking a verified witness"),
     ):
-        parents = [budget] if name in ("verify", "export-cas") else []
+        parents = [budget] if name in ("classify", "verify", "export-cas") else []
         sub = subs.add_parser(name, help=helptext, parents=parents)
         _add_param_flags(sub)
 
@@ -164,7 +165,7 @@ def _dispatch(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = _params_from_args(args)
-    fp = class2.fingerprint(class2.model(p))
+    fp = class2.fingerprint(class2.model(p), args.max_order)
     print(
         f"params={p} order={fp.order} exponent={fp.exponent} "
         f"center={fp.center_order} derived={fp.derived_order} "

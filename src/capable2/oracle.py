@@ -218,29 +218,45 @@ def is_identity_rows(group, X) -> np.ndarray:
     return (np.asarray(X) == ident).all(axis=-1)
 
 
+def key_mask(group, rows) -> np.ndarray:
+    """Boolean mask over the group's keys 0..order-1 marking ``rows``."""
+    mask = np.zeros(group.order, dtype=bool)
+    mask[group.key_rows(rows)] = True
+    return mask
+
+
 def order_exponent_rows(group, X, members=None) -> np.ndarray:
     """log2 of each row's order, by repeated squaring; with ``members``, a
     boolean mask over the keys of a normal subgroup N, log2 of the order of
     each row's coset modulo N (x^(2^k) lands in N)."""
+    return _squaring_exponents(group, X, [members])[0]
 
-    def inside(Y):
+
+def _squaring_exponents(group, X, masks) -> list[np.ndarray]:
+    """For each key mask (``None`` for the trivial subgroup), the least k
+    with x^(2^k) inside it, per row; a row is squared until it is inside
+    every mask."""
+
+    def inside(Y, members):
         if members is None:
             return is_identity_rows(group, Y)
         return members[group.key_rows(Y)]
 
     X = np.asarray(X, dtype=np.int64)
-    res = np.zeros(len(X), dtype=np.int64)
+    res = [np.zeros(len(X), dtype=np.int64) for _ in masks]
     cur = X.copy()
-    alive = ~inside(cur)
+    alive = [~inside(cur, m) for m in masks]
     k = 0
-    while alive.any():
+    while any(a.any() for a in alive):
         k += 1
         if k > 64:
             raise RuntimeError("order exceeds 2^64; not a finite 2-group table")
-        cur[alive] = group.mul_arrays(cur[alive], cur[alive])
-        done = alive & inside(cur)
-        res[done] = k
-        alive &= ~done
+        live = np.logical_or.reduce(alive)
+        cur[live] = group.mul_arrays(cur[live], cur[live])
+        for r, a, m in zip(res, alive, masks):
+            done = a & inside(cur, m)
+            r[done] = k
+            a &= ~done
     return res
 
 
@@ -457,32 +473,47 @@ def iso_2gen(table: GroupTable, target):
     there is every commutator [g, h] central: ``None`` unless every
     [[x, y], z] over the table's designated generators is trivial (in a
     finite 2-group, which is nilpotent, that makes the third term of the
-    lower central series trivial).  Then it searches pairs (g, h) with the
-    same generator and commutator orders as the target's (a, b), checks
-    every defining relation of the target's presentation, and accepts only
-    when the image of the target's coordinate box a^i b^j [a,b]^k
-    (``radices``, |target| points; not the element orders, which overcount)
-    fills the table.  Relations holding for (g, h), with [g, h] central,
-    make the coordinate map a homomorphism by the usual collection argument,
-    so a full image of equal size certifies an isomorphism.  Sound and
-    complete for two-generator targets.
+    lower central series trivial).  The commutators of the designated
+    generators are then central, so they generate the derived subgroup D
+    of the table, as [a, b] generates the target's.
+
+    Candidate images are pruned by an isomorphism invariant: an image g of
+    a must have the order of a and, modulo D, the order of a modulo
+    <[a, b]>; likewise an image h of b.  An isomorphism carries <[a, b]>
+    onto D, so every accepted pair passes this filter; both candidate lists
+    keep key order, so the pair returned is the one the unpruned search
+    accepts first.
+
+    Pairs (g, h) with a commutator of the target's commutator order are
+    then checked against every defining relation of the target's
+    presentation, and accepted only when the image of the target's
+    coordinate box a^i b^j [a,b]^k (``radices``, |target| points; not the
+    element orders, which overcount) fills the table.  Relations holding
+    for (g, h), with [g, h] central, make the coordinate map a homomorphism
+    by the usual collection argument, so a full image of equal size
+    certifies an isomorphism.  Sound and complete for two-generator
+    targets.
     """
     if table.order != target.order:
         return None
     g = table.group
     coords = table.coords
-    if any(g.commutator(g.commutator(x, y), z) != g.identity
-           for x in g.gens for y in g.gens for z in g.gens):
+    # [x, x] = 1 and [y, x] = [x, y]^-1, so the pairs x < y suffice
+    comms = [g.commutator(x, y) for i, x in enumerate(g.gens) for y in g.gens[i + 1:]]
+    if any(g.commutator(c, z) != g.identity for c in comms for z in g.gens):
         return None
 
     ta, tb = target.gens
-    ea = target.order_of(ta).bit_length() - 1
-    eb = target.order_of(tb).bit_length() - 1
-    ec = target.order_of(target.commutator(ta, tb)).bit_length() - 1
+    tc = target.commutator(ta, tb)
+    ec = target.order_of(tc).bit_length() - 1
+    t_plain, t_mod = _squaring_exponents(
+        target, [ta, tb], [None, key_mask(target, list(target.closure([tc])))]
+    )
 
-    exps = order_exponent_rows(g, coords)
-    g_rows = coords[exps == ea]
-    h_rows = coords[exps == eb]
+    derived = closure(table, comms)
+    plain, mod = _squaring_exponents(g, coords, [None, key_mask(g, derived)])
+    g_rows = coords[(plain == t_plain[0]) & (mod == t_mod[0])]
+    h_rows = coords[(plain == t_plain[1]) & (mod == t_mod[1])]
     if len(g_rows) == 0 or len(h_rows) == 0:
         return None
 

@@ -1,6 +1,7 @@
 """Word collection, tables, brute-force subgroup machinery, isomorphism search."""
 
 import copy
+import functools
 import math
 import random
 import tracemalloc
@@ -141,6 +142,16 @@ def test_order_exponent_rows():
     exps = oracle.order_exponent_rows(g, t.coords)
     for row, e in zip(t.coords.tolist(), exps.tolist()):
         assert g.order_of(tuple(row)) == 1 << e
+    # modulo the center: the least k with x^(2^k) central, and both
+    # exponents from one squaring pass
+    center = oracle.key_mask(g, oracle.brute_center(t))
+    mod = oracle.order_exponent_rows(g, t.coords, center)
+    for row, e in zip(t.coords.tolist(), mod.tolist()):
+        x = tuple(row)
+        assert g.is_central(g.power(x, 1 << e))
+        assert e == 0 or not g.is_central(g.power(x, 1 << (e - 1)))
+    both = oracle._squaring_exponents(g, t.coords, [None, center])
+    assert np.array_equal(both[0], exps) and np.array_equal(both[1], mod)
 
 
 # -- subgroup machinery --------------------------------------------------------
@@ -442,3 +453,95 @@ def test_image_fills_matches_the_set_loop():
             assert fills == set_image_fills(G, q, *rows, *exps), (p, x, y)
             verdicts.append(fills)
         assert verdicts[:2] == [True, False], p
+
+
+@functools.cache
+def witness_quotients(max_order=1 << 14):
+    """(target, K/Z(K) table) for every witness with exponents <= 4 and
+    |K| <= max_order."""
+    out = []
+    for p in class2.iter_valid_params(4):
+        if not capability.decide(p).capable:
+            continue
+        K = build(capability.build_witness(p).ambient)
+        if K.order <= max_order:
+            t = oracle.GroupTable.from_group(K)
+            out.append((p, oracle.quotient_central(t, oracle.brute_center(t))))
+    return tuple(out)
+
+
+def unpruned_iso(table, target):
+    """The search without the invariant filter: every g with the order of a,
+    one at a time, against every h with the order of b."""
+    g = table.group
+    if any(g.commutator(g.commutator(x, y), z) != g.identity
+           for x in g.gens for y in g.gens for z in g.gens):
+        return None
+    ta, tb = target.gens
+    ea, eb, ec = (target.order_of(x).bit_length() - 1
+                  for x in (ta, tb, target.commutator(ta, tb)))
+    exps = oracle.order_exponent_rows(g, table.coords)
+    for grow in table.coords[exps == ea]:
+        H = table.coords[exps == eb]
+        C = oracle.comm_rows_pairwise(g, grow[None], H)
+        keep = oracle.order_exponent_rows(g, C) == ec
+        H, C = H[keep], C[keep]
+        g_elt = tuple(grow.tolist())
+        ok = np.ones(len(H), dtype=bool)
+        for lhs, rhs in target.relations():
+            ok &= (oracle._eval_word_rows(g, g_elt, H, C, lhs)
+                   == oracle._eval_word_rows(g, g_elt, H, C, rhs)).all(axis=1)
+        for h, c in zip(H[ok], C[ok]):
+            if oracle._image_fills(g, table, grow, h, c, target.radices):
+                return g_elt, tuple(h.tolist())
+    return None
+
+
+# (quotient, model) negatives where every pair (g, h) passing the relations
+# pays a full image check: 16384 checks (~26 s) and 2048 (~3 s), pruned or not
+SLOW_NEGATIVES = {
+    ("ii(4,4,2,1)", "i(4,4,1)"),
+    ("ii(4,4,2,0)", "i(4,3,1)"),
+}
+
+
+def test_pruned_iso_matches_the_unpruned_search():
+    # every witness quotient with |K| <= 2^14, and every model table with
+    # exponents <= 2, against every model of its order.  On an isomorphic
+    # pair the first accepted pair (g, h) must be the unpruned search's.
+    # Every other pair presents two different groups (distinct tuples, not
+    # the overlap pair), where the unpruned search accepts nothing, since
+    # an accepted pair is an isomorphism: there the result must be None.
+    tables = list(witness_quotients())
+    tables += [(p, oracle.GroupTable.from_group(model(p)))
+               for p in class2.iter_valid_params(2)]
+    positives = negatives = 0
+    for p, t in tables:
+        for tp in class2.params_with_order(t.order):
+            if tp in (p, class2.overlap_partner(p)):
+                iso = oracle.iso_2gen(t, model(tp))
+                assert iso is not None and iso == unpruned_iso(t, model(tp)), (p, tp)
+                positives += 1
+            elif (str(p), str(tp)) not in SLOW_NEGATIVES:
+                assert oracle.iso_2gen(t, model(tp)) is None, (p, tp)
+                negatives += 1
+    assert (positives, negatives) == (25, 203)
+
+
+def test_iso_tries_one_candidate_image_of_a(monkeypatch):
+    # each candidate g costs one commutator block against the h candidates;
+    # without the filter ii(4,4,2,1) accepts its 33rd g
+    calls = []
+    real = oracle._comm_with_inverses
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_comm_with_inverses", counted)
+    quotients = witness_quotients()
+    for p, q in quotients:
+        calls.clear()
+        assert oracle.iso_2gen(q, model(p)) is not None
+        assert len(calls) == 1, (p, len(calls))
+    assert len(quotients) == 14
