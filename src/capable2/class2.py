@@ -158,9 +158,6 @@ class Class2Group(CoordGroup):
     def mul_arrays(self, X, Y) -> np.ndarray:
         return self.apply_law(self.mul, X, Y)
 
-    def inv_arrays(self, X) -> np.ndarray:
-        return self.apply_law(self.inverse, X)
-
     # -- presentation --------------------------------------------------------
 
     def relations(self) -> list[tuple[Word, Word]]:
@@ -245,10 +242,8 @@ def fingerprint(group, max_order: int | None = None) -> Fingerprint:
     from . import oracle
 
     table = oracle.GroupTable.from_group(group, max_order)
-    exps = oracle.order_exponent_rows(group, table.coords)
-    hist: dict[int, int] = {}
-    for e in exps.tolist():
-        hist[1 << e] = hist.get(1 << e, 0) + 1
+    counts = np.bincount(table.exponents()).tolist()
+    hist = {1 << e: n for e, n in enumerate(counts) if n}
     center = oracle.brute_center(table)
     a, b = group.gens
     derived = oracle.normal_closure(table, [group.commutator(a, b)])
@@ -272,10 +267,13 @@ def _abelian_invariants(table, derived) -> tuple[int, ...]:
     """Cyclic decomposition of the quotient by the derived subgroup.
 
     With f(k) = log2 #{cosets of order dividing 2^k} (from the coset
-    exponents of :func:`oracle.order_exponent_rows`), the number of invariant
-    factors of exponent >= k is f(k) - f(k-1).
+    exponents of :meth:`oracle.GroupTable.exponents`), the number of
+    invariant factors of exponent >= k is f(k) - f(k-1).
     """
-    counts = np.cumsum(np.bincount(_coset_exponents(table, derived))).tolist()
+    from . import oracle
+
+    exps = table.exponents(oracle.key_mask(table.group, derived))
+    counts = np.cumsum(np.bincount(exps)).tolist()
     n = table.order // len(derived)
     maxe = len(counts) - 1
     f = []
@@ -292,14 +290,6 @@ def _abelian_invariants(table, derived) -> tuple[int, ...]:
         exactly = ge[k - 1] - (ge[k] if k < maxe else 0)
         out.extend([1 << k] * exactly)
     return tuple(sorted(out, reverse=True))
-
-
-def _coset_exponents(table, derived) -> np.ndarray:
-    """log2 of the order of each row's coset modulo the derived subgroup."""
-    from . import oracle
-
-    members = oracle.key_mask(table.group, derived)
-    return oracle.order_exponent_rows(table.group, table.coords, members)
 
 
 def overlap_partner(p: TypeParams) -> TypeParams | None:

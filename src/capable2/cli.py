@@ -236,7 +236,7 @@ def _cmd_selftest(args) -> int:
     g22 = nilprod.build(nilprod.GroupSpec(2, 2))
     check("normal-form count of the (2,2) product is 512", g22.order == 512)
 
-    table = oracle.GroupTable.from_group(g21)
+    table = oracle.GroupTable.from_group(g21, args.max_order)
     solved = oracle.closure(table, g21.center())
     brute = oracle.brute_center(table)
     check(

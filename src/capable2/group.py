@@ -83,6 +83,10 @@ class CoordGroup:
             self._int64_checked = True
         return apply_rows(law, *arrays)
 
+    def inv_arrays(self, X) -> np.ndarray:
+        """Inverse of each int64 coordinate row, by the scalar ``inverse``."""
+        return self.apply_law(self.inverse, X)
+
     def mul_keys(self, X, Y) -> np.ndarray:
         """Key of each row product x*y of broadcast row arrays, computed block
         by block without materializing the product rows."""

@@ -87,9 +87,6 @@ class NilGroup(CoordGroup):
     def mul_arrays(self, X, Y) -> np.ndarray:
         return self.apply_law(self.mul, X, Y)
 
-    def inv_arrays(self, X) -> np.ndarray:
-        return self.apply_law(self.inverse, X)
-
     # -- centers and quotients ----------------------------------------------
 
     def generates_with_center(self, elems) -> bool:

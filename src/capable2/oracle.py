@@ -26,10 +26,21 @@ own rows and finds each coset's minimum-key element as an orbit minimum over
 their right multiplications, by doubling: log2 of each generator's order
 rounds of gathers.
 
+``iso_2gen`` works on the same index maps.  A table's squaring map (the
+index of x^2 per row, built on first use, so never for an ambient table)
+gives each row's order exponent, modulo any subgroup, and each relation side
+by gathers.  The relations, with class at most two, make the coordinate map
+a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
+is <g, h>; the breadth-first search of ``brute_center`` over right
+multiplication by g and h shows that this image is the whole table, and
+equal orders make the map bijective.
+
 Tables are immutable after construction and deterministically ordered.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -212,10 +223,35 @@ class GroupTable:
             raise BuildIntegrityError("a product left the table")
         return keys
 
+    def right_mul(self, x) -> np.ndarray:
+        """The index map "right-multiply by x", one row product per row."""
+        return self.index_of(self.group.mul_keys(self.coords, np.asarray(x)[None]))
 
-def is_identity_rows(group, X) -> np.ndarray:
-    ident = np.asarray(group.identity, dtype=np.int64)
-    return (np.asarray(X) == ident).all(axis=-1)
+    @functools.cached_property
+    def squares(self) -> np.ndarray:
+        """Index of x^2 for each row, built on first use."""
+        return self.index_of(self.group.mul_keys(self.coords, self.coords))
+
+    def exponents(self, members=None) -> np.ndarray:
+        """For each row x, the least k with x^(2^k) inside the subgroup that
+        ``members``, a boolean mask over the keys, marks (default: the
+        identity), by gathers through :attr:`squares`.  Raises
+        ``BuildIntegrityError`` after log2 |table| rounds, which no element
+        of a 2-group needs."""
+        if members is None:
+            members = key_mask(self.group, [self.group.identity])
+        res = np.zeros(self.order, dtype=np.int64)
+        live = cur = np.flatnonzero(~members)
+        k = 0
+        while len(live):
+            k += 1
+            if k >= self.order.bit_length():
+                raise BuildIntegrityError("an element order exceeds the table order")
+            cur = self.squares[cur]
+            done = members[cur]
+            res[live[done]] = k
+            live, cur = live[~done], cur[~done]
+        return res
 
 
 def key_mask(group, rows) -> np.ndarray:
@@ -223,41 +259,6 @@ def key_mask(group, rows) -> np.ndarray:
     mask = np.zeros(group.order, dtype=bool)
     mask[group.key_rows(rows)] = True
     return mask
-
-
-def order_exponent_rows(group, X, members=None) -> np.ndarray:
-    """log2 of each row's order, by repeated squaring; with ``members``, a
-    boolean mask over the keys of a normal subgroup N, log2 of the order of
-    each row's coset modulo N (x^(2^k) lands in N)."""
-    return _squaring_exponents(group, X, [members])[0]
-
-
-def _squaring_exponents(group, X, masks) -> list[np.ndarray]:
-    """For each key mask (``None`` for the trivial subgroup), the least k
-    with x^(2^k) inside it, per row; a row is squared until it is inside
-    every mask."""
-
-    def inside(Y, members):
-        if members is None:
-            return is_identity_rows(group, Y)
-        return members[group.key_rows(Y)]
-
-    X = np.asarray(X, dtype=np.int64)
-    res = [np.zeros(len(X), dtype=np.int64) for _ in masks]
-    cur = X.copy()
-    alive = [~inside(cur, m) for m in masks]
-    k = 0
-    while any(a.any() for a in alive):
-        k += 1
-        if k > 64:
-            raise RuntimeError("order exceeds 2^64; not a finite 2-group table")
-        live = np.logical_or.reduce(alive)
-        cur[live] = group.mul_arrays(cur[live], cur[live])
-        for r, a, m in zip(res, alive, masks):
-            done = a & inside(cur, m)
-            r[done] = k
-            a &= ~done
-    return res
 
 
 def comm_rows_pairwise(group, X, Y) -> np.ndarray:
@@ -306,10 +307,9 @@ def brute_center(table: GroupTable) -> np.ndarray:
     keep = np.ones(table.order, dtype=bool)
     steps = []
     for gen in g.gens:
-        row = np.asarray(gen, dtype=np.int64)[None]
-        right = g.mul_keys(table.coords, row)
-        keep &= right == g.mul_keys(row, table.coords)
-        steps.append(table.index_of(right))
+        right = table.right_mul(gen)
+        keep &= right == g.mul_keys(np.asarray(gen)[None], table.coords)
+        steps.append(right)
     start = table.index_of(g.key_rows([g.identity]))
     if not _reached(steps, start, table.order).all():
         raise BuildIntegrityError("the designated generators do not generate the table")
@@ -385,7 +385,7 @@ class QuotientGroup(CoordGroup):
         self.parent = parent
         lab = table.keys
         for z in gens:
-            step = parent.mul_keys(table.coords, [z])
+            step = table.right_mul(z)
             for _ in range(parent.order_of(tuple(z)).bit_length() - 1):
                 lab = np.minimum(lab, lab[step])
                 step = step[step]
@@ -444,24 +444,6 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     return GroupTable(q, q.coords_array())
 
 
-def lcs(table: GroupTable) -> list[np.ndarray]:
-    """Lower central series as element-row arrays, ending at the trivial term."""
-    g = table.group
-    chain = [table.coords]
-    cur = table.coords
-    while len(cur) > 1:
-        rows = np.concatenate(
-            [comm_rows_pairwise(g, cur, np.asarray([gen], dtype=np.int64)) for gen in g.gens]
-        )
-        uniq = {tuple(r) for r in rows.tolist()}
-        nxt = normal_closure(table, sorted(uniq))
-        if len(nxt) == len(cur):
-            raise RuntimeError("lower central series stalled; group is not nilpotent?")
-        chain.append(nxt)
-        cur = nxt
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # isomorphism search
 
@@ -482,17 +464,20 @@ def iso_2gen(table: GroupTable, target):
     <[a, b]>; likewise an image h of b.  An isomorphism carries <[a, b]>
     onto D, so every accepted pair passes this filter; both candidate lists
     keep key order, so the pair returned is the one the unpruned search
-    accepts first.
+    accepts first.  The table's orders come from
+    :meth:`GroupTable.exponents`, the target's from scalar squaring.
 
-    Pairs (g, h) with a commutator of the target's commutator order are
-    then checked against every defining relation of the target's
-    presentation, and accepted only when the image of the target's
-    coordinate box a^i b^j [a,b]^k (``radices``, |target| points; not the
-    element orders, which overcount) fills the table.  Relations holding
-    for (g, h), with [g, h] central, make the coordinate map a homomorphism
-    by the usual collection argument, so a full image of equal size
-    certifies an isomorphism.  Sound and complete for two-generator
-    targets.
+    Pairs (g, h) whose commutator has the order of [a, b] are checked
+    against every defining relation of the target's presentation, each
+    side gathered through the table's squaring map (``ValueError`` for a
+    side other than the identity or one letter to a power of two).  With
+    [g, h] central, relations holding for (g, h) make the coordinate map
+    a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target, by
+    the usual collection argument, and its image is <g, h>.  A pair is
+    accepted when a breadth-first search over right multiplication by g
+    and by h reaches every row: the image is then the whole table, and a
+    surjection between groups of equal order is an isomorphism.  Sound and
+    complete for two-generator targets.
     """
     if table.order != target.order:
         return None
@@ -505,73 +490,73 @@ def iso_2gen(table: GroupTable, target):
 
     ta, tb = target.gens
     tc = target.commutator(ta, tb)
-    ec = target.order_of(tc).bit_length() - 1
-    t_plain, t_mod = _squaring_exponents(
-        target, [ta, tb], [None, key_mask(target, list(target.closure([tc])))]
-    )
+    t_derived = set(target.closure([tc]))
+    ea, eb, ec = (target.order_of(x).bit_length() - 1 for x in (ta, tb, tc))
+    da, db = (_exponent(target, x, t_derived) for x in (ta, tb))
+    relations = [(_side(lhs), _side(rhs)) for lhs, rhs in target.relations()]
 
-    derived = closure(table, comms)
-    plain, mod = _squaring_exponents(g, coords, [None, key_mask(g, derived)])
-    g_rows = coords[(plain == t_plain[0]) & (mod == t_mod[0])]
-    h_rows = coords[(plain == t_plain[1]) & (mod == t_mod[1])]
-    if len(g_rows) == 0 or len(h_rows) == 0:
+    plain = table.exponents()
+    mod = table.exponents(key_mask(g, closure(table, comms)))
+    g_idx = np.flatnonzero((plain == ea) & (mod == da))
+    h_idx = np.flatnonzero((plain == eb) & (mod == db))
+    if len(g_idx) == 0 or len(h_idx) == 0:
         return None
 
-    relations = target.relations()
-    h_inv = g.inv_arrays(h_rows)
-    for grow in g_rows:
-        # the fixed candidate g, its inverse and its powers are single rows,
-        # computed by the scalar law and broadcast by the row products
-        g_elt = tuple(grow.tolist())
-        g_row, g_inv = grow[None], np.asarray([g.inverse(g_elt)], dtype=np.int64)
-        C = _comm_with_inverses(g, g_row, g_inv, h_rows, h_inv)
-        mask = order_exponent_rows(g, C) == ec
-        if not mask.any():
-            continue
-        H, Cm = h_rows[mask], C[mask]
-        ok = np.ones(len(H), dtype=bool)
+    one = g.key(g.identity)
+    H = coords[h_idx]
+    H_inv = g.inv_arrays(H)
+    for gi in g_idx:
+        # the fixed candidate g and its inverse are single rows, broadcast
+        # by the row products against every candidate h
+        g_elt = tuple(coords[gi].tolist())
+        g_inv = np.asarray([g.inverse(g_elt)], dtype=np.int64)
+        C = _comm_with_inverses(g, coords[gi][None], g_inv, H, H_inv)
+        c_idx = table.index_of(g.key_rows(C))
+        keep = plain[c_idx] == ec
+        images = {None: one, "a": gi, "b": h_idx[keep], "c": c_idx[keep]}
+        ok = np.ones(len(images["b"]), dtype=bool)
         for lhs, rhs in relations:
-            lval = _eval_word_rows(g, g_elt, H, Cm, lhs)
-            rval = _eval_word_rows(g, g_elt, H, Cm, rhs)
-            ok &= (lval == rval).all(axis=1)
-        for h, c in zip(H[ok], Cm[ok]):
-            if _image_fills(g, table, grow, h, c, target.radices):
-                return (g_elt, tuple(h.tolist()))
+            ok &= _gather(table, images, lhs) == _gather(table, images, rhs)
+        if not ok.any():
+            continue
+        g_step = table.right_mul(coords[gi])
+        for hi in images["b"][ok]:
+            if _reached([g_step, table.right_mul(coords[hi])], one, table.order).all():
+                return g_elt, tuple(coords[hi].tolist())
     return None
 
 
-def _eval_word_rows(group, g_elt, H, C, word) -> np.ndarray:
-    """The word in a -> g, b -> each row of H, c -> each row of C; the powers
-    of the fixed element g come from the scalar law, as one row."""
-    ident = np.asarray(group.identity, dtype=np.int64)
-    acc = np.broadcast_to(ident, H.shape).copy()
-    for sym, exp in word:
-        if sym == "a":
-            power = np.asarray([group.power(g_elt, exp)], dtype=np.int64)
-        else:
-            power = pow_rows(group, H if sym == "b" else C, exp)
-        acc = group.mul_arrays(acc, power)
-    return acc
+def _exponent(group, x, members) -> int:
+    """Least k with x^(2^k) in the subgroup ``members``, a set, by scalar
+    squaring; ``BuildIntegrityError`` once 2^k exceeds twice the order, as
+    in :meth:`capable2.group.CoordGroup.order_of`."""
+    k = 0
+    while x not in members:
+        x = group.mul(x, x)
+        k += 1
+        if 1 << k > 2 * group.order:
+            raise BuildIntegrityError("element order exceeds group order")
+    return k
 
 
-def _image_fills(group, table, grow, h, c, radices) -> bool:
-    """Does g^i h^j c^k, over the target's coordinate box
-    i < radices[0], j < radices[1], k < radices[2], hit every row of the
-    table?  The box has exactly |target| = |table| points, so it fills the
-    table exactly when the image is a bijection."""
-    gi, hj, ck = (_powers(group, x, m) for x, m in zip((grow, h, c), radices))
-    image = group.mul_keys(group.mul_arrays(gi[:, None], hj[None, :])[:, :, None], ck)
-    hit = np.zeros(table.order, dtype=bool)
-    hit[table.index_of(image.reshape(-1))] = True
-    return bool(hit.all())
+def _side(word):
+    """A relation side as (letter, m) for letter^(2^m), with (None, 0) for
+    the identity; ``ValueError`` for any other word."""
+    if not word:
+        return None, 0
+    if len(word) == 1:
+        sym, exp = word[0]
+        if sym in ("a", "b", "c") and exp > 0 and exp & (exp - 1) == 0:
+            return sym, exp.bit_length() - 1
+    raise ValueError(f"relation side {word} is neither 1 nor one letter to a power of two")
 
 
-def _powers(group, x, n: int) -> np.ndarray:
-    """x^0, x^1, ..., x^(n-1) as rows, for n a power of two: each doubling
-    step appends the rows so far times x^(their count)."""
-    rows = np.asarray([group.identity], dtype=np.int64)
-    step = np.asarray(x, dtype=np.int64)[None]
-    while len(rows) < n:
-        rows = np.concatenate([rows, group.mul_arrays(rows, step)])
-        step = group.mul_arrays(step, step)
-    return rows
+def _gather(table, images, side):
+    """Table index of letter^(2^m) for each candidate image of the letter:
+    its index, m times through the squaring map (``images[None]`` is the
+    identity's)."""
+    sym, m = side
+    idx = images[sym]
+    for _ in range(m):
+        idx = table.squares[idx]
+    return idx

@@ -114,6 +114,17 @@ def test_sweep_alpha_1_rows(capsys):
     ]
 
 
+def test_sweep_text_format_matches_tsv(capsys):
+    code, tsv, _ = run(capsys, "sweep", "--max-alpha", "2")
+    assert code == 0
+    code, text, _ = run(capsys, "sweep", "--max-alpha", "2", "--format", "text")
+    assert code == 0
+    # no header: one space-separated row per tuple, with the TSV's cells
+    rows = [line.split(" ") for line in text.splitlines()]
+    assert rows == [line.split("\t") for line in tsv.splitlines()[1:]]
+    assert len(rows) == len(sweep_rows(2, verify=False)[0])
+
+
 def test_sweep_known_row_and_statement(capsys):
     code, out, err = run(capsys, "sweep", "--max-alpha", "2")
     assert code == 0
@@ -186,6 +197,14 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_honours_the_enumeration_budget(capsys):
+    # the (2,1) product has order 64, so its table is refused
+    code, out, err = run(capsys, "--max-order", "32", "selftest")
+    assert code == 1
+    assert "order 64 exceeds the enumeration bound 32" in err
+    assert "center" not in out
 
 
 def test_export_cas_renders_presentations(capsys):
