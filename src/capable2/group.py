@@ -5,10 +5,13 @@ A group object supplies ``identity``, ``gens`` (which generate it), ``order``,
 scalar law ``mul``/``inverse``; :class:`CoordGroup` derives the rest.
 
 Each law is written once, for scalars, using only ``+ - * // %`` on the
-indexed coordinates ``x[i]``.  Fed the int64 columns ``X[..., i]`` of
-coordinate-row arrays by :func:`apply_rows`, the same code computes every row
-at once; composed with the mixed-radix key it gives ``mul_keys``, one key per
-product with no product rows in between.
+indexed coordinates ``x[i]``.  Fed the columns ``X[..., i]`` of coordinate-row
+arrays by :func:`apply_rows`, cast to int64 one block at a time, the same code
+computes every row at once; composed with the mixed-radix key it gives
+``mul_keys``, one key per product with no product rows in between.  Stored
+rows (:func:`box_rows`, element tables) use the narrowest signed integer dtype
+that holds the radices, so a table of |K| rows costs a few bytes per element
+while every law evaluation still runs in checked int64.
 """
 
 from __future__ import annotations
@@ -42,12 +45,15 @@ def check_int64(radices) -> None:
 
 
 def apply_rows(law, *arrays) -> np.ndarray:
-    """Run a coordinate law on int64 coordinate-row arrays, broadcast against
-    each other; the result has as many coordinates as the law returns.
+    """Run a coordinate law on integer coordinate-row arrays, broadcast
+    against each other; the result is int64 with as many coordinates as the
+    law returns.
 
-    The law is fed the columns ``X[..., i]``, ``BLOCK_ROWS`` rows at a time.
+    The law is fed the columns ``X[..., i]``, ``BLOCK_ROWS`` rows at a time,
+    each cast to int64 for its block only, so narrow stored rows never leave
+    a full int64 copy behind.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(A, dtype=np.int64) for A in arrays))
+    arrays = np.broadcast_arrays(*map(np.asarray, arrays))
     shape = arrays[0].shape
     width = shape[-1]
     flat = [A.reshape(-1, width) for A in arrays]
@@ -56,7 +62,7 @@ def apply_rows(law, *arrays) -> np.ndarray:
     blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)] or [slice(0, 0)]
     out = None
     for block in blocks:
-        cols = law(*([A[block, i] for i in range(width)] for A in flat))
+        cols = law(*([A[block, i].astype(np.int64, copy=False) for i in range(width)] for A in flat))
         if out is None:
             out = np.empty((n, len(cols)), dtype=np.int64)
         for i, col in enumerate(cols):
@@ -64,10 +70,23 @@ def apply_rows(law, *arrays) -> np.ndarray:
     return out.reshape(shape[:-1] + out.shape[1:])
 
 
+def coord_dtype(radices) -> np.dtype:
+    """The narrowest signed integer dtype holding 0..max(radices)-1: the
+    smallest signed type of -max(radices) holds max(radices)-1 too."""
+    return np.min_scalar_type(-max(radices))
+
+
 def box_rows(radices) -> np.ndarray:
-    """Every int64 row with coordinate i in ``range(radices[i])``, lexicographic."""
-    grids = np.meshgrid(*(np.arange(m, dtype=np.int64) for m in radices), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    """Every row with coordinate i in ``range(radices[i])``, lexicographic, in
+    :func:`coord_dtype`, each column filled in place."""
+    n = math.prod(radices)
+    out = np.empty((n, len(radices)), dtype=coord_dtype(radices))
+    inner = n
+    for i, m in enumerate(radices):
+        inner //= m
+        # column i repeats each value inner times, the whole run n/(m*inner) times
+        out[:, i].reshape(-1, m, inner)[...] = np.arange(m)[:, None]
+    return out
 
 
 class CoordGroup:
@@ -177,6 +196,8 @@ class CoordGroup:
         return key
 
     def key_rows(self, X) -> np.ndarray:
-        """Mixed-radix key of each boxed coordinate row."""
-        X = np.asarray(X, dtype=np.int64)
-        return self.key([X[..., i] for i in range(X.shape[-1])])
+        """Mixed-radix int64 key of each boxed coordinate row."""
+        X = np.asarray(X)
+        # an int64 first column makes every partial key int64, whatever the
+        # dtype of the columns added to it
+        return self.key([X[..., 0].astype(np.int64), *(X[..., i] for i in range(1, X.shape[-1]))])

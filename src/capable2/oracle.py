@@ -7,33 +7,41 @@ sign variants, so it referees :mod:`capable2.hall_core`.  The table-level
 routines (center, closure, quotient, isomorphism) referee the congruence-level
 computations elsewhere in the package; they reuse each group's own
 multiplication law (written once, in :mod:`capable2.hall_core` and
-:meth:`capable2.class2.Class2Group.fold`, and run on int64 rows through
-``mul_arrays``) and the breadth-first :meth:`capable2.group.CoordGroup.closure`,
-but never a structural shortcut such as :meth:`capable2.nilprod.NilGroup.center`.
+:meth:`capable2.class2.Class2Group.fold`, and run on int64 columns through
+``mul_arrays`` and ``mul_keys``) and the breadth-first
+:meth:`capable2.group.CoordGroup.closure`, but never a structural shortcut
+such as :meth:`capable2.nilprod.NilGroup.center`.
 
 Every table is keyed 0..n-1: an ambient or model table by the mixed-radix
 key of its boxed coordinates, a quotient table by coset id.  A key is its
 row's index, so a product key column is the index map "multiply by this
-element" with no lookup.  Both table referees do O(|K|) row products, and
-they work on |K|-length key columns: each full-table product goes straight
-into its key (``mul_keys``), never into a |K|-by-5 array of rows.
-``brute_center`` keeps the rows that commute with the designated generators
-and proves, by a breadth-first search over right multiplication, that those
-generators reach every row of the table: a row that commutes with the
-generators, when the generators reach every row, is central.
-``quotient_central`` picks a few generators of the central subgroup from its
-own rows and finds each coset's minimum-key element as an orbit minimum over
-their right multiplications, by doubling: log2 of each generator's order
-rounds of gathers.
+element" with no lookup.  Rows are stored in the narrowest signed integer
+dtype that holds the radices and cast to int64 block by block inside the
+law, so a table of |K| rows costs a few bytes per element.
+
+A table runs the law over all of its rows only twice: once for each index
+map R_a, R_b, "right-multiply by a designated generator", each product
+computed straight into its key (``mul_keys``), never into a |K|-by-5 array
+of rows.  The breadth-first search over R_a and R_b that proves they reach
+every row records its spanning tree (one int32 parent per row), and every
+other full-table map is gathered along that tree: the left multiplication
+L_y, since y(pg) = (yp)g fills each row from its parent through R_g.
+``brute_center`` keeps the rows where R_g = L_g for both generators: a row
+that commutes with the generators, when the generators reach every row, is
+central.  ``quotient_central`` checks each row of its subgroup for
+centrality by the scalar law, picks a few generators z, and finds each
+coset's minimum-key element as an orbit minimum over L_z, which is R_z
+because z is central, by doubling: log2 of each generator's order rounds
+of gathers and no row products.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
 gives each row's order exponent, modulo any subgroup, and each relation side
 by gathers.  The relations, with class at most two, make the coordinate map
 a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
-is <g, h>; the breadth-first search of ``brute_center`` over right
-multiplication by g and h shows that this image is the whole table, and
-equal orders make the map bijective.
+is <g, h>; the same breadth-first search, over right multiplication by g
+and h, shows that this image is the whole table, and equal orders make the
+map bijective.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -45,7 +53,7 @@ import functools
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import CoordGroup, check_int64
+from .group import CoordGroup, check_int64, coord_dtype
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -187,19 +195,26 @@ class GroupTable:
     """Element list plus fast coordinate-level access for one group object.
 
     The group supplies the multiplication law and the key; the table only
-    enumerates, indexes and memoizes.  Elements are int64 coordinate rows in
-    key order, and the keys must be exactly 0, 1, ..., |group|-1, so a key is
-    its row's index: every boxed tuple of an ambient group or a model is an
-    element, and a quotient keys each element by its coset id.  Raises
-    ``ValueError`` for any other rows.
+    enumerates, indexes and memoizes.  Elements are coordinate rows in key
+    order, stored in the narrowest signed integer dtype that holds the
+    radices (:func:`capable2.group.coord_dtype`; the law casts each block to
+    int64).  The keys must be exactly 0, 1, ..., |group|-1, so a key is its
+    row's index and :attr:`keys` is computed, not stored: every boxed tuple
+    of an ambient group or a model is an element, and a quotient keys each
+    element by its coset id.  Raises ``ValueError`` for any other rows.
+
+    The right multiplications R_g by the designated generators
+    (:attr:`gen_maps`) are the table's only full-table law passes besides
+    the squaring map.  The breadth-first search that proves they reach every
+    row records its spanning tree, and :meth:`left_mul` derives any left
+    multiplication from R_g by gathers along it.
     """
 
     def __init__(self, group, coords: np.ndarray):
         self.group = group
         self.coords = coords
-        self.keys = group.key_rows(coords)
         self.order = len(coords)
-        if not np.array_equal(self.keys, np.arange(group.order)):
+        if not np.array_equal(group.key_rows(coords), np.arange(group.order)):
             raise ValueError("table rows must be keyed 0..order-1 in order")
 
     @staticmethod
@@ -213,7 +228,13 @@ class GroupTable:
                 f"group of order {group.order} exceeds the enumeration bound {limit}"
             )
         check_int64(group.radices)
-        return GroupTable(group, np.asarray(group.coords_array(), dtype=np.int64))
+        coords = np.asarray(group.coords_array())
+        return GroupTable(group, coords.astype(coord_dtype(group.radices), copy=False))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The key of each row, which is its index."""
+        return np.arange(self.order)
 
     def index_of(self, keys) -> np.ndarray:
         """Table index of each key, which is the key itself;
@@ -226,6 +247,39 @@ class GroupTable:
     def right_mul(self, x) -> np.ndarray:
         """The index map "right-multiply by x", one row product per row."""
         return self.index_of(self.group.mul_keys(self.coords, np.asarray(x)[None]))
+
+    @functools.cached_property
+    def gen_maps(self) -> tuple[np.ndarray, ...]:
+        """R_g, the index map "right-multiply by g", for each designated
+        generator g, built on first use and stored as int32 indices
+        (:func:`_index_dtype`)."""
+        index = _index_dtype(self.order)
+        return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
+
+    @functools.cached_property
+    def _tree(self) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+        """Breadth-first spanning tree of the table over :attr:`gen_maps`:
+        the identity's index, and (generator, parents) runs whose rows are
+        R_g[parents].  ``BuildIntegrityError`` when the designated
+        generators reach only part of the table."""
+        one = self.index_of(self.group.key_rows([self.group.identity]))
+        seen, runs = _reached(self.gen_maps, one, self.order)
+        if not seen.all():
+            raise BuildIntegrityError("the designated generators do not generate the table")
+        return one, runs
+
+    def left_mul(self, y) -> np.ndarray:
+        """The index map "left-multiply by y", with no row products: y*1 = y,
+        and y*(p*g) = (y*p)*g fills each row of the spanning tree from its
+        parent through R_g.  ``BuildIntegrityError`` when the designated
+        generators do not generate the table."""
+        one, runs = self._tree
+        out = np.empty(self.order, dtype=np.intp)
+        out[one] = self.index_of(self.group.key_rows([y]))
+        for s, parents in runs:
+            step = self.gen_maps[s]
+            out[step[parents]] = step[out[parents]]
+        return out
 
     @functools.cached_property
     def squares(self) -> np.ndarray:
@@ -261,29 +315,9 @@ def key_mask(group, rows) -> np.ndarray:
     return mask
 
 
-def comm_rows_pairwise(group, X, Y) -> np.ndarray:
-    return _comm_with_inverses(group, X, group.inv_arrays(X), Y, group.inv_arrays(Y))
-
-
 def _comm_with_inverses(group, X, X_inv, Y, Y_inv) -> np.ndarray:
     """[x, y] = x^-1 y^-1 x y for broadcast rows given with their inverses."""
     return group.mul_arrays(group.mul_arrays(X_inv, Y_inv), group.mul_arrays(X, Y))
-
-
-def pow_rows(group, X, n: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.int64)
-    if n < 0:
-        return pow_rows(group, group.inv_arrays(X), -n)
-    acc = np.broadcast_to(
-        np.asarray(group.identity, dtype=np.int64), X.shape
-    ).copy()
-    base = X.copy()
-    while n:
-        if n & 1:
-            acc = group.mul_arrays(acc, base)
-        base = group.mul_arrays(base, base)
-        n >>= 1
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -293,45 +327,60 @@ def pow_rows(group, X, n: int) -> np.ndarray:
 def brute_center(table: GroupTable) -> np.ndarray:
     """{z : zg = gz for all g}, coordinate rows in table order.
 
-    A row is kept when it commutes with every designated generator.  A
-    breadth-first search over the index maps "right-multiply by a generator"
-    then proves that the generators reach every row of the table, so they
-    generate it: a kept row commutes with the generators, the generators
-    reach every row, so the row is central, and every dropped row fails
-    against a generator.  Raises ``BuildIntegrityError`` when the generators
-    reach only part of the table.  O(|K|) row products, each computed
-    straight into its key (``mul_keys``), so the referee holds key columns
-    and index maps, never a table-sized array of product rows.
+    A row x is kept when R_g[x] = L_g[x] for every designated generator g:
+    the two law passes R_a, R_b of :attr:`GroupTable.gen_maps`, and
+    :meth:`GroupTable.left_mul`, gathered along the spanning tree of the
+    breadth-first search over R_a, R_b.  That search proves that the
+    generators reach every row of the table, so they generate it: a kept row
+    commutes with the generators, the generators reach every row, so the
+    row is central, and every dropped row fails against a generator.
+    Raises ``BuildIntegrityError`` when the generators reach only part of
+    the table.  Two row products per element, each computed straight into
+    its key (``mul_keys``), so the referee holds key columns and index
+    maps, never a table-sized array of product rows.
     """
-    g = table.group
     keep = np.ones(table.order, dtype=bool)
-    steps = []
-    for gen in g.gens:
-        right = table.right_mul(gen)
-        keep &= right == g.mul_keys(np.asarray(gen)[None], table.coords)
-        steps.append(right)
-    start = table.index_of(g.key_rows([g.identity]))
-    if not _reached(steps, start, table.order).all():
-        raise BuildIntegrityError("the designated generators do not generate the table")
+    for gen, right in zip(table.group.gens, table.gen_maps):
+        keep &= right == table.left_mul(gen)
     return table.coords[keep]
 
 
-def _reached(steps, start, n: int) -> np.ndarray:
-    """Mask of the indices 0..n-1 reached from ``start`` by the index maps
-    ``steps``, breadth first."""
+def _index_dtype(n: int) -> type:
+    """int32 for indices into n <= 2^31 rows, which halves a stored index
+    map; intp beyond."""
+    return np.int32 if n <= 1 << 31 else np.intp
+
+
+def _reached(steps, start, n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Breadth-first search from ``start`` over the index maps ``steps`` on
+    the indices 0..n-1: the mask of reached indices, and the spanning tree
+    as (step, parents) runs in breadth-first order, one run per level and
+    step, whose rows are ``steps[step][parents]``.  Parents are stored in
+    :func:`_index_dtype`; the rows are derived when needed."""
     seen = np.zeros(n, dtype=bool)
-    slot = np.empty(n, dtype=np.intp)
+    index = _index_dtype(n)
+    slot = np.empty(n, dtype=index)
     seen[start] = True
     frontier = np.asarray(start).reshape(-1)
-    while len(frontier):
-        nxt = np.concatenate([s[frontier] for s in steps])
-        nxt = nxt[~seen[nxt]]
-        # deduplicate in O(len(nxt)): keep the entry that wins its slot
-        pos = np.arange(len(nxt))
-        slot[nxt] = pos
-        frontier = nxt[slot[nxt] == pos]
-        seen[frontier] = True
-    return seen
+    runs = []
+    while True:
+        level = []
+        for s, step in enumerate(steps):
+            kids = step[frontier]
+            new = ~seen[kids]
+            parents, kids = frontier[new], kids[new]
+            # deduplicate in O(len(kids)): keep the entry that wins its slot
+            pos = np.arange(len(kids), dtype=index)
+            slot[kids] = pos
+            first = slot[kids] == pos
+            parents, kids = parents[first], kids[first]
+            seen[kids] = True
+            if len(kids):
+                runs.append((s, parents.astype(index, copy=False)))
+                level.append(kids)
+        if not level:
+            return seen, runs
+        frontier = np.concatenate(level)
 
 
 def closure(table: GroupTable, gens) -> np.ndarray:
@@ -364,33 +413,34 @@ def normal_closure(table: GroupTable, gens) -> np.ndarray:
 
 class QuotientGroup(CoordGroup):
     """Quotient of a table's group by the central subgroup Z that ``gens``
-    generate.
+    generate; the caller checks that each generator is central.
 
     Elements are the minimum-key coset representatives, and an element's
     key is its coset id, so the quotient's own table is keyed 0..n-1 too.
-    In the parent table a key is its row's index, so ``mul_keys(coords, z)``
-    is the index map "right-multiply by z".  For a generator z of order 2^m,
-    m doubling rounds ``lab = minimum(lab, lab[step]); step = step[step]``
+    ``mul_arrays`` and ``inv_arrays`` return representatives as the parent
+    table stores them, in its narrow dtype.
+
+    For a central generator z, right and left multiplication by z agree, so
+    the index map "multiply by z" is :meth:`GroupTable.left_mul`, gathered
+    along the table's spanning tree with no row products.  For z of order
+    2^m, m doubling rounds ``lab = minimum(lab, lab[step]); step = step[step]``
     turn each row's label into the minimum over its orbit under <z>; doing
     this for one generator after another minimizes over the products of
     the orbits, which is the coset xZ because Z is central.  A row is a
     representative when its label is its own key, and coset ids are a
-    running count of representatives: no sort.  O(|K|) row products per
-    generator plus O(|K| log |Z|) gathers.  Products are computed in the
-    parent and mapped to coset ids through one parent-key-indexed array.
+    running count of representatives: no sort.  O(|K| log |Z|) gathers.
+    Products are computed in the parent and mapped to coset ids through one
+    parent-key-indexed array.
     """
 
     def __init__(self, table: GroupTable, gens):
         parent = table.group
         self.parent = parent
-        lab = table.keys
-        for z in gens:
-            step = table.right_mul(z)
-            for _ in range(parent.order_of(tuple(z)).bit_length() - 1):
-                lab = np.minimum(lab, lab[step])
-                step = step[step]
+        lab = _orbit_minima(table, gens)
         is_rep = lab == table.keys
-        self._cid_of_key = (np.cumsum(is_rep) - 1)[lab]
+        cid = np.cumsum(is_rep)
+        cid -= 1
+        self._cid_of_key = cid[lab]
         self._rep = table.coords[is_rep]
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
@@ -430,9 +480,23 @@ class QuotientGroup(CoordGroup):
         return iter(self._rep_tuples)
 
 
+def _orbit_minima(table: GroupTable, gens) -> np.ndarray:
+    """Each row's minimum key over its orbit under left multiplication by
+    the subgroup that ``gens`` generate, by doubling in place."""
+    lab = table.keys
+    for z in gens:
+        step = table.left_mul(z)
+        for _ in range(table.group.order_of(tuple(z)).bit_length() - 1):
+            np.minimum(lab, lab[step], out=lab)
+            step = step[step]
+    return lab
+
+
 def quotient_central(table: GroupTable, sub) -> GroupTable:
     """Table of the quotient by a central subgroup; ``ValueError`` when the
-    rows miss the identity, are not central or are not closed."""
+    rows miss the identity, are not central or are not closed.  Centrality
+    is checked on each row by the scalar law before :class:`QuotientGroup`
+    multiplies by its generators on the left."""
     g = table.group
     rows = [tuple(r) for r in np.asarray(sub, dtype=np.int64).tolist()]
     if tuple(g.identity) not in rows:
@@ -474,10 +538,11 @@ def iso_2gen(table: GroupTable, target):
     [g, h] central, relations holding for (g, h) make the coordinate map
     a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target, by
     the usual collection argument, and its image is <g, h>.  A pair is
-    accepted when a breadth-first search over right multiplication by g
-    and by h reaches every row: the image is then the whole table, and a
-    surjection between groups of equal order is an isomorphism.  Sound and
-    complete for two-generator targets.
+    accepted when the breadth-first search that builds a table's spanning
+    tree, run over right multiplication by g and by h, reaches every row:
+    the image is then the whole table, and a surjection between groups of
+    equal order is an isomorphism.  Sound and complete for two-generator
+    targets.
     """
     if table.order != target.order:
         return None
@@ -521,7 +586,8 @@ def iso_2gen(table: GroupTable, target):
             continue
         g_step = table.right_mul(coords[gi])
         for hi in images["b"][ok]:
-            if _reached([g_step, table.right_mul(coords[hi])], one, table.order).all():
+            seen, _ = _reached([g_step, table.right_mul(coords[hi])], one, table.order)
+            if seen.all():
                 return g_elt, tuple(coords[hi].tolist())
     return None
 

@@ -17,6 +17,7 @@ from capable2.class2 import model, type_i, type_ii, type_iii
 from capable2.hall_core import FreeElt
 from capable2.lattice import canonical_basis
 from capable2.nilprod import GroupSpec, build
+from row_ops import comm_rows_pairwise, pow_rows
 
 SWEEP_BUDGET = 1 << 20
 
@@ -125,57 +126,57 @@ def _identity_suite(group, n_random, seed):
     X, Y, Z = (table.coords[i] for i in idx)
 
     # (a)  [xy, z] = [x,z] [x,z,y] [y,z]
-    xz = oracle.comm_rows_pairwise(g, X, Z)
-    lhs = oracle.comm_rows_pairwise(g, g.mul_arrays(X, Y), Z)
+    xz = comm_rows_pairwise(g, X, Z)
+    lhs = comm_rows_pairwise(g, g.mul_arrays(X, Y), Z)
     rhs = g.mul_arrays(
-        g.mul_arrays(xz, oracle.comm_rows_pairwise(g, xz, Y)),
-        oracle.comm_rows_pairwise(g, Y, Z),
+        g.mul_arrays(xz, comm_rows_pairwise(g, xz, Y)),
+        comm_rows_pairwise(g, Y, Z),
     )
     assert (lhs == rhs).all()
 
     # (b)  [x, yz] = [x,z] [z,[y,x]] [x,y]
-    yx = oracle.comm_rows_pairwise(g, Y, X)
-    lhs = oracle.comm_rows_pairwise(g, X, g.mul_arrays(Y, Z))
+    yx = comm_rows_pairwise(g, Y, X)
+    lhs = comm_rows_pairwise(g, X, g.mul_arrays(Y, Z))
     rhs = g.mul_arrays(
         g.mul_arrays(
-            oracle.comm_rows_pairwise(g, X, Z), oracle.comm_rows_pairwise(g, Z, yx)
+            comm_rows_pairwise(g, X, Z), comm_rows_pairwise(g, Z, yx)
         ),
-        oracle.comm_rows_pairwise(g, X, Y),
+        comm_rows_pairwise(g, X, Y),
     )
     assert (lhs == rhs).all()
 
     # (c)/(d)  [x^r, y^s] and [y^s, x^r] with binomial corrections
-    c = oracle.comm_rows_pairwise(g, X, Y)
-    cx = oracle.comm_rows_pairwise(g, c, X)
-    cy = oracle.comm_rows_pairwise(g, c, Y)
+    c = comm_rows_pairwise(g, X, Y)
+    cx = comm_rows_pairwise(g, c, X)
+    cy = comm_rows_pairwise(g, c, Y)
     for r, s in itertools.product((-3, -1, 2, 4), repeat=2):
-        xr = oracle.pow_rows(g, X, r)
-        ys = oracle.pow_rows(g, Y, s)
+        xr = pow_rows(g, X, r)
+        ys = pow_rows(g, Y, s)
         want = g.mul_arrays(
             g.mul_arrays(
-                oracle.pow_rows(g, c, r * s),
-                oracle.pow_rows(g, cx, s * hall.binom2(r)),
+                pow_rows(g, c, r * s),
+                pow_rows(g, cx, s * hall.binom2(r)),
             ),
-            oracle.pow_rows(g, cy, r * hall.binom2(s)),
+            pow_rows(g, cy, r * hall.binom2(s)),
         )
-        assert (oracle.comm_rows_pairwise(g, xr, ys) == want).all()
+        assert (comm_rows_pairwise(g, xr, ys) == want).all()
         want_rev = g.mul_arrays(
             g.mul_arrays(
-                oracle.pow_rows(g, c, -r * s),
-                oracle.pow_rows(g, cx, -s * hall.binom2(r)),
+                pow_rows(g, c, -r * s),
+                pow_rows(g, cx, -s * hall.binom2(r)),
             ),
-            oracle.pow_rows(g, cy, -r * hall.binom2(s)),
+            pow_rows(g, cy, -r * hall.binom2(s)),
         )
-        assert (oracle.comm_rows_pairwise(g, ys, xr) == want_rev).all()
+        assert (comm_rows_pairwise(g, ys, xr) == want_rev).all()
 
     # (e)  (xy)^n = x^n y^n [y,x]^(n choose 2) modulo weight-three terms;
     # the [a,b] coordinate is compared modulo <[a,b,a], [a,b,b]>
     g3_t_modulus = canonical_basis(g.comm_lattice.rows + ((0, 1, 0), (0, 0, 1))).pivots[0]
     for n in (-3, -2, 2, 3, 5):
-        lhs = oracle.pow_rows(g, g.mul_arrays(X, Y), n)
+        lhs = pow_rows(g, g.mul_arrays(X, Y), n)
         rhs = g.mul_arrays(
-            g.mul_arrays(oracle.pow_rows(g, X, n), oracle.pow_rows(g, Y, n)),
-            oracle.pow_rows(g, yx, hall.binom2(n)),
+            g.mul_arrays(pow_rows(g, X, n), pow_rows(g, Y, n)),
+            pow_rows(g, yx, hall.binom2(n)),
         )
         assert (lhs[:, :2] == rhs[:, :2]).all()
         assert ((lhs[:, 2] - rhs[:, 2]) % g3_t_modulus == 0).all()

@@ -43,3 +43,22 @@ def test_apply_rows_result_width_follows_the_law(monkeypatch):
     assert np.array_equal(wide[..., :5], X)
     assert np.array_equal(wide[..., 5], X[..., 0] - X[..., 1])
     assert group.apply_rows(lambda x: (x[0],), X[:0]).shape == (0, 10, 1)
+
+
+def test_narrow_rows_run_the_law_in_int64():
+    t = oracle.GroupTable.from_group(build(GroupSpec(4, 4)), max_order=1 << 19)
+    assert t.coords.dtype.itemsize == 1
+    assert np.array_equal(t.coords, group.box_rows(t.group.radices).astype(np.int64))
+    # radices up to 16: the class-three term x_s * binom2(y_r) reaches
+    # 15 * 105, beyond int8, so each block must be cast before the law runs
+    rng = np.random.default_rng(4)
+    n = group.BLOCK_ROWS + 1000
+    X, Y = (t.coords[rng.integers(t.order, size=n)] for _ in range(2))
+    assert (X[:, 1] == 15).any() and (Y[:, 0] == 15).any()
+    g = t.group
+    X64, Y64 = X.astype(np.int64), Y.astype(np.int64)
+    for A, B, A64, B64 in [(X, Y, X64, Y64), (X, Y[:1], X64, Y64[:1])]:
+        assert np.array_equal(g.mul_arrays(A, B), g.mul_arrays(A64, B64))
+        assert np.array_equal(g.mul_keys(A, B), g.mul_keys(A64, B64))
+    assert np.array_equal(g.inv_arrays(X), g.inv_arrays(X64))
+    assert np.array_equal(g.key_rows(X), g.key_rows(X64))

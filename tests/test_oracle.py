@@ -15,6 +15,7 @@ from capable2.errors import BuildIntegrityError, ParameterError
 from capable2.group import CoordGroup
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
+from row_ops import comm_rows_pairwise
 
 
 def rand_elt(rng, rst=4, uv=2):
@@ -262,10 +263,46 @@ def test_referees_do_linear_work(monkeypatch):
     monkeypatch.setattr(nilprod.NilGroup, "mul_keys", counter(nilprod.NilGroup.mul_keys, np.size))
     zc = oracle.brute_center(t)
     assert len(zc) == 32  # rescanning the table per survivor cost 66 rows per element
-    assert sum(rows) <= 4 * t.order
+    # R_a and R_b; each L_g is gathered along their spanning tree
+    assert sum(rows) <= 2 * t.order
     rows.clear()
     oracle.quotient_central(t, zc)
-    assert sum(rows) <= 3 * t.order  # the minimum over all translates cost 32
+    # L_z for each central generator z comes from the same tree: the minimum
+    # over all translates cost 32 rows per element, R_z alone 1 per generator
+    assert sum(rows) == 0
+
+
+def law_tables():
+    """G(3,2), K(3,3,1), a type-ii model table and a central-quotient table."""
+    g = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
+    return [
+        oracle.GroupTable.from_group(build(GroupSpec(3, 2))),
+        oracle.GroupTable.from_group(build(GroupSpec(3, 3, (FreeElt(u=2), FreeElt(v=2))))),
+        oracle.GroupTable.from_group(model(class2.type_ii(3, 3, 2, 1))),
+        oracle.quotient_central(g, oracle.closure(g, oracle.brute_center(g)[1:3])),
+    ]
+
+
+def test_left_mul_matches_the_law():
+    rng = np.random.default_rng(7)
+    for t in law_tables():
+        group = t.group
+        center = oracle.brute_center(t)
+        assert 1 < len(center) < t.order
+        ys = [group.identity, *group.gens, *map(tuple, center.tolist())]
+        ys += [tuple(r) for r in t.coords[rng.integers(t.order, size=20)].tolist()]
+        for y in ys:
+            left = t.left_mul(y)
+            assert np.array_equal(left, group.mul_keys(np.asarray(y)[None], t.coords)), y
+        for z in center.tolist():
+            assert np.array_equal(t.right_mul(z), t.left_mul(z)), z
+    # the tree is only built when the designated generators reach every row
+    g = build(GroupSpec(2, 1))
+    stub = copy.copy(g)
+    stub.gens = (g.a,)
+    t = oracle.GroupTable(stub, oracle.GroupTable.from_group(g).coords)
+    with pytest.raises(BuildIntegrityError, match="do not generate"):
+        t.left_mul(g.b)
 
 
 def test_referees_hold_key_columns_not_product_rows():
@@ -448,7 +485,8 @@ def generates(table, x, y) -> bool:
     reaches every row from the identity."""
     steps = [table.right_mul(x), table.right_mul(y)]
     one = table.group.key(table.group.identity)
-    return bool(oracle._reached(steps, one, table.order).all())
+    seen, _ = oracle._reached(steps, one, table.order)
+    return bool(seen.all())
 
 
 def test_image_fills_matches_the_set_loop():
@@ -502,7 +540,7 @@ def unpruned_iso(table, target):
     rows = table.coords
     for gi in np.flatnonzero(exps == ea):
         H = np.flatnonzero(exps == eb)
-        C = table.index_of(g.key_rows(oracle.comm_rows_pairwise(g, rows[gi][None], rows[H])))
+        C = table.index_of(g.key_rows(comm_rows_pairwise(g, rows[gi][None], rows[H])))
         keep = exps[C] == ec
         images = {None: g.key(g.identity), "a": gi, "b": H[keep], "c": C[keep]}
         ok = np.ones(len(images["b"]), dtype=bool)
