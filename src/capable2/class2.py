@@ -198,16 +198,8 @@ def evaluate_word(group, images: dict, word: Word):
     return acc
 
 
-@functools.cache
 def model(p: TypeParams) -> Class2Group:
-    """The coordinate model of ``p``, with its defining relations checked.
-
-    Built once per tuple: every call with an equal ``p`` returns the same
-    shared object, which also carries its cached fingerprint, so callers must
-    not mutate it (code that patches the model class calls
-    ``model.cache_clear()``).  The cache keeps every tuple asked for, for the
-    life of the process; a model is a few integers plus that fingerprint.
-    """
+    """A fresh coordinate model of ``p``, with its defining relations checked."""
     g = Class2Group(p)
     images = {"a": g.a, "b": g.b, "c": g.commutator(g.a, g.b)}
     for lhs, rhs in g.relations():
@@ -233,34 +225,34 @@ class Fingerprint:
     order_histogram: tuple[tuple[int, int], ...]
 
 
-def fingerprint(group, max_order: int | None = None) -> Fingerprint:
-    """Fingerprint of any group-protocol object (model, quotient, ...)."""
-    cached = getattr(group, "_fingerprint", None)
-    if cached is not None:
-        return cached
-
+def fingerprint(table) -> Fingerprint:
+    """Fingerprint of the group of a :class:`capable2.oracle.GroupTable`
+    (model, quotient, ...), computed on that table's own index maps."""
     from . import oracle
 
-    table = oracle.GroupTable.from_group(group, max_order)
+    group = table.group
     counts = np.bincount(table.exponents()).tolist()
     hist = {1 << e: n for e, n in enumerate(counts) if n}
-    center = oracle.brute_center(table)
-    a, b = group.gens
-    derived = oracle.normal_closure(table, [group.commutator(a, b)])
-    inv = _abelian_invariants(table, derived)
-    fp = Fingerprint(
+    derived = oracle.normal_closure(table, [group.commutator(*group.gens)])
+    return Fingerprint(
         order=table.order,
         exponent=max(hist),
-        center_order=len(center),
+        center_order=len(oracle.brute_center(table)),
         derived_order=len(derived),
-        abelian_invariants=inv,
+        abelian_invariants=_abelian_invariants(table, derived),
         order_histogram=tuple(sorted(hist.items())),
     )
-    try:
-        group._fingerprint = fp
-    except AttributeError:
-        pass
-    return fp
+
+
+@functools.cache
+def model_fingerprint(p: TypeParams) -> Fingerprint:
+    """Fingerprint of the model of ``p``, enumerated once per tuple for the
+    life of the process.  The model's table is built with no enumeration
+    budget, so a caller bounds the orders it asks for."""
+    from . import oracle
+
+    m = model(p)
+    return fingerprint(oracle.GroupTable(m, m.coords_array()))
 
 
 def _abelian_invariants(table, derived) -> tuple[int, ...]:

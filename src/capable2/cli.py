@@ -165,7 +165,7 @@ def _dispatch(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = _params_from_args(args)
-    fp = class2.fingerprint(class2.model(p), args.max_order)
+    fp = class2.fingerprint(oracle.GroupTable.from_group(class2.model(p), args.max_order))
     print(
         f"params={p} order={fp.order} exponent={fp.exponent} "
         f"center={fp.center_order} derived={fp.derived_order} "

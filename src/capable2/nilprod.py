@@ -128,23 +128,22 @@ class NilGroup(CoordGroup):
     def central_quotient(self, max_order: int | None = None):
         """Recognize G/Z(G) as validated presentation parameters.
 
-        The quotient is built by the brute-force oracle and matched against
-        candidate models by fingerprint, then confirmed by an explicit
-        generator-image isomorphism.
+        The quotient table is built by the brute-force oracle from the one
+        table of G, fingerprinted on its own index maps, matched against the
+        memoized fingerprints of the candidate models
+        (:func:`capable2.class2.model_fingerprint`), and confirmed by an
+        explicit generator-image isomorphism onto the same quotient table.
         """
         from . import class2, oracle
 
         table = oracle.GroupTable.from_group(self, max_order)
-        zc = oracle.brute_center(table)
-        q = oracle.quotient_central(table, zc)
-        fq = class2.fingerprint(q.group)
-        matches = []
-        for p in class2.params_with_order(q.order):
-            m = class2.model(p)
-            if class2.fingerprint(m) != fq:
-                continue
-            if oracle.iso_2gen(q, m) is not None:
-                matches.append(p)
+        q = oracle.quotient_central(table, oracle.brute_center(table))
+        fq = class2.fingerprint(q)
+        matches = [
+            p for p in class2.params_with_order(q.order)
+            if class2.model_fingerprint(p) == fq
+            and oracle.iso_2gen(q, class2.model(p)) is not None
+        ]
         if len(matches) == 2 and class2.overlap_partner(matches[0]) == matches[1]:
             # the one known presentation coincidence; report the type-i tuple
             return next(p for p in matches if p.kind == "i")

@@ -39,9 +39,11 @@ index of x^2 per row, built on first use, so never for an ambient table)
 gives each row's order exponent, modulo any subgroup, and each relation side
 by gathers.  The relations, with class at most two, make the coordinate map
 a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
-is <g, h>; the same breadth-first search, over right multiplication by g
-and h, shows that this image is the whole table, and equal orders make the
-map bijective.
+is <g, h>.  By the Burnside basis theorem that image is the whole table
+exactly when g and h lie in distinct nontrivial cosets of the Frattini
+subgroup; each row's coset label is gathered along the spanning tree and
+checked against R_a and R_b on every row.  Equal orders make the map
+bijective.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -207,7 +209,8 @@ class GroupTable:
     (:attr:`gen_maps`) are the table's only full-table law passes besides
     the squaring map.  The breadth-first search that proves they reach every
     row records its spanning tree, and :meth:`left_mul` derives any left
-    multiplication from R_g by gathers along it.
+    multiplication from R_g by gathers along it, as :attr:`frattini` derives
+    each row's coset of the Frattini subgroup.
     """
 
     def __init__(self, group, coords: np.ndarray):
@@ -280,6 +283,30 @@ class GroupTable:
             step = self.gen_maps[s]
             out[step[parents]] = step[out[parents]]
         return out
+
+    @functools.cached_property
+    def frattini(self) -> np.ndarray | None:
+        """Each row's label 0..3 for its coset of the Frattini subgroup Phi,
+        with a -> 1 and b -> 2, or ``None`` when the table is not minimally
+        generated by its two designated generators (for example, cyclic).
+
+        The labels are gathered along the spanning tree of :meth:`left_mul`,
+        lambda(p*g_s) = lambda(p) xor 2^s, and returned only after the check
+        lambda(R_s x) = lambda(x) xor 2^s on every row.  That check makes
+        lambda a homomorphism onto (Z/2)^2.  In a 2-group Phi is the least
+        normal subgroup with an elementary abelian quotient, of index at most
+        4 when two elements generate, so the kernel of lambda is Phi.
+        ``BuildIntegrityError`` when the designated generators do not
+        generate the table."""
+        if len(self.gen_maps) != 2:
+            return None
+        _, runs = self._tree
+        lab = np.zeros(self.order, dtype=np.int8)
+        for s, parents in runs:
+            lab[self.gen_maps[s][parents]] = lab[parents] ^ (1 << s)
+        if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(self.gen_maps)):
+            return None
+        return lab
 
     @functools.cached_property
     def squares(self) -> np.ndarray:
@@ -531,18 +558,23 @@ def iso_2gen(table: GroupTable, target):
     accepts first.  The table's orders come from
     :meth:`GroupTable.exponents`, the target's from scalar squaring.
 
-    Pairs (g, h) whose commutator has the order of [a, b] are checked
-    against every defining relation of the target's presentation, each
-    side gathered through the table's squaring map (``ValueError`` for a
-    side other than the identity or one letter to a power of two).  With
-    [g, h] central, relations holding for (g, h) make the coordinate map
-    a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target, by
-    the usual collection argument, and its image is <g, h>.  A pair is
-    accepted when the breadth-first search that builds a table's spanning
-    tree, run over right multiplication by g and by h, reaches every row:
-    the image is then the whole table, and a surjection between groups of
-    equal order is an isomorphism.  Sound and complete for two-generator
-    targets.
+    Generation is decided by the Burnside basis theorem: the table has the
+    target's order, so it is a 2-group, and two of its elements generate it
+    exactly when their images generate the quotient by its Frattini
+    subgroup, that is, when their :attr:`GroupTable.frattini` labels are
+    nonzero and differ.  ``None`` when the table has no such labels (it is
+    not minimally two-generated, so no pair generates it); candidates with
+    label 0 are dropped, which keeps the accepted pair.
+
+    Pairs (g, h) with independent labels whose commutator has the order of
+    [a, b] are checked against every defining relation of the target's
+    presentation, each side gathered through the table's squaring map
+    (``ValueError`` for a side other than the identity or one letter to a
+    power of two).  With [g, h] central, relations holding for (g, h) make
+    the coordinate map a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism
+    from the target, by the usual collection argument, and its image is
+    <g, h>, the whole table; a surjection between groups of equal order is
+    an isomorphism.  Sound and complete for two-generator targets.
     """
     if table.order != target.order:
         return None
@@ -551,6 +583,9 @@ def iso_2gen(table: GroupTable, target):
     # [x, x] = 1 and [y, x] = [x, y]^-1, so the pairs x < y suffice
     comms = [g.commutator(x, y) for i, x in enumerate(g.gens) for y in g.gens[i + 1:]]
     if any(g.commutator(c, z) != g.identity for c in comms for z in g.gens):
+        return None
+    lab = table.frattini
+    if lab is None:
         return None
 
     ta, tb = target.gens
@@ -562,8 +597,8 @@ def iso_2gen(table: GroupTable, target):
 
     plain = table.exponents()
     mod = table.exponents(key_mask(g, closure(table, comms)))
-    g_idx = np.flatnonzero((plain == ea) & (mod == da))
-    h_idx = np.flatnonzero((plain == eb) & (mod == db))
+    g_idx = np.flatnonzero((plain == ea) & (mod == da) & (lab != 0))
+    h_idx = np.flatnonzero((plain == eb) & (mod == db) & (lab != 0))
     if len(g_idx) == 0 or len(h_idx) == 0:
         return None
 
@@ -577,18 +612,13 @@ def iso_2gen(table: GroupTable, target):
         g_inv = np.asarray([g.inverse(g_elt)], dtype=np.int64)
         C = _comm_with_inverses(g, coords[gi][None], g_inv, H, H_inv)
         c_idx = table.index_of(g.key_rows(C))
-        keep = plain[c_idx] == ec
+        keep = (plain[c_idx] == ec) & (lab[h_idx] != lab[gi])
         images = {None: one, "a": gi, "b": h_idx[keep], "c": c_idx[keep]}
         ok = np.ones(len(images["b"]), dtype=bool)
         for lhs, rhs in relations:
             ok &= _gather(table, images, lhs) == _gather(table, images, rhs)
-        if not ok.any():
-            continue
-        g_step = table.right_mul(coords[gi])
-        for hi in images["b"][ok]:
-            seen, _ = _reached([g_step, table.right_mul(coords[hi])], one, table.order)
-            if seen.all():
-                return g_elt, tuple(coords[hi].tolist())
+        if ok.any():
+            return g_elt, tuple(coords[images["b"][ok][0]].tolist())
     return None
 
 

@@ -78,31 +78,41 @@ def test_model_orders():
     assert model(type_iii(2)).order == 64
 
 
-def test_model_is_built_once_per_tuple():
-    p = type_ii(3, 2, 2, 1)
-    assert model(p) is model(p)
-    assert model(validate("ii", 3, 2, 2, 1)) is model(p)  # equal tuples share it
-    assert model(type_i(3, 2, 2)) is not model(p)
-
-
 def test_second_recognition_fingerprints_no_new_model(monkeypatch):
-    class2.model.cache_clear()  # so that the first recognition builds its candidates
-    scans = []
-    real = oracle.brute_center
+    # one table per recognition, K's; the quotient table is fingerprinted and
+    # searched on its own index maps, and each model fingerprint is memoized
+    class2.model_fingerprint.cache_clear()
+    fingerprinted, tables, rows = [], [], []
+    real_fingerprint, real_from_group = class2.fingerprint, oracle.GroupTable.from_group
+    real_mul_keys = oracle.QuotientGroup.mul_keys
 
-    def counted(table):
-        if isinstance(table.group, class2.Class2Group):
-            scans.append(table.group.params)
-        return real(table)
+    def fingerprint(table):
+        fingerprinted.append(getattr(table.group, "params", "quotient"))
+        return real_fingerprint(table)
 
-    monkeypatch.setattr(oracle, "brute_center", counted)
-    spec = nilprod.GroupSpec(3, 2)
-    assert str(nilprod.build(spec).central_quotient()) == "i(3,2,2)"
-    assert scans  # the candidate models of order 2^7 were fingerprinted
-    assert len(set(scans)) == len(scans)
-    scans.clear()
-    assert str(nilprod.build(spec).central_quotient()) == "i(3,2,2)"
-    assert scans == []
+    def from_group(group, *args):
+        tables.append(group)
+        return real_from_group(group, *args)
+
+    def mul_keys(self, X, Y):
+        out = real_mul_keys(self, X, Y)
+        rows.append(out.size)
+        return out
+
+    monkeypatch.setattr(class2, "fingerprint", fingerprint)
+    monkeypatch.setattr(oracle.GroupTable, "from_group", staticmethod(from_group))
+    monkeypatch.setattr(oracle.QuotientGroup, "mul_keys", mul_keys)
+    candidates = class2.params_with_order(1 << 7)
+    for first in (True, False):
+        del fingerprinted[:], tables[:], rows[:]
+        K = nilprod.build(nilprod.GroupSpec(3, 2))
+        assert str(K.central_quotient()) == "i(3,2,2)"
+        models = [p for p in fingerprinted if p != "quotient"]
+        assert sorted(models, key=str) == (sorted(candidates, key=str) if first else [])
+        assert fingerprinted.count("quotient") == 1
+        assert tables == [K]
+        # R_a, R_b and the squaring map, each one row product per row
+        assert sum(rows) == 3 * (1 << 7)
 
 
 def per_k_abelian_invariants(exps, order: int, derived: int) -> tuple[int, ...]:
@@ -191,17 +201,16 @@ def test_generator_orders_and_commutator_order():
 
 
 def test_fingerprints_separate_order8_groups():
-    assert class2.fingerprint(model(type_i(1, 1, 1))) != class2.fingerprint(
-        model(type_iii(1))
-    )
+    assert class2.model_fingerprint(type_i(1, 1, 1)) != class2.model_fingerprint(type_iii(1))
 
 
 def test_fingerprint_fields():
-    fp = class2.fingerprint(model(type_i(2, 2, 1)))
+    fp = class2.fingerprint(oracle.GroupTable.from_group(model(type_i(2, 2, 1))))
+    assert fp == class2.model_fingerprint(type_i(2, 2, 1))
     assert fp.order == 32
     assert fp.derived_order == 2
     assert fp.abelian_invariants == (4, 4)
-    fp2 = class2.fingerprint(model(type_ii(3, 2, 2, 1)))
+    fp2 = class2.model_fingerprint(type_ii(3, 2, 2, 1))
     assert fp2.order == 64
     assert fp2.derived_order == 4
     assert fp2.abelian_invariants == (4, 4)
@@ -226,11 +235,10 @@ def test_distinct_parameters_give_distinct_groups_up_to_512():
     coincidences = set()
     for order, group_params in by_order.items():
         for p1, p2 in itertools.combinations(group_params, 2):
-            m1, m2 = model(p1), model(p2)
-            if class2.fingerprint(m1) != class2.fingerprint(m2):
+            if class2.model_fingerprint(p1) != class2.model_fingerprint(p2):
                 continue
-            t1 = oracle.GroupTable.from_group(m1)
-            iso = oracle.iso_2gen(t1, m2)
+            t1 = oracle.GroupTable.from_group(model(p1))
+            iso = oracle.iso_2gen(t1, model(p2))
             if class2.overlap_partner(p1) == p2:
                 assert iso is not None, (p1, p2)
                 coincidences.add((str(p1), str(p2)))

@@ -64,19 +64,20 @@ def test_classify(capsys):
 
 
 def test_classify_honours_the_enumeration_budget(capsys):
-    # i(6,6,5) has order 2^17; the default budget is 2^16.  The model keeps
-    # its fingerprint once computed, so the cache is cleared before each call
+    # i(6,6,5) has order 2^17; the default budget is 2^16.  A successful
+    # larger budget leaves nothing behind that a later default call reuses
     flags = ["--type", "i", "--alpha", "6", "--beta", "6", "--gamma", "5"]
-    class2.model.cache_clear()
     code, _, err = run(capsys, "classify", *flags)
     assert code == 1
     assert "exceeds the enumeration bound 65536" in err
     for argv in (["--max-order", "131072", "classify", *flags],
                  ["classify", "--max-order", "131072", *flags]):
-        class2.model.cache_clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert "order=131072" in out
+    code, _, err = run(capsys, "classify", *flags)
+    assert code == 1
+    assert "exceeds the enumeration bound 65536" in err
 
 
 def test_build_integrity_error_exits_1(capsys, monkeypatch):
