@@ -10,10 +10,13 @@ the presentation parameters:
   (d) type ii with alpha = beta+1 = gamma+1 = sigma+2
 
 and type iii is never capable.  ``decide`` evaluates the clause table;
-``build_witness`` assembles the explicit class-three ambient group for each
-positive clause; ``verify_witness`` recomputes everything at the element
-level: it builds K, takes its center two independent ways, forms K/Z(K), and
-searches for an explicit generator-image isomorphism onto the target model.
+``build_witness`` builds one class-three ambient for every positive clause,
+straight from the target's presentation: K_G = F/[R,F]<a^(2^alpha),
+b^(2^beta)>, with F free on a, b and R the kernel of F -> G (the group behind
+the epicenter of Beyl, Felgner and Schmid, J. Algebra 61, 1979).
+``verify_witness`` recomputes everything at the element level: it builds K,
+takes its center two independent ways, forms K/Z(K), and searches for an
+explicit generator-image isomorphism onto the target model.
 
 Negative answers are reported from the characterization; there is no finite
 bound on witness size, so non-capability cannot be refuted by search.  The
@@ -29,6 +32,7 @@ from . import class2, hall_core as hall, nilprod, oracle
 from .class2 import Class2Group, TypeParams
 from .errors import NotCapableError
 from .hall_core import FreeElt
+from .lattice import canonical_basis
 from .nilprod import GroupSpec, NilGroup
 
 NONCERT_NOTE = (
@@ -181,53 +185,51 @@ def decide(p: TypeParams) -> Verdict:
 # witnesses
 
 
-def build_witness(p: TypeParams) -> WitnessSpec:
-    """Ambient recipe whose central quotient is the target group.
+# exponent coordinate of each presentation symbol's powers in the free group
+_SYMBOL_COORD = {"a": 0, "b": 1, "c": 2}
+_A, _B = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)
 
-    Raises :class:`NotCapableError` when ``decide`` is negative.  The extra
-    central relators are handed over as collected commutator-subgroup words;
-    the two general-type recipes pass the commutators of the designated
-    central element with a and b exactly as constructed.
+
+def _word_coords(word) -> tuple:
+    """Coordinates of a presentation word in the free class-three group."""
+    acc = (0, 0, 0, 0, 0)
+    for sym, exp in word:
+        power = [0, 0, 0, 0, 0]
+        power[_SYMBOL_COORD[sym]] = exp
+        acc = hall.mul_coords(acc, power)
+    return acc
+
+
+def _commutator_coords(x, y) -> tuple:
+    mul, inv = hall.mul_coords, hall.inverse_coords
+    return mul(mul(inv(x), inv(y)), mul(x, y))
+
+
+def build_witness(p: TypeParams) -> WitnessSpec:
+    """The group K_G = F/[R,F]<a^(2^alpha), b^(2^beta)> of the presentation.
+
+    F is free on a, b and R is the kernel of F -> G, which holds the relators
+    of ``Class2Group(p).relations()`` and gamma_3(F).  In hall_core's free
+    class-three group F/gamma_4(F), [R,F] is the (t, u, v) lattice spanned
+    by [rho, x] and [[rho, x], y] for the relators rho and x, y in {a, b}.
+    Its canonical basis rows become the extras, weight-three rows first, so
+    that each is central in the group built from the ones before it.  Every
+    capable tuple has alpha >= beta.  Raises :class:`NotCapableError` when
+    ``decide`` is negative.
     """
     verdict = decide(p)
     if not verdict.capable:
         raise NotCapableError(verdict.rationale)
-
-    if verdict.clause == "a":
-        beta, gamma = p.beta, p.gamma
-        if gamma == beta:
-            spec = GroupSpec(beta, beta)
-        else:
-            e = 1 << gamma
-            spec = GroupSpec(beta, beta, (FreeElt(u=e), FreeElt(v=e)))
-    elif verdict.clause == "b":
-        spec = GroupSpec(p.beta + 1, p.beta)
-    elif verdict.clause == "c":
-        alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
-        e = 1 << gamma
-        w = hall.mul(
-            hall.power(hall.A, 1 << (alpha + sigma - gamma)),
-            hall.power(hall.C, -(1 << sigma)),
-        )
-        spec = GroupSpec(
-            alpha,
-            alpha,
-            (
-                FreeElt(u=e),
-                FreeElt(v=e),
-                hall.commutator(w, hall.A),
-                hall.commutator(w, hall.B),
-            ),
-        )
-    else:  # clause d
-        beta = p.beta
-        w = hall.mul(
-            hall.power(hall.A, 1 << beta), hall.power(hall.C, -(1 << (beta - 1)))
-        )
-        spec = GroupSpec(
-            beta + 1, beta, (hall.commutator(w, hall.A), hall.commutator(w, hall.B))
-        )
-    return WitnessSpec(spec, p)
+    gens = []
+    for lhs, rhs in Class2Group(p).relations():
+        rho = hall.mul_coords(_word_coords(lhs), hall.inverse_coords(_word_coords(rhs)))
+        for x in (_A, _B):
+            rx = _commutator_coords(rho, x)
+            gens.append(rx[2:])
+            gens += [_commutator_coords(rx, y)[2:] for y in (_A, _B)]
+    rows = canonical_basis(gens).rows
+    extras = tuple(FreeElt(0, 0, *row) for row in rows[1:] + rows[:1])
+    return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
 
 
 def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:

@@ -102,32 +102,38 @@ def _build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--max-order", type=int, default=argparse.SUPPRESS, help=budget_help)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("classify", "validate parameters and print model invariants"),
-        ("decide", "print the capability verdict and clause"),
-        ("witness", "print the witness recipe for a capable group"),
-        ("verify", "build the witness and verify the central quotient"),
-        ("export-cas", "emit a GAP script re-checking a verified witness"),
+    for name, run, helptext in (
+        ("classify", _cmd_classify, "validate parameters and print model invariants"),
+        ("decide", _cmd_decide, "print the capability verdict and clause"),
+        ("witness", _cmd_witness, "print the witness recipe for a capable group"),
+        ("verify", _cmd_verify, "build the witness and verify the central quotient"),
+        ("export-cas", _cmd_export, "emit a GAP script re-checking a verified witness"),
     ):
         parents = [budget] if name in ("classify", "verify", "export-cas") else []
         sub = subs.add_parser(name, help=helptext, parents=parents)
+        sub.set_defaults(run=run)
         _add_param_flags(sub)
 
     sweep = subs.add_parser("sweep", help="capability table over all valid tuples",
                             parents=[budget])
+    sweep.set_defaults(run=_cmd_sweep)
     sweep.add_argument("--max-alpha", type=int, required=True)
     sweep.add_argument("--format", choices=["text", "tsv"], default="tsv")
     sweep.add_argument("--no-verify", action="store_true",
                        help="skip witness verification, report verdicts only")
 
-    subs.add_parser("selftest", help="run a quick built-in check battery", parents=[budget])
+    selftest = subs.add_parser("selftest", help="run a quick built-in check battery",
+                               parents=[budget])
+    selftest.set_defaults(run=_cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        if args.max_order < 1:
+            raise ParameterError(f"--max-order >= 1 required, got {args.max_order}")
+        return args.run(args)
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -140,27 +146,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.max_order < 1:
-        raise ParameterError(f"--max-order >= 1 required, got {args.max_order}")
-    cmd = args.command
-    if cmd == "classify":
-        return _cmd_classify(args)
-    if cmd == "decide":
-        return _cmd_decide(args)
-    if cmd == "witness":
-        return _cmd_witness(args)
-    if cmd == "verify":
-        return _cmd_verify(args)
-    if cmd == "sweep":
-        return _cmd_sweep(args)
-    if cmd == "selftest":
-        return _cmd_selftest(args)
-    if cmd == "export-cas":
-        return _cmd_export(args)
-    raise AssertionError(cmd)
 
 
 def _cmd_classify(args) -> int:

@@ -44,7 +44,8 @@ class GroupSpec:
 
     Extras must lie in the commutator subgroup (r = s = 0).  Each one is
     checked to be central in the group built from the preceding relators;
-    the witness constructions impose relators in exactly that layered
+    the witness construction lists the canonical basis of its relation
+    lattice with the weight-three rows first, which is exactly that layered
     fashion.
     """
 
@@ -106,8 +107,11 @@ class NilGroup(CoordGroup):
 
         An element is central iff it commutes with a and b.  Its (u, v) part
         never matters, so solve the two commutator congruences over the
-        (r, s, t) box, all at once: the box's rows (u = v = 0, lexicographic)
-        are kept where the commutator law, run on their int64 columns by
+        (r, s, t) box, all at once.  Modulo gamma_3, [x, a] = c^(-s) and
+        [x, b] = c^r, where c = [a,b] has order p0, the first pivot; so only
+        rows with p0 | r and p0 | s can be central, and only that stride of
+        the box is scanned.  Its rows (u = v = 0, lexicographic) are kept
+        where the commutator law, run on their int64 columns by
         :func:`capable2.group.apply_rows`, gives the identity against both a
         and b.  Append generators of the full (u, v) block, then greedily drop
         redundant generators.  ``ParameterError`` when the radices are too
@@ -116,7 +120,9 @@ class NilGroup(CoordGroup):
         if hasattr(self, "_center_gens"):
             return list(self._center_gens)
         check_int64(self.radices)
-        box = box_rows((self.r_modulus, self.s_modulus, self.comm_lattice.pivots[0], 1, 1))
+        p0 = self.comm_lattice.pivots[0]
+        box = box_rows((self.r_modulus // p0, self.s_modulus // p0, p0, 1, 1)).astype(np.int64)
+        box[:, :2] *= p0
         keep = np.ones(len(box), dtype=bool)
         for g in self.gens:
             keep &= ~apply_rows(self.commutator, box, [g]).any(axis=1)

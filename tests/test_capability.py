@@ -91,26 +91,83 @@ def test_exactly_one_clause_fires_per_capable_tuple():
 # -- witnesses --------------------------------------------------------------------
 
 
+def paper_recipe(p):
+    """The paper's ambient for the clause that p meets, or None if it meets none.
+
+    These are the four hand-derived constructions of the characterization.
+    The clause conditions are written out here rather than read from
+    ``decide``, so comparing against the recipes referees ``decide`` too.
+    """
+    if p.kind == "i" and p.alpha == p.beta:  # (a)
+        if p.gamma == p.beta:
+            return GroupSpec(p.beta, p.beta)
+        e = 1 << p.gamma
+        return GroupSpec(p.beta, p.beta, (FreeElt(u=e), FreeElt(v=e)))
+    if p.kind == "i" and p.alpha == p.beta + 1 == p.gamma + 1:  # (b)
+        return GroupSpec(p.alpha, p.beta)
+    if p.kind == "ii" and p.alpha == p.beta and p.gamma < p.beta - 1:  # (c)
+        alpha, gamma, sigma = p.alpha, p.gamma, p.sigma
+        e = 1 << gamma
+        w = hall.mul(
+            hall.power(hall.A, 1 << (alpha + sigma - gamma)),
+            hall.power(hall.C, -(1 << sigma)),
+        )
+        killed = (FreeElt(u=e), FreeElt(v=e))
+        return GroupSpec(
+            alpha, alpha, killed + (hall.commutator(w, hall.A), hall.commutator(w, hall.B))
+        )
+    if p.kind == "ii" and p.alpha == p.beta + 1 == p.gamma + 1 == p.sigma + 2:  # (d)
+        beta = p.beta
+        w = hall.mul(
+            hall.power(hall.A, 1 << beta), hall.power(hall.C, -(1 << (beta - 1)))
+        )
+        return GroupSpec(
+            beta + 1, beta, (hall.commutator(w, hall.A), hall.commutator(w, hall.B))
+        )
+    return None
+
+
 def test_build_witness_shapes():
-    w = cap.build_witness(type_i(2, 2, 1))
-    assert (w.ambient.alpha, w.ambient.beta) == (2, 2)
-    assert sorted(e.coords() for e in w.ambient.extra_central) == [
+    # the paper's recipes
+    w = paper_recipe(type_i(2, 2, 1))
+    assert (w.alpha, w.beta) == (2, 2)
+    assert sorted(e.coords() for e in w.extra_central) == [
         (0, 0, 0, 0, 2),
         (0, 0, 0, 2, 0),
     ]
-    w = cap.build_witness(type_i(2, 2, 2))
-    assert w.ambient == GroupSpec(2, 2)
-    w = cap.build_witness(type_i(3, 2, 2))
-    assert w.ambient == GroupSpec(3, 2)
+    assert paper_recipe(type_i(2, 2, 2)) == GroupSpec(2, 2)
+    assert paper_recipe(type_i(3, 2, 2)) == GroupSpec(3, 2)
     # general type with alpha = beta: killed weight-three powers plus the
     # collected commutators of a^(2^(alpha+sigma-gamma)) [a,b]^(-2^sigma)
-    w = cap.build_witness(type_ii(4, 4, 2, 1))
-    assert len(w.ambient.extra_central) == 4
-    assert w.ambient.extra_central[2].coords() == (0, 0, 0, -2, 0)
+    w = paper_recipe(type_ii(4, 4, 2, 1))
+    assert len(w.extra_central) == 4
+    assert w.extra_central[2].coords() == (0, 0, 0, -2, 0)
     # the boundary general type: the extra collects to a weight-three power
+    w = paper_recipe(type_ii(3, 2, 2, 1))
+    assert (w.alpha, w.beta) == (3, 2)
+    assert w.extra_central[0].coords() == (0, 0, 0, -2, 0)
+    assert paper_recipe(type_iii(1)) is None and paper_recipe(type_i(3, 2, 1)) is None
+    # build_witness: the canonical basis of the relation lattice of the same
+    # group, weight-three rows first
     w = cap.build_witness(type_ii(3, 2, 2, 1))
-    assert (w.ambient.alpha, w.ambient.beta) == (3, 2)
-    assert w.ambient.extra_central[0].coords() == (0, 0, 0, -2, 0)
+    assert w.ambient == GroupSpec(3, 2, (FreeElt(u=2), FreeElt(v=4), FreeElt(t=4, v=2)))
+
+
+def test_build_witness_is_the_paper_recipe():
+    # every capable tuple with exponents <= 8: the group built from the
+    # presentation and the paper's recipe have the same factor orders and
+    # the same canonical relation lattice, so they are the same NilGroup
+    capable = 0
+    for p in class2.iter_valid_params(8):
+        recipe = paper_recipe(p)
+        assert (recipe is not None) == cap.decide(p).capable, p
+        if recipe is None:
+            continue
+        capable += 1
+        want, got = build(recipe), build(cap.build_witness(p).ambient)
+        assert (got.spec.alpha, got.spec.beta) == (want.spec.alpha, want.spec.beta), p
+        assert got.comm_lattice == want.comm_lattice, p
+    assert capable == 92
 
 
 def test_build_witness_refuses_non_capable():

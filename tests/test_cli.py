@@ -53,7 +53,9 @@ def test_witness_prints_recipe(capsys):
                        "--beta", "2", "--gamma", "2", "--sigma", "1")
     assert code == 0
     assert "C_8 * C_4" in out
-    assert "[a,b,a]^-2" in out
+    # the canonical basis of the relation lattice, weight-three rows first
+    assert "<<[a,b,a]^2, [a,b,b]^4, [a,b]^4 [a,b,b]^2>> of order 1024" in out
+    assert out.count("extra central relator") == 3
 
 
 def test_classify(capsys):

@@ -161,7 +161,7 @@ def scalar_box_center(g):
 
 def test_center_matches_the_scalar_box_loop():
     # every ambient with |K| <= 2^14 (the order is at least 2^(alpha+3)),
-    # and every witness ambient with exponents <= 3
+    # and every witness ambient with exponents <= 4
     specs = [
         spec
         for alpha in range(1, 12)
@@ -173,9 +173,10 @@ def test_center_matches_the_scalar_box_loop():
     assert len(groups) == 30
     groups += [
         build(capability.build_witness(p).ambient)
-        for p in class2.iter_valid_params(3)
+        for p in class2.iter_valid_params(4)
         if capability.decide(p).capable
     ]
+    assert len(groups) == 30 + 19
     for g in groups:
         solved = g.center()
         assert solved == scalar_box_center(g)
