@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import class2, hall_core as hall, nilprod, oracle
 from .class2 import Class2Group, TypeParams
 from .errors import NotCapableError
@@ -187,7 +189,6 @@ def decide(p: TypeParams) -> Verdict:
 
 # exponent coordinate of each presentation symbol's powers in the free group
 _SYMBOL_COORD = {"a": 0, "b": 1, "c": 2}
-_A, _B = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)
 
 
 def _word_coords(word) -> tuple:
@@ -198,11 +199,6 @@ def _word_coords(word) -> tuple:
         power[_SYMBOL_COORD[sym]] = exp
         acc = hall.mul_coords(acc, power)
     return acc
-
-
-def _commutator_coords(x, y) -> tuple:
-    mul, inv = hall.mul_coords, hall.inverse_coords
-    return mul(mul(inv(x), inv(y)), mul(x, y))
 
 
 def build_witness(p: TypeParams) -> WitnessSpec:
@@ -223,10 +219,10 @@ def build_witness(p: TypeParams) -> WitnessSpec:
     gens = []
     for lhs, rhs in Class2Group(p).relations():
         rho = hall.mul_coords(_word_coords(lhs), hall.inverse_coords(_word_coords(rhs)))
-        for x in (_A, _B):
-            rx = _commutator_coords(rho, x)
+        for x in (hall.A, hall.B):
+            rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])
-            gens += [_commutator_coords(rx, y)[2:] for y in (_A, _B)]
+            gens += [hall.commutator_coords(rx, y)[2:] for y in (hall.A, hall.B)]
     rows = canonical_basis(gens).rows
     extras = tuple(FreeElt(0, 0, *row) for row in rows[1:] + rows[:1])
     return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
@@ -248,7 +244,8 @@ def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:
     solved = oracle.closure(table, center_gens)
     brute = oracle.brute_center(table)
     report.center_order = len(brute)
-    agree = {tuple(r) for r in solved.tolist()} == {tuple(r) for r in brute.tolist()}
+    # both in key order: closure sorts by key, the scan keeps table order
+    agree = np.array_equal(solved, brute)
     report.checks.append(
         ("center agreement", agree, f"congruence solver {len(solved)}, scan {len(brute)}")
     )

@@ -12,7 +12,8 @@ hard-coded and refereed by the independent word-collection oracle in
 :mod:`capable2.oracle`.  It is written once, as :func:`mul_coords` and
 :func:`inverse_coords` on any coordinate 5-sequence, so the finite quotients
 in :mod:`capable2.nilprod` run the same polynomial on Python ints and on
-int64 coordinate columns.
+int64 coordinate columns; :func:`commutator_coords` composes them, so
+commutators of plain tuples need no :class:`FreeElt`.
 
 Commutator convention: [x, y] = x^-1 y^-1 x y, left-normed beyond that.
 """
@@ -132,6 +133,12 @@ def power(x: FreeElt, n: int) -> FreeElt:
     return acc
 
 
+def commutator_coords(x, y):
+    """Coordinates of [x, y] = x^-1 y^-1 x y, for any two coordinate
+    5-sequences: a plain tuple needs no :class:`FreeElt` in between."""
+    return mul_coords(mul_coords(inverse_coords(x), inverse_coords(y)), mul_coords(x, y))
+
+
 def commutator(x: FreeElt, y: FreeElt) -> FreeElt:
     """[x, y] = x^-1 y^-1 x y."""
-    return mul(mul(inverse(x), inverse(y)), mul(x, y))
+    return FreeElt(*commutator_coords(x, y))

@@ -204,11 +204,10 @@ def build(spec: GroupSpec) -> NilGroup:
         raise ParameterError(f"alpha >= beta >= 1 required, got alpha={alpha}, beta={beta}")
     pa, pb = 1 << alpha, 1 << beta
 
-    g_ab = hall.commutator(hall.power(hall.A, pa), hall.B)
-    g_ba = hall.commutator(hall.A, hall.power(hall.B, pb))
+    # a^n is (n, 0, 0, 0, 0): the commutators run on coordinate tuples
     gens = [
-        g_ab.comm_coords(),
-        g_ba.comm_coords(),
+        hall.commutator_coords((pa, 0, 0, 0, 0), hall.B)[2:],
+        hall.commutator_coords(hall.A, (0, pb, 0, 0, 0))[2:],
         (0, pb, 0),
         (0, 0, pb),
     ]
@@ -224,10 +223,10 @@ def build(spec: GroupSpec) -> NilGroup:
                 f"extra central relator must lie in the commutator subgroup: {x}"
             )
         for g, name in ((hall.A, "a"), (hall.B, "b")):
-            w = hall.commutator(x, g)
-            if not lat.contains(w.comm_coords()):
+            w = hall.commutator_coords(x, g)
+            if not lat.contains(w[2:]):
                 raise CentralityError(
-                    f"extra relator not central: [{x}, {name}] = {w} is nontrivial"
+                    f"extra relator not central: [{x}, {name}] = {FreeElt(*w)} is nontrivial"
                 )
         lat = canonical_basis(lat.rows + (x.comm_coords(),))
 

@@ -28,11 +28,13 @@ other full-table map is gathered along that tree: the left multiplication
 L_y, since y(pg) = (yp)g fills each row from its parent through R_g.
 ``brute_center`` keeps the rows where R_g = L_g for both generators: a row
 that commutes with the generators, when the generators reach every row, is
-central.  ``quotient_central`` checks each row of its subgroup for
-centrality by the scalar law, picks a few generators z, and finds each
-coset's minimum-key element as an orbit minimum over L_z, which is R_z
-because z is central, by doubling: log2 of each generator's order rounds
-of gathers and no row products.
+central.  ``quotient_central`` checks each row of its subgroup Z for
+centrality by the scalar law and labels the cosets by one breadth-first
+search over blocks of rows: the identity's block is Z, each child block is
+R_g[block], since (xZ)g = (xg)Z, and a block's label is its minimum key,
+the key of the coset's representative.  The blocks must partition the
+table, which proves Z closed.  One gather per row and generator, and no
+row products.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -439,36 +441,37 @@ def normal_closure(table: GroupTable, gens) -> np.ndarray:
 
 
 class QuotientGroup(CoordGroup):
-    """Quotient of a table's group by the central subgroup Z that ``gens``
-    generate; the caller checks that each generator is central.
+    """Quotient of a table's group by the central subgroup Z whose elements
+    have the sorted keys ``sub_keys``; the caller checks that each is
+    central.
 
     Elements are the minimum-key coset representatives, and an element's
     key is its coset id, so the quotient's own table is keyed 0..n-1 too.
     ``mul_arrays`` and ``inv_arrays`` return representatives as the parent
     table stores them, in its narrow dtype.
 
-    For a central generator z, right and left multiplication by z agree, so
-    the index map "multiply by z" is :meth:`GroupTable.left_mul`, gathered
-    along the table's spanning tree with no row products.  For z of order
-    2^m, m doubling rounds ``lab = minimum(lab, lab[step]); step = step[step]``
-    turn each row's label into the minimum over its orbit under <z>; doing
-    this for one generator after another minimizes over the products of
-    the orbits, which is the coset xZ because Z is central.  A row is a
-    representative when its label is its own key, and coset ids are a
-    running count of representatives: no sort.  O(|K| log |Z|) gathers.
-    Products are computed in the parent and mapped to coset ids through one
-    parent-key-indexed array.
+    The cosets come from one breadth-first search over blocks of rows
+    (:func:`_coset_minima`): the identity's block is Z, and each child
+    block is R_g[parent block] for the table's cached R_a and R_b, since
+    (xZ)g = (xg)Z when Z is central.  A block's label is its minimum key,
+    the key of its representative, and a coset id is a running count of
+    representatives in key order.  No row products: O(|K|) gathers.
+    Products are computed in the parent and mapped to coset ids through
+    one parent-key-indexed array.
     """
 
-    def __init__(self, table: GroupTable, gens):
+    def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
-        lab = _orbit_minima(table, gens)
-        is_rep = lab == table.keys
-        cid = np.cumsum(is_rep)
-        cid -= 1
-        self._cid_of_key = cid[lab]
-        self._rep = table.coords[is_rep]
+        lab, reps = _coset_minima(table, sub_keys)
+        self._rep = table.coords[reps]
+        # coset ids count the representatives in key order; relabel in the
+        # labels' narrow dtype and drop the scratch before widening once
+        cid = np.empty(table.order, dtype=lab.dtype)
+        cid[reps] = np.arange(len(reps))
+        lab = cid[lab]
+        del cid
+        self._cid_of_key = lab.astype(np.int64)
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -507,23 +510,62 @@ class QuotientGroup(CoordGroup):
         return iter(self._rep_tuples)
 
 
-def _orbit_minima(table: GroupTable, gens) -> np.ndarray:
-    """Each row's minimum key over its orbit under left multiplication by
-    the subgroup that ``gens`` generate, by doubling in place."""
-    lab = table.keys
-    for z in gens:
-        step = table.left_mul(z)
-        for _ in range(table.group.order_of(tuple(z)).bit_length() - 1):
-            np.minimum(lab, lab[step], out=lab)
-            step = step[step]
-    return lab
+def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label, the minimum key of its block Zx, and the sorted
+    labels, by one breadth-first search over blocks; ``sub_keys`` are the
+    sorted distinct keys of a set Z that holds the identity.
+
+    The identity's block is Z.  The child blocks R_g[block] of a level come
+    from one 2-D gather per generator; a child whose minimum is unlabelled
+    is new, and new children are deduplicated by their minimum with the
+    slot trick of :func:`_reached` and labelled by it.  Two checks follow:
+    - every child, new or not, reads its own minimum on every row;
+    - at the end, the blocks number |table|/|Z|, so no block overwrote the
+      labels of another.
+    Together they say that R_a and R_b permute the labelled blocks, which
+    partition the table.  Then so does every right multiplication, and
+    R_z for z in Z maps Z to the block holding z, Z itself: Z is closed.
+    ``ValueError`` "not closed" when a check fails; ``BuildIntegrityError``
+    when rows stay unreached, because the designated generators do not
+    generate the table.  Labels are stored in :func:`_index_dtype`.
+    """
+    n = table.order
+    index = _index_dtype(n)
+    lab = np.full(n, -1, dtype=index)
+    slot = np.empty(n, dtype=index)
+    frontier = np.asarray(sub_keys, dtype=index)[None]
+    lab[frontier] = frontier[:, :1]
+    minima = [frontier[:, 0]]
+    while len(frontier):
+        level = []
+        for step in table.gen_maps:
+            kids = step[frontier]
+            mins = kids.min(axis=1)
+            # one new block per unlabelled minimum: the one that wins its slot
+            pos = np.arange(len(mins), dtype=index)
+            slot[mins] = pos
+            new = (slot[mins] == pos) & (lab[mins] < 0)
+            fresh = kids[new]
+            lab[fresh] = mins[new, None]
+            if (lab[kids] != mins[:, None]).any():
+                raise ValueError("input is not closed under multiplication")
+            level.append(fresh)
+            minima.append(mins[new])
+        frontier = np.concatenate(level)
+    if (lab < 0).any():
+        raise BuildIntegrityError("the designated generators do not generate the table")
+    minima = np.sort(np.concatenate(minima))
+    if len(minima) * len(sub_keys) != n:
+        raise ValueError("input is not closed under multiplication")
+    return lab, minima
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
     """Table of the quotient by a central subgroup; ``ValueError`` when the
     rows miss the identity, are not central or are not closed.  Centrality
-    is checked on each row by the scalar law before :class:`QuotientGroup`
-    multiplies by its generators on the left."""
+    is checked on each row by the scalar law, closure by the coset search
+    of :class:`QuotientGroup`, which raises ``BuildIntegrityError`` when
+    the designated generators do not generate the table."""
     g = table.group
     rows = [tuple(r) for r in np.asarray(sub, dtype=np.int64).tolist()]
     if tuple(g.identity) not in rows:
@@ -531,7 +573,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     for z in rows:
         if not g.is_central(z):
             raise ValueError(f"subgroup element {z} is not central")
-    q = QuotientGroup(table, g.pick_generators(rows, within=set(rows)))
+    keys = np.sort(table.index_of(g.key_rows(sub)))
+    q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
     return GroupTable(q, q.coords_array())
 
 

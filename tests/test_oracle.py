@@ -194,13 +194,15 @@ def reference_center(table):
     return cand[np.asarray(central, dtype=bool)]
 
 
-def reference_quotient_reps(table, sub):
-    """Minimum-key element of each coset, over all |Z| translates."""
+def reference_cosets(table, sub):
+    """Minimum-key element of each coset, over all |Z| translates, and the
+    coset id of each row: the rank of its minimum among the minima."""
     g = table.group
     minkey = table.keys.copy()
     for z in sub:
         np.minimum(minkey, g.key_rows(g.mul_arrays(table.coords, z[None])), out=minkey)
-    return table.coords[np.unique(minkey)]
+    reps, cid = np.unique(minkey, return_inverse=True)
+    return table.coords[reps], cid
 
 
 def small_ambients(max_order=1 << 12):
@@ -217,20 +219,39 @@ def small_ambients(max_order=1 << 12):
                     yield K
 
 
+def check_referees(t):
+    """brute_center and quotient_central on the table t against the
+    reference definitions, for Z(t) and two cyclic central subgroups; the
+    quotient tables."""
+    zc = oracle.brute_center(t)
+    assert np.array_equal(zc, reference_center(t))
+    quotients = []
+    for sub in [zc] + [oracle.closure(t, [z]) for z in zc[1:3]]:
+        q = oracle.quotient_central(t, sub)
+        reps, cid = reference_cosets(t, sub)
+        assert np.array_equal(q.coords, reps)
+        assert np.array_equal(q.group._cid_of_key.astype(np.int64), cid)
+        quotients.append(q)
+    return quotients
+
+
 def test_referees_match_reference_definitions():
     groups = list(small_ambients())
     assert len(groups) == 18
+    # every witness ambient of order <= 2^12 has exponents <= 4 (a scan up to
+    # exponent 8 finds no other)
+    witnesses = dict.fromkeys(capability.build_witness(p).ambient
+                              for p in class2.iter_valid_params(4)
+                              if capability.decide(p).capable)
+    witnesses = [K for K in map(build, witnesses) if K.order <= 1 << 12]
+    assert len(witnesses) == 10
+    groups += witnesses
     groups += [model(p) for p in class2.iter_valid_params(3)]
     for G in groups:
-        t = oracle.GroupTable.from_group(G)
-        zc = oracle.brute_center(t)
-        assert np.array_equal(zc, reference_center(t))
-        subs = [zc] + [oracle.closure(t, [z]) for z in zc[1:3]]
-        for sub in subs:
-            q = oracle.quotient_central(t, sub)
-            assert np.array_equal(q.coords, reference_quotient_reps(t, sub))
-            # quotient tables are keyed by coset id, 0..n-1 like any other
-            assert np.array_equal(oracle.brute_center(q), reference_center(q))
+        for q in check_referees(oracle.GroupTable.from_group(G)):
+            # quotient tables are keyed by coset id, 0..n-1 like any other,
+            # and their own R_a and R_b carry the coset search of a quotient
+            check_referees(q)
 
 
 def test_brute_center_rejects_generators_of_a_proper_subgroup():
@@ -267,8 +288,8 @@ def test_referees_do_linear_work(monkeypatch):
     assert sum(rows) <= 2 * t.order
     rows.clear()
     oracle.quotient_central(t, zc)
-    # L_z for each central generator z comes from the same tree: the minimum
-    # over all translates cost 32 rows per element, R_z alone 1 per generator
+    # the coset search gathers through the same R_a and R_b: the minimum
+    # over all translates cost 32 rows per element
     assert sum(rows) == 0
 
 
@@ -358,6 +379,29 @@ def test_quotient_rejects_non_subgroups():
     assert len(zc) > 3  # three central rows cannot form a 2-group
     with pytest.raises(ValueError, match="not closed"):
         oracle.quotient_central(t, zc[:3])
+
+
+def test_quotient_rejects_a_set_of_subgroup_size_that_is_not_closed():
+    # in G(2,2), where |Z| = 8: the identity, z of order 4, w and zw, which
+    # miss z^2.  Four divides |K|, so only the blocks' overlap refuses the set
+    g = build(GroupSpec(2, 2))
+    t = oracle.GroupTable.from_group(g)
+    z, w = (0, 0, 0, 0, 1), (0, 0, 0, 1, 1)
+    assert g.order_of(z) == 4 and g.order_of(w) == 2
+    sub = [g.identity, z, w, g.mul(z, w)]
+    assert all(g.is_central(x) for x in sub) and g.mul(z, z) not in sub
+    with pytest.raises(ValueError, match="not closed"):
+        oracle.quotient_central(t, np.asarray(sub))
+
+
+def test_quotient_rejects_generators_of_a_proper_subgroup():
+    g = build(GroupSpec(2, 1))
+    t = oracle.GroupTable.from_group(g)
+    zc = oracle.brute_center(t)
+    stub = copy.copy(g)
+    stub.gens = (g.a,)
+    with pytest.raises(BuildIntegrityError, match="do not generate"):
+        oracle.quotient_central(oracle.GroupTable(stub, t.coords), zc)
 
 
 def test_quotient_group_scalar_ops_consistent():
