@@ -12,6 +12,11 @@ computes every row at once; composed with the mixed-radix key it gives
 rows (:func:`box_rows`, element tables) use the narrowest signed integer dtype
 that holds the radices, so a table of |K| rows costs a few bytes per element
 while every law evaluation still runs in checked int64.
+
+Right multiplication of the whole box by one element, ``right_keys``, needs
+no rows at all: the same law runs once on the box's open grid, one int64
+column per coordinate laid along its own axis, and broadcasting spans each
+intermediate over only the coordinates it depends on.
 """
 
 from __future__ import annotations
@@ -110,6 +115,19 @@ class CoordGroup:
         """Key of each row product x*y of broadcast row arrays, computed block
         by block without materializing the product rows."""
         return self.apply_law(lambda x, y: (self.key(self.mul(x, y)),), X, Y)[..., 0]
+
+    def right_keys(self, y) -> np.ndarray:
+        """Key of x*y for every x of the box, in key order (the group's
+        elements when its order is the product of the radices), by one run
+        of the scalar law on the box's open grid: coordinate i is the int64
+        column ``range(radices[i])`` laid along axis i, and y stays Python
+        ints.  Each intermediate spans only the coordinates it depends on;
+        only the final key has one entry per element.  ``ParameterError``
+        when the radices are too large for int64."""
+        check_int64(self.radices)
+        grid = np.ix_(*(np.arange(m, dtype=np.int64) for m in self.radices))
+        keys = self.key(self.mul(grid, tuple(map(int, y))))
+        return np.broadcast_to(keys, tuple(self.radices)).reshape(-1)
 
     def power(self, x, n: int):
         """x^n by binary exponentiation; n may be negative."""

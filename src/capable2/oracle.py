@@ -21,20 +21,24 @@ law, so a table of |K| rows costs a few bytes per element.
 
 A table runs the law over all of its rows only twice: once for each index
 map R_a, R_b, "right-multiply by a designated generator", each product
-computed straight into its key (``mul_keys``), never into a |K|-by-5 array
-of rows.  The breadth-first search over R_a and R_b that proves they reach
-every row records its spanning tree (one int32 parent per row), and every
-other full-table map is gathered along that tree: the left multiplication
-L_y, since y(pg) = (yp)g fills each row from its parent through R_g.
+computed straight into its key, never into a |K|-by-5 array of rows.  The
+rows of an ambient or model table are the box of the radices in key order,
+so there each map is one run of the law on the box's open grid
+(:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs its
+representatives through ``mul_keys``.  Every other full-table map comes
+from one breadth-first walk over R_a and R_b (:func:`_walk`), which carries
+values along its edges, value[p*g] from value[p], and proves that the
+generators reach every row: the left multiplication L_y, since y(pg) =
+(yp)g, and the Frattini labels.  Nothing of the walk is kept.
 ``brute_center`` keeps the rows where R_g = L_g for both generators: a row
 that commutes with the generators, when the generators reach every row, is
-central.  ``quotient_central`` checks each row of its subgroup Z for
-centrality by the scalar law and labels the cosets by one breadth-first
-search over blocks of rows: the identity's block is Z, each child block is
-R_g[block], since (xZ)g = (xg)Z, and a block's label is its minimum key,
-the key of the coset's representative.  The blocks must partition the
-table, which proves Z closed.  One gather per row and generator, and no
-row products.
+central.  ``quotient_central`` checks the rows of its subgroup Z for
+centrality by the law on those rows only, zg = gz for each designated
+generator, and labels the cosets by one breadth-first search over blocks
+of rows: the identity's block is Z, each child block is R_g[block], since
+(xZ)g = (xg)Z, and a block's label is its minimum key, the key of the
+coset's representative.  The blocks must partition the table, which proves
+Z closed.  One gather per row and generator, and no row products.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -43,8 +47,8 @@ by gathers.  The relations, with class at most two, make the coordinate map
 a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
 is <g, h>.  By the Burnside basis theorem that image is the whole table
 exactly when g and h lie in distinct nontrivial cosets of the Frattini
-subgroup; each row's coset label is gathered along the spanning tree and
-checked against R_a and R_b on every row.  Equal orders make the map
+subgroup; each row's coset label is carried along the walk and checked
+against R_a and R_b on every row.  Equal orders make the map
 bijective.
 
 Tables are immutable after construction and deterministically ordered.
@@ -57,7 +61,7 @@ import functools
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import CoordGroup, check_int64, coord_dtype
+from .group import BLOCK_ROWS, CoordGroup, check_int64, coord_dtype
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -207,20 +211,22 @@ class GroupTable:
     of an ambient group or a model is an element, and a quotient keys each
     element by its coset id.  Raises ``ValueError`` for any other rows.
 
-    The right multiplications R_g by the designated generators
-    (:attr:`gen_maps`) are the table's only full-table law passes besides
-    the squaring map.  The breadth-first search that proves they reach every
-    row records its spanning tree, and :meth:`left_mul` derives any left
-    multiplication from R_g by gathers along it, as :attr:`frattini` derives
-    each row's coset of the Frattini subgroup.
+    The rows must also lie in the box of the radices.  For a group whose
+    order is the product of its radices, in-box rows keyed 0..n-1 in order
+    are the box itself, so the right multiplications R_g by the designated
+    generators (:attr:`gen_maps`), the table's only full-table law passes
+    besides the squaring map, run on the box's open grid.  One breadth-first
+    walk over R_a and R_b derives any left multiplication (:meth:`left_muls`)
+    and, in a walk of its own, each row's coset of the Frattini subgroup
+    (:attr:`frattini`).
     """
 
     def __init__(self, group, coords: np.ndarray):
         self.group = group
         self.coords = coords
         self.order = len(coords)
-        if not np.array_equal(group.key_rows(coords), np.arange(group.order)):
-            raise ValueError("table rows must be keyed 0..order-1 in order")
+        if not _boxed_and_keyed_in_order(group, coords):
+            raise ValueError("table rows must lie in the box and be keyed 0..order-1 in order")
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -250,8 +256,11 @@ class GroupTable:
         return keys
 
     def right_mul(self, x) -> np.ndarray:
-        """The index map "right-multiply by x", one row product per row."""
-        return self.index_of(self.group.mul_keys(self.coords, np.asarray(x)[None]))
+        """The index map "right-multiply by x": the group's ``right_keys``,
+        one run of the law on the open grid of an ambient or model's box
+        (:meth:`capable2.group.CoordGroup.right_keys`), or a quotient's
+        representatives through ``mul_keys``."""
+        return self.index_of(self.group.right_keys(x))
 
     @functools.cached_property
     def gen_maps(self) -> tuple[np.ndarray, ...]:
@@ -261,29 +270,25 @@ class GroupTable:
         index = _index_dtype(self.order)
         return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
 
-    @functools.cached_property
-    def _tree(self) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-        """Breadth-first spanning tree of the table over :attr:`gen_maps`:
-        the identity's index, and (generator, parents) runs whose rows are
-        R_g[parents].  ``BuildIntegrityError`` when the designated
-        generators reach only part of the table."""
-        one = self.index_of(self.group.key_rows([self.group.identity]))
-        seen, runs = _reached(self.gen_maps, one, self.order)
-        if not seen.all():
-            raise BuildIntegrityError("the designated generators do not generate the table")
-        return one, runs
+    def _row_of(self, x) -> int:
+        """The row of one element."""
+        return self.index_of(self.group.key_rows([x]))[0]
 
-    def left_mul(self, y) -> np.ndarray:
-        """The index map "left-multiply by y", with no row products: y*1 = y,
-        and y*(p*g) = (y*p)*g fills each row of the spanning tree from its
-        parent through R_g.  ``BuildIntegrityError`` when the designated
+    def left_muls(self, ys) -> list[np.ndarray]:
+        """The index map "left-multiply by y" for each y of ``ys``, carried
+        along one breadth-first walk over R_a and R_b (:func:`_walk`) with
+        no row products: y*1 = y, and y*(p*g) = (y*p)*g fills each row from
+        its parent through R_g.  Stored as int32 indices
+        (:func:`_index_dtype`).  ``BuildIntegrityError`` when the designated
         generators do not generate the table."""
-        one, runs = self._tree
-        out = np.empty(self.order, dtype=np.intp)
-        out[one] = self.index_of(self.group.key_rows([y]))
-        for s, parents in runs:
+        one = self._row_of(self.group.identity)
+        out = [np.empty(self.order, dtype=_index_dtype(self.order)) for _ in ys]
+        for left, y in zip(out, ys):
+            left[one] = self._row_of(y)
+        for s, parents, kids in _walk(self.gen_maps, one, self.order):
             step = self.gen_maps[s]
-            out[step[parents]] = step[out[parents]]
+            for left in out:
+                left[kids] = step[left[parents]]
         return out
 
     @functools.cached_property
@@ -292,20 +297,20 @@ class GroupTable:
         with a -> 1 and b -> 2, or ``None`` when the table is not minimally
         generated by its two designated generators (for example, cyclic).
 
-        The labels are gathered along the spanning tree of :meth:`left_mul`,
-        lambda(p*g_s) = lambda(p) xor 2^s, and returned only after the check
-        lambda(R_s x) = lambda(x) xor 2^s on every row.  That check makes
-        lambda a homomorphism onto (Z/2)^2.  In a 2-group Phi is the least
-        normal subgroup with an elementary abelian quotient, of index at most
-        4 when two elements generate, so the kernel of lambda is Phi.
-        ``BuildIntegrityError`` when the designated generators do not
+        The labels are carried along one breadth-first walk over R_a and
+        R_b, lambda(p*g_s) = lambda(p) xor 2^s, and returned only after the
+        check lambda(R_s x) = lambda(x) xor 2^s on every row.  That check
+        makes lambda a homomorphism onto (Z/2)^2.  In a 2-group Phi is the
+        least normal subgroup with an elementary abelian quotient, of index
+        at most 4 when two elements generate, so the kernel of lambda is
+        Phi.  ``BuildIntegrityError`` when the designated generators do not
         generate the table."""
         if len(self.gen_maps) != 2:
             return None
-        _, runs = self._tree
+        one = self._row_of(self.group.identity)
         lab = np.zeros(self.order, dtype=np.int8)
-        for s, parents in runs:
-            lab[self.gen_maps[s][parents]] = lab[parents] ^ (1 << s)
+        for s, parents, kids in _walk(self.gen_maps, one, self.order):
+            lab[kids] = lab[parents] ^ (1 << s)
         if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(self.gen_maps)):
             return None
         return lab
@@ -337,6 +342,24 @@ class GroupTable:
         return res
 
 
+def _boxed_and_keyed_in_order(group, coords) -> bool:
+    """Whether the rows number |group|, have coordinate i in
+    ``range(radices[i])``, one column at a time, and keys 0, 1, ...,
+    |group|-1 in order, ``BLOCK_ROWS`` rows at a time.  The bounds come
+    first: a row outside the box may alias another row's key, or index a
+    quotient's coset ids out of range."""
+    if len(coords) != group.order:
+        return False
+    for i, m in enumerate(group.radices):
+        if coords[:, i].min() < 0 or coords[:, i].max() >= m:
+            return False
+    return all(
+        np.array_equal(group.key_rows(coords[lo : lo + BLOCK_ROWS]),
+                       np.arange(lo, min(lo + BLOCK_ROWS, len(coords))))
+        for lo in range(0, len(coords), BLOCK_ROWS)
+    )
+
+
 def key_mask(group, rows) -> np.ndarray:
     """Boolean mask over the group's keys 0..order-1 marking ``rows``."""
     mask = np.zeros(group.order, dtype=bool)
@@ -357,20 +380,21 @@ def brute_center(table: GroupTable) -> np.ndarray:
     """{z : zg = gz for all g}, coordinate rows in table order.
 
     A row x is kept when R_g[x] = L_g[x] for every designated generator g:
-    the two law passes R_a, R_b of :attr:`GroupTable.gen_maps`, and
-    :meth:`GroupTable.left_mul`, gathered along the spanning tree of the
-    breadth-first search over R_a, R_b.  That search proves that the
-    generators reach every row of the table, so they generate it: a kept row
-    commutes with the generators, the generators reach every row, so the
-    row is central, and every dropped row fails against a generator.
-    Raises ``BuildIntegrityError`` when the generators reach only part of
-    the table.  Two row products per element, each computed straight into
-    its key (``mul_keys``), so the referee holds key columns and index
-    maps, never a table-sized array of product rows.
+    the two law passes R_a, R_b of :attr:`GroupTable.gen_maps`, and L_a,
+    L_b, carried as int32 index maps along one breadth-first walk over R_a
+    and R_b (:meth:`GroupTable.left_muls`) and freed on return.  That walk
+    proves that the generators reach every row of the table, so they
+    generate it: a kept row commutes with the generators, the generators
+    reach every row, so the row is central, and every dropped row fails
+    against a generator.  Raises ``BuildIntegrityError`` when the
+    generators reach only part of the table.  Two row products per
+    element, each computed straight into its key on the open grid, so the
+    referee holds key columns and index maps, never a table-sized array of
+    product rows.
     """
     keep = np.ones(table.order, dtype=bool)
-    for gen, right in zip(table.group.gens, table.gen_maps):
-        keep &= right == table.left_mul(gen)
+    for right, left in zip(table.gen_maps, table.left_muls(table.group.gens)):
+        keep &= right == left
     return table.coords[keep]
 
 
@@ -380,36 +404,36 @@ def _index_dtype(n: int) -> type:
     return np.int32 if n <= 1 << 31 else np.intp
 
 
-def _reached(steps, start, n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Breadth-first search from ``start`` over the index maps ``steps`` on
-    the indices 0..n-1: the mask of reached indices, and the spanning tree
-    as (step, parents) runs in breadth-first order, one run per level and
-    step, whose rows are ``steps[step][parents]``.  Parents are stored in
-    :func:`_index_dtype`; the rows are derived when needed."""
+def _walk(steps, start: int, n: int):
+    """Breadth-first walk from ``start`` over the index maps ``steps`` on
+    the indices 0..n-1.  Yields one (s, parents, kids) run per level and
+    step, in breadth-first order: ``kids = steps[s][parents]`` are the
+    indices first reached there, so a caller carries values along the
+    edges as they are walked, value[kid] from value[parent].
+
+    Each step is meant to be injective (a right multiplication is), so the
+    kids of one run are distinct without a dedupe.  After the last run,
+    ``BuildIntegrityError`` when the runs reached an index twice (a step
+    repeats a row) or left one unreached (the steps do not generate)."""
     seen = np.zeros(n, dtype=bool)
-    index = _index_dtype(n)
-    slot = np.empty(n, dtype=index)
     seen[start] = True
-    frontier = np.asarray(start).reshape(-1)
-    runs = []
-    while True:
+    frontier = np.asarray([start])
+    reached = 1
+    while len(frontier):
         level = []
         for s, step in enumerate(steps):
             kids = step[frontier]
             new = ~seen[kids]
             parents, kids = frontier[new], kids[new]
-            # deduplicate in O(len(kids)): keep the entry that wins its slot
-            pos = np.arange(len(kids), dtype=index)
-            slot[kids] = pos
-            first = slot[kids] == pos
-            parents, kids = parents[first], kids[first]
             seen[kids] = True
-            if len(kids):
-                runs.append((s, parents.astype(index, copy=False)))
-                level.append(kids)
-        if not level:
-            return seen, runs
+            reached += len(kids)
+            yield s, parents, kids
+            level.append(kids)
         frontier = np.concatenate(level)
+    if reached != np.count_nonzero(seen):
+        raise BuildIntegrityError("a step repeats a row: the steps are not permutations")
+    if reached != n:
+        raise BuildIntegrityError("the designated generators do not generate the table")
 
 
 def closure(table: GroupTable, gens) -> np.ndarray:
@@ -500,6 +524,11 @@ class QuotientGroup(CoordGroup):
     def mul_keys(self, X, Y) -> np.ndarray:
         return self._cid_of_key[self.parent.mul_keys(X, Y)]
 
+    def right_keys(self, y) -> np.ndarray:
+        """Coset id of x*y for every representative x, in coset-id order:
+        the representatives are not a box, so through ``mul_keys``."""
+        return self.mul_keys(self._rep, np.asarray(y)[None])
+
     def mul(self, x, y):
         return self._canon(self.parent.mul(x, y))
 
@@ -517,8 +546,9 @@ def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
 
     The identity's block is Z.  The child blocks R_g[block] of a level come
     from one 2-D gather per generator; a child whose minimum is unlabelled
-    is new, and new children are deduplicated by their minimum with the
-    slot trick of :func:`_reached` and labelled by it.  Two checks follow:
+    is new, and new children are deduplicated by their minimum (the child
+    that wins its slot in a scratch array) and labelled by it.  Two checks
+    follow:
     - every child, new or not, reads its own minimum on every row;
     - at the end, the blocks number |table|/|Z|, so no block overwrote the
       labels of another.
@@ -562,17 +592,22 @@ def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
     """Table of the quotient by a central subgroup; ``ValueError`` when the
-    rows miss the identity, are not central or are not closed.  Centrality
-    is checked on each row by the scalar law, closure by the coset search
-    of :class:`QuotientGroup`, which raises ``BuildIntegrityError`` when
-    the designated generators do not generate the table."""
+    rows miss the identity, are not central (naming the first such row) or
+    are not closed.  Centrality is checked by the law on the rows of the
+    subgroup, zg = gz for each designated generator, closure by the coset
+    search of :class:`QuotientGroup`, which raises ``BuildIntegrityError``
+    when the designated generators do not generate the table."""
     g = table.group
-    rows = [tuple(r) for r in np.asarray(sub, dtype=np.int64).tolist()]
+    Z = np.asarray(sub, dtype=np.int64)
+    rows = [tuple(r) for r in Z.tolist()]
     if tuple(g.identity) not in rows:
         raise ValueError("subgroup must contain the identity")
-    for z in rows:
-        if not g.is_central(z):
-            raise ValueError(f"subgroup element {z} is not central")
+    central = np.ones(len(rows), dtype=bool)
+    for gen in g.gens:
+        x = np.asarray(gen)[None]
+        central &= g.mul_keys(Z, x) == g.mul_keys(x, Z)
+    if not central.all():
+        raise ValueError(f"subgroup element {rows[np.argmin(central)]} is not central")
     keys = np.sort(table.index_of(g.key_rows(sub)))
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
     return GroupTable(q, q.coords_array())

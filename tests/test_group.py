@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from capable2 import group, oracle
-from capable2.class2 import model, type_ii, type_iii
+from capable2.class2 import model, type_i, type_ii, type_iii
+from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
 
 
@@ -29,6 +30,24 @@ def test_mul_keys_matches_keys_of_products(make, n):
         keys = g.mul_keys(A, B)
         assert keys.dtype == np.int64
         assert np.array_equal(keys, g.key_rows(g.mul_arrays(A, B)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(GroupSpec(4, 2)),
+     lambda: build(GroupSpec(3, 3, (FreeElt(u=2), FreeElt(v=2)))),
+     lambda: model(type_i(3, 2, 1)), lambda: model(type_ii(4, 4, 2, 1)),
+     lambda: model(type_iii(2)), quotient_group],
+    ids=["nilgroup", "nilgroup-extras", "class2-i", "class2-ii", "class2-iii", "quotient"],
+)
+def test_right_keys_match_the_law_on_the_rows(make):
+    # the open grid against the law run on every materialized row
+    g = make()
+    rows = g.coords_array()
+    rng = np.random.default_rng(5)
+    ys = [*g.gens, *map(tuple, rows[rng.integers(len(rows), size=5)].tolist())]
+    for y in ys:
+        assert np.array_equal(g.right_keys(y), g.mul_keys(rows, np.asarray(y)[None])), y
 
 
 def test_apply_rows_result_width_follows_the_law(monkeypatch):

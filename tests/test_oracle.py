@@ -4,7 +4,9 @@ import copy
 import functools
 import math
 import random
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +126,12 @@ def test_table_refuses_rows_not_keyed_zero_to_n_minus_one():
                     np.concatenate([coords[:1], coords])]:
             with pytest.raises(ValueError, match="keyed 0..order-1"):
                 oracle.GroupTable(table.group, bad)
+        # a row outside the box with its own key: r one less, s one radix more
+        bad = coords.astype(np.int64)
+        bad[-1, :2] += (-1, table.group.radices[1])
+        assert np.array_equal(table.group.key_rows(bad), table.keys)
+        with pytest.raises(ValueError, match="lie in the box"):
+            oracle.GroupTable(table.group, bad)
     # every parent row has a coset id, so the parent's rows repeat each key
     with pytest.raises(ValueError, match="keyed 0..order-1"):
         oracle.GroupTable(q.group, t.coords)
@@ -266,7 +274,7 @@ def test_brute_center_rejects_generators_of_a_proper_subgroup():
 def test_referees_do_linear_work(monkeypatch):
     g = build(GroupSpec(3, 3))
     t = oracle.GroupTable.from_group(g)
-    rows = []
+    rows, grids = [], []
 
     def counter(real, rows_of):
         def counted(self, X, Y):
@@ -276,21 +284,29 @@ def test_referees_do_linear_work(monkeypatch):
 
         return counted
 
+    def counted_grid(self, y):
+        grids.append(y)
+        return real_grid(self, y)
+
     # products computed as rows and products computed straight into keys
     monkeypatch.setattr(
         nilprod.NilGroup, "mul_arrays",
         counter(nilprod.NilGroup.mul_arrays, lambda out: out.size // out.shape[-1]),
     )
     monkeypatch.setattr(nilprod.NilGroup, "mul_keys", counter(nilprod.NilGroup.mul_keys, np.size))
+    # whole-table right multiplications on the open grid, which bypass both
+    real_grid = nilprod.NilGroup.right_keys
+    monkeypatch.setattr(nilprod.NilGroup, "right_keys", counted_grid)
     zc = oracle.brute_center(t)
     assert len(zc) == 32  # rescanning the table per survivor cost 66 rows per element
-    # R_a and R_b; each L_g is gathered along their spanning tree
-    assert sum(rows) <= 2 * t.order
+    # R_a and R_b, one grid each; each L_g is carried along their walk
+    assert len(grids) == 2 and sum(rows) == 0
     rows.clear()
     oracle.quotient_central(t, zc)
+    # centrality costs both sides of zg = gz per generator on the rows of Z;
     # the coset search gathers through the same R_a and R_b: the minimum
     # over all translates cost 32 rows per element
-    assert sum(rows) == 0
+    assert len(grids) == 2 and sum(rows) == 4 * len(zc)
 
 
 def law_tables():
@@ -308,22 +324,31 @@ def test_left_mul_matches_the_law():
     rng = np.random.default_rng(7)
     for t in law_tables():
         group = t.group
-        center = oracle.brute_center(t)
+        center = [tuple(z) for z in oracle.brute_center(t).tolist()]
         assert 1 < len(center) < t.order
-        ys = [group.identity, *group.gens, *map(tuple, center.tolist())]
+        ys = [group.identity, *group.gens, *center]
         ys += [tuple(r) for r in t.coords[rng.integers(t.order, size=20)].tolist()]
-        for y in ys:
-            left = t.left_mul(y)
+        # every map is carried along one walk
+        for y, left in zip(ys, t.left_muls(ys), strict=True):
             assert np.array_equal(left, group.mul_keys(np.asarray(y)[None], t.coords)), y
-        for z in center.tolist():
-            assert np.array_equal(t.right_mul(z), t.left_mul(z)), z
-    # the tree is only built when the designated generators reach every row
+            if y in center:
+                assert np.array_equal(t.right_mul(y), left), y
+    # the walk refuses designated generators that reach only part of the rows
     g = build(GroupSpec(2, 1))
     stub = copy.copy(g)
     stub.gens = (g.a,)
     t = oracle.GroupTable(stub, oracle.GroupTable.from_group(g).coords)
     with pytest.raises(BuildIntegrityError, match="do not generate"):
-        t.left_mul(g.b)
+        t.left_muls([g.b])
+
+
+def test_walk_refuses_a_step_that_repeats_a_row():
+    # from 0, step 0 reaches 1, then 3 from both 1 and 2: every row is
+    # reached, so only the count of reached rows sees the repeat
+    steps = [np.array([1, 3, 3, 0]), np.array([2, 0, 0, 0])]
+    with pytest.raises(BuildIntegrityError, match="repeats a row"):
+        for _ in oracle._walk(steps, 0, 4):
+            pass
 
 
 def test_referees_hold_key_columns_not_product_rows():
@@ -366,7 +391,9 @@ def test_quotient_rejects_noncentral_subgroup():
     t = oracle.GroupTable.from_group(g)
     c = g.reduce(hall.C)
     sub = oracle.closure(t, [c])
-    with pytest.raises(ValueError, match="not central"):
+    # the message names the first row that fails the scalar test
+    first = next(z for z in map(tuple, sub.tolist()) if not g.is_central(z))
+    with pytest.raises(ValueError, match=re.escape(f"subgroup element {first} is not central")):
         oracle.quotient_central(t, sub)
 
 
@@ -392,6 +419,16 @@ def test_quotient_rejects_a_set_of_subgroup_size_that_is_not_closed():
     assert all(g.is_central(x) for x in sub) and g.mul(z, z) not in sub
     with pytest.raises(ValueError, match="not closed"):
         oracle.quotient_central(t, np.asarray(sub))
+
+
+def test_coset_search_counts_its_blocks():
+    # Z = {0, 3} on four rows: R_0 carries it onto {1}, {2} and back to
+    # {0}, and R_1 onto {1} and {0}.  Every child block reads its own
+    # minimum, so only the count (3 blocks, where 4/|Z| = 2) refuses Z
+    stub = SimpleNamespace(order=4, gen_maps=(np.array([1, 2, 0, 1], dtype=np.int32),
+                                              np.array([1, 0, 0, 1], dtype=np.int32)))
+    with pytest.raises(ValueError, match="not closed"):
+        oracle._coset_minima(stub, np.array([0, 3]))
 
 
 def test_quotient_rejects_generators_of_a_proper_subgroup():
@@ -529,8 +566,14 @@ def generates(table, x, y) -> bool:
     reaches every row from the identity."""
     steps = [table.right_mul(x), table.right_mul(y)]
     one = table.group.key(table.group.identity)
-    seen, _ = oracle._reached(steps, one, table.order)
-    return bool(seen.all())
+    try:
+        for _ in oracle._walk(steps, one, table.order):
+            pass
+    except BuildIntegrityError as e:
+        # right multiplications are permutations: only a part is reached
+        assert "do not generate" in str(e)
+        return False
+    return True
 
 
 def test_image_fills_matches_the_set_loop():
