@@ -252,7 +252,7 @@ def model_fingerprint(p: TypeParams) -> Fingerprint:
     from . import oracle
 
     m = model(p)
-    return fingerprint(oracle.GroupTable(m, m.coords_array()))
+    return fingerprint(oracle.GroupTable(m))
 
 
 def _abelian_invariants(table, derived) -> tuple[int, ...]:

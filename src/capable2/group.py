@@ -8,10 +8,10 @@ Each law is written once, for scalars, using only ``+ - * // %`` on the
 indexed coordinates ``x[i]``.  Fed the columns ``X[..., i]`` of coordinate-row
 arrays by :func:`apply_rows`, cast to int64 one block at a time, the same code
 computes every row at once; composed with the mixed-radix key it gives
-``mul_keys``, one key per product with no product rows in between.  Stored
-rows (:func:`box_rows`, element tables) use the narrowest signed integer dtype
-that holds the radices, so a table of |K| rows costs a few bytes per element
-while every law evaluation still runs in checked int64.
+``mul_keys``, one key per product with no product rows in between.  Rows are
+fetched by key (:meth:`CoordGroup.rows`, decoded by :func:`unravel_rows`) in
+the narrowest signed integer dtype that holds the radices, so rows cost a few
+bytes per element while every law evaluation still runs in checked int64.
 
 Right multiplication of the whole box by one element, ``right_keys``, needs
 no rows at all: the same law runs once on the box's open grid, one int64
@@ -81,17 +81,10 @@ def coord_dtype(radices) -> np.dtype:
     return np.min_scalar_type(-max(radices))
 
 
-def box_rows(radices) -> np.ndarray:
-    """Every row with coordinate i in ``range(radices[i])``, lexicographic, in
-    :func:`coord_dtype`, each column filled in place."""
-    n = math.prod(radices)
-    out = np.empty((n, len(radices)), dtype=coord_dtype(radices))
-    inner = n
-    for i, m in enumerate(radices):
-        inner //= m
-        # column i repeats each value inner times, the whole run n/(m*inner) times
-        out[:, i].reshape(-1, m, inner)[...] = np.arange(m)[:, None]
-    return out
+def unravel_rows(keys, radices) -> np.ndarray:
+    """The row with coordinate i in ``range(radices[i])`` of each mixed-radix
+    key, in :func:`coord_dtype`; ``ValueError`` for a key outside the box."""
+    return np.stack(np.unravel_index(keys, tuple(radices)), axis=-1).astype(coord_dtype(radices))
 
 
 class CoordGroup:
@@ -145,15 +138,21 @@ class CoordGroup:
         """[x, y] = x^-1 y^-1 x y."""
         return self.mul(self.mul(self.inverse(x), self.inverse(y)), self.mul(x, y))
 
-    def order_of(self, x) -> int:
-        """Smallest power of two k with x^k trivial, by repeated squaring."""
-        n, cur = 1, x
-        while cur != self.identity:
-            cur = self.mul(cur, cur)
-            n <<= 1
-            if n > 2 * self.order:
+    def exponent(self, x, members) -> int:
+        """Least k with x^(2^k) in ``members``, a set of elements, by
+        repeated squaring; ``BuildIntegrityError`` once 2^k exceeds twice
+        the order."""
+        k = 0
+        while x not in members:
+            x = self.mul(x, x)
+            k += 1
+            if 1 << k > 2 * self.order:
                 raise BuildIntegrityError("element order exceeds group order")
-        return n
+        return k
+
+    def order_of(self, x) -> int:
+        """Smallest power of two k with x^k trivial."""
+        return 1 << self.exponent(x, {self.identity})
 
     def is_central(self, x) -> bool:
         """Commutes with every designated generator, hence with everything."""
@@ -198,9 +197,9 @@ class CoordGroup:
         """All boxed coordinate tuples, lexicographic."""
         return itertools.product(*(range(m) for m in self.radices))
 
-    def coords_array(self) -> np.ndarray:
-        """All boxed coordinate rows, lexicographic (that is, in key order)."""
-        return box_rows(self.radices)
+    def rows(self, keys) -> np.ndarray:
+        """The boxed coordinate row of each key, in :func:`coord_dtype`."""
+        return unravel_rows(keys, self.radices)
 
     def key(self, x):
         """Mixed-radix key of a boxed coordinate tuple (or of coordinate columns)."""

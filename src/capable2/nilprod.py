@@ -25,13 +25,14 @@ Everything is immutable after build and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hall_core as hall
 from .errors import BuildIntegrityError, CentralityError, ParameterError
-from .group import CoordGroup, apply_rows, box_rows, check_int64
+from .group import CoordGroup, apply_rows, check_int64, unravel_rows
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
 
@@ -121,7 +122,8 @@ class NilGroup(CoordGroup):
             return list(self._center_gens)
         check_int64(self.radices)
         p0 = self.comm_lattice.pivots[0]
-        box = box_rows((self.r_modulus // p0, self.s_modulus // p0, p0, 1, 1)).astype(np.int64)
+        pruned = (self.r_modulus // p0, self.s_modulus // p0, p0, 1, 1)
+        box = unravel_rows(np.arange(math.prod(pruned)), pruned).astype(np.int64)
         box[:, :2] *= p0
         keep = np.ones(len(box), dtype=bool)
         for g in self.gens:

@@ -15,17 +15,18 @@ such as :meth:`capable2.nilprod.NilGroup.center`.
 Every table is keyed 0..n-1: an ambient or model table by the mixed-radix
 key of its boxed coordinates, a quotient table by coset id.  A key is its
 row's index, so a product key column is the index map "multiply by this
-element" with no lookup.  Rows are stored in the narrowest signed integer
-dtype that holds the radices and cast to int64 block by block inside the
-law, so a table of |K| rows costs a few bytes per element.
+element" with no lookup.  A table stores no rows: it is its group, its
+order and its cached index maps.  Rows belong to the group and are fetched
+by key (``rows``), in the narrowest signed integer dtype that holds the
+radices, only where a referee returns or multiplies them.
 
 A table runs the law over all of its rows only twice: once for each index
 map R_a, R_b, "right-multiply by a designated generator", each product
 computed straight into its key, never into a |K|-by-5 array of rows.  The
-rows of an ambient or model table are the box of the radices in key order,
-so there each map is one run of the law on the box's open grid
-(:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs its
-representatives through ``mul_keys``.  Every other full-table map comes
+rows of an ambient or model table are ``rows(0..n-1)``, the box of the
+radices in key order, so there each map is one run of the law on the box's
+open grid (:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs
+its representatives through ``mul_keys``.  Every other full-table map comes
 from one breadth-first walk over R_a and R_b (:func:`_walk`), which carries
 values along its edges, value[p*g] from value[p], and proves that the
 generators reach every row: the left multiplication L_y, since y(pg) =
@@ -61,7 +62,7 @@ import functools
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import BLOCK_ROWS, CoordGroup, check_int64, coord_dtype
+from .group import CoordGroup, check_int64
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -200,33 +201,27 @@ def word_of(x: FreeElt, expand_commutators: bool = False) -> list[tuple[str, int
 
 
 class GroupTable:
-    """Element list plus fast coordinate-level access for one group object.
+    """Index maps over the elements of one group object, keyed 0..n-1.
 
-    The group supplies the multiplication law and the key; the table only
-    enumerates, indexes and memoizes.  Elements are coordinate rows in key
-    order, stored in the narrowest signed integer dtype that holds the
-    radices (:func:`capable2.group.coord_dtype`; the law casts each block to
-    int64).  The keys must be exactly 0, 1, ..., |group|-1, so a key is its
-    row's index and :attr:`keys` is computed, not stored: every boxed tuple
-    of an ambient group or a model is an element, and a quotient keys each
-    element by its coset id.  Raises ``ValueError`` for any other rows.
+    The group supplies the multiplication law, the key and the rows; the
+    table stores only its group, its order and its cached index maps.  A
+    key is its row's index: every boxed tuple of an ambient group or a
+    model is an element keyed by its mixed-radix key, and a quotient keys
+    each element by its coset id.  The rows, :attr:`coords`, are decoded by
+    the group on first use, which an ambient table never needs.
 
-    The rows must also lie in the box of the radices.  For a group whose
-    order is the product of its radices, in-box rows keyed 0..n-1 in order
-    are the box itself, so the right multiplications R_g by the designated
-    generators (:attr:`gen_maps`), the table's only full-table law passes
-    besides the squaring map, run on the box's open grid.  One breadth-first
-    walk over R_a and R_b derives any left multiplication (:meth:`left_muls`)
-    and, in a walk of its own, each row's coset of the Frattini subgroup
-    (:attr:`frattini`).
+    An ambient or model table's rows are ``group.rows(0..n-1)``, the box of
+    the radices in key order, so the right multiplications R_g by the
+    designated generators (:attr:`gen_maps`), the table's only full-table
+    law passes besides the squaring map, run on the box's open grid.  One
+    breadth-first walk over R_a and R_b derives any left multiplication
+    (:meth:`left_muls`) and, in a walk of its own, each row's coset of the
+    Frattini subgroup (:attr:`frattini`).
     """
 
-    def __init__(self, group, coords: np.ndarray):
+    def __init__(self, group):
         self.group = group
-        self.coords = coords
-        self.order = len(coords)
-        if not _boxed_and_keyed_in_order(group, coords):
-            raise ValueError("table rows must lie in the box and be keyed 0..order-1 in order")
+        self.order = group.order
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -239,13 +234,12 @@ class GroupTable:
                 f"group of order {group.order} exceeds the enumeration bound {limit}"
             )
         check_int64(group.radices)
-        coords = np.asarray(group.coords_array())
-        return GroupTable(group, coords.astype(coord_dtype(group.radices), copy=False))
+        return GroupTable(group)
 
-    @property
-    def keys(self) -> np.ndarray:
-        """The key of each row, which is its index."""
-        return np.arange(self.order)
+    @functools.cached_property
+    def coords(self) -> np.ndarray:
+        """Every row in key order, decoded by the group on first use."""
+        return self.group.rows(np.arange(self.order))
 
     def index_of(self, keys) -> np.ndarray:
         """Table index of each key, which is the key itself;
@@ -342,24 +336,6 @@ class GroupTable:
         return res
 
 
-def _boxed_and_keyed_in_order(group, coords) -> bool:
-    """Whether the rows number |group|, have coordinate i in
-    ``range(radices[i])``, one column at a time, and keys 0, 1, ...,
-    |group|-1 in order, ``BLOCK_ROWS`` rows at a time.  The bounds come
-    first: a row outside the box may alias another row's key, or index a
-    quotient's coset ids out of range."""
-    if len(coords) != group.order:
-        return False
-    for i, m in enumerate(group.radices):
-        if coords[:, i].min() < 0 or coords[:, i].max() >= m:
-            return False
-    return all(
-        np.array_equal(group.key_rows(coords[lo : lo + BLOCK_ROWS]),
-                       np.arange(lo, min(lo + BLOCK_ROWS, len(coords))))
-        for lo in range(0, len(coords), BLOCK_ROWS)
-    )
-
-
 def key_mask(group, rows) -> np.ndarray:
     """Boolean mask over the group's keys 0..order-1 marking ``rows``."""
     mask = np.zeros(group.order, dtype=bool)
@@ -395,7 +371,7 @@ def brute_center(table: GroupTable) -> np.ndarray:
     keep = np.ones(table.order, dtype=bool)
     for right, left in zip(table.gen_maps, table.left_muls(table.group.gens)):
         keep &= right == left
-    return table.coords[keep]
+    return table.group.rows(np.flatnonzero(keep))
 
 
 def _index_dtype(n: int) -> type:
@@ -471,8 +447,8 @@ class QuotientGroup(CoordGroup):
 
     Elements are the minimum-key coset representatives, and an element's
     key is its coset id, so the quotient's own table is keyed 0..n-1 too.
-    ``mul_arrays`` and ``inv_arrays`` return representatives as the parent
-    table stores them, in its narrow dtype.
+    ``rows``, ``mul_arrays`` and ``inv_arrays`` return representatives in
+    the parent's narrow row dtype.
 
     The cosets come from one breadth-first search over blocks of rows
     (:func:`_coset_minima`): the identity's block is Z, and each child
@@ -481,21 +457,19 @@ class QuotientGroup(CoordGroup):
     the key of its representative, and a coset id is a running count of
     representatives in key order.  No row products: O(|K|) gathers.
     Products are computed in the parent and mapped to coset ids through
-    one parent-key-indexed array.
+    one parent-key-indexed int32 array (:func:`_index_dtype`), widened to
+    int64 only in the query-sized results of ``key`` and ``mul_keys``.
     """
 
     def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
         lab, reps = _coset_minima(table, sub_keys)
-        self._rep = table.coords[reps]
-        # coset ids count the representatives in key order; relabel in the
-        # labels' narrow dtype and drop the scratch before widening once
+        self._rep = parent.rows(reps)
+        # coset ids count the representatives in key order
         cid = np.empty(table.order, dtype=lab.dtype)
         cid[reps] = np.arange(len(reps))
-        lab = cid[lab]
-        del cid
-        self._cid_of_key = lab.astype(np.int64)
+        self._cid_of_key = cid[lab]
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -503,8 +477,9 @@ class QuotientGroup(CoordGroup):
         self.gens = tuple(self._canon(x) for x in parent.gens)
 
     def key(self, x):
-        """Coset id of a parent element (or of parent coordinate columns)."""
-        return self._cid_of_key[self.parent.key(x)]
+        """Coset id of a parent element (or of parent coordinate columns),
+        as int64."""
+        return self._cid_of_key[self.parent.key(x)].astype(np.int64)
 
     def _canon(self, x):
         return self._rep_tuples[self.key(x)]
@@ -512,8 +487,8 @@ class QuotientGroup(CoordGroup):
     def _canon_rows(self, X) -> np.ndarray:
         return self._rep[self.key_rows(X)]
 
-    def coords_array(self) -> np.ndarray:
-        return self._rep.copy()
+    def rows(self, keys) -> np.ndarray:
+        return self._rep[keys]
 
     def mul_arrays(self, X, Y) -> np.ndarray:
         return self._canon_rows(self.parent.mul_arrays(X, Y))
@@ -522,7 +497,7 @@ class QuotientGroup(CoordGroup):
         return self._canon_rows(self.parent.inv_arrays(X))
 
     def mul_keys(self, X, Y) -> np.ndarray:
-        return self._cid_of_key[self.parent.mul_keys(X, Y)]
+        return self._cid_of_key[self.parent.mul_keys(X, Y)].astype(np.int64)
 
     def right_keys(self, y) -> np.ndarray:
         """Coset id of x*y for every representative x, in coset-id order:
@@ -610,7 +585,7 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
         raise ValueError(f"subgroup element {rows[np.argmin(central)]} is not central")
     keys = np.sort(table.index_of(g.key_rows(sub)))
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
-    return GroupTable(q, q.coords_array())
+    return GroupTable(q)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +609,8 @@ def iso_2gen(table: GroupTable, target):
     onto D, so every accepted pair passes this filter; both candidate lists
     keep key order, so the pair returned is the one the unpruned search
     accepts first.  The table's orders come from
-    :meth:`GroupTable.exponents`, the target's from scalar squaring.
+    :meth:`GroupTable.exponents`, the target's from its scalar squaring
+    loop, :meth:`capable2.group.CoordGroup.exponent`.
 
     Generation is decided by the Burnside basis theorem: the table has the
     target's order, so it is a 2-group, and two of its elements generate it
@@ -669,8 +645,8 @@ def iso_2gen(table: GroupTable, target):
     ta, tb = target.gens
     tc = target.commutator(ta, tb)
     t_derived = set(target.closure([tc]))
-    ea, eb, ec = (target.order_of(x).bit_length() - 1 for x in (ta, tb, tc))
-    da, db = (_exponent(target, x, t_derived) for x in (ta, tb))
+    ea, eb, ec = (target.exponent(x, {target.identity}) for x in (ta, tb, tc))
+    da, db = (target.exponent(x, t_derived) for x in (ta, tb))
     relations = [(_side(lhs), _side(rhs)) for lhs, rhs in target.relations()]
 
     plain = table.exponents()
@@ -698,19 +674,6 @@ def iso_2gen(table: GroupTable, target):
         if ok.any():
             return g_elt, tuple(coords[images["b"][ok][0]].tolist())
     return None
-
-
-def _exponent(group, x, members) -> int:
-    """Least k with x^(2^k) in the subgroup ``members``, a set, by scalar
-    squaring; ``BuildIntegrityError`` once 2^k exceeds twice the order, as
-    in :meth:`capable2.group.CoordGroup.order_of`."""
-    k = 0
-    while x not in members:
-        x = group.mul(x, x)
-        k += 1
-        if 1 << k > 2 * group.order:
-            raise BuildIntegrityError("element order exceeds group order")
-    return k
 
 
 def _side(word):

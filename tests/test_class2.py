@@ -3,6 +3,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -292,7 +293,7 @@ def test_array_law_matches_scalar_for_every_kind(monkeypatch, block_rows):
     monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
     for p in [type_i(3, 2, 1), type_ii(4, 4, 2, 1), type_ii(3, 2, 2, 1), type_iii(1), type_iii(2)]:
         g = model(p)
-        coords = g.coords_array()
+        coords = g.rows(np.arange(g.order))
         prod = g.mul_arrays(coords[:, None, :], coords[None, :, :])
         inv = g.inv_arrays(coords)
         elems = [tuple(x) for x in coords.tolist()]

@@ -14,17 +14,30 @@ def quotient_group():
     return oracle.quotient_central(t, oracle.brute_center(t)).group
 
 
-@pytest.mark.parametrize("n", [group.BLOCK_ROWS, group.BLOCK_ROWS + 1000])
-@pytest.mark.parametrize(
+four_groups = pytest.mark.parametrize(
     "make",
     [lambda: build(GroupSpec(3, 2)), lambda: model(type_ii(4, 4, 2, 1)),
      lambda: model(type_iii(2)), quotient_group],
     ids=["nilgroup", "class2-ii", "class2-iii", "quotient"],
 )
+
+
+@four_groups
+def test_rows_decode_keys(make):
+    g = make()
+    keys = np.random.default_rng(11).integers(g.order, size=1000)
+    rows = g.rows(keys)
+    assert rows.dtype == group.coord_dtype(g.radices)
+    assert np.array_equal(g.key_rows(rows), keys)
+    assert np.array_equal(g.rows(np.arange(g.order)), list(g.elements()))
+
+
+@pytest.mark.parametrize("n", [group.BLOCK_ROWS, group.BLOCK_ROWS + 1000])
+@four_groups
 def test_mul_keys_matches_keys_of_products(make, n):
     g = make()
     rng = np.random.default_rng(n)
-    elements = g.coords_array()
+    elements = g.rows(np.arange(g.order))
     X, Y = (elements[rng.integers(len(elements), size=n)] for _ in range(2))
     for A, B in [(X, Y), (Y, X), (X, Y[:1]), (Y[:1], X), (X[:50, None], Y[None, :60])]:
         keys = g.mul_keys(A, B)
@@ -43,7 +56,7 @@ def test_mul_keys_matches_keys_of_products(make, n):
 def test_right_keys_match_the_law_on_the_rows(make):
     # the open grid against the law run on every materialized row
     g = make()
-    rows = g.coords_array()
+    rows = g.rows(np.arange(g.order))
     rng = np.random.default_rng(5)
     ys = [*g.gens, *map(tuple, rows[rng.integers(len(rows), size=5)].tolist())]
     for y in ys:
@@ -67,7 +80,7 @@ def test_apply_rows_result_width_follows_the_law(monkeypatch):
 def test_narrow_rows_run_the_law_in_int64():
     t = oracle.GroupTable.from_group(build(GroupSpec(4, 4)), max_order=1 << 19)
     assert t.coords.dtype.itemsize == 1
-    assert np.array_equal(t.coords, group.box_rows(t.group.radices).astype(np.int64))
+    assert np.array_equal(t.coords, np.asarray(list(t.group.elements())))
     # radices up to 16: the class-three term x_s * binom2(y_r) reaches
     # 15 * 105, beyond int8, so each block must be cast before the law runs
     rng = np.random.default_rng(4)
