@@ -13,10 +13,13 @@ fetched by key (:meth:`CoordGroup.rows`, decoded by :func:`unravel_rows`) in
 the narrowest signed integer dtype that holds the radices, so rows cost a few
 bytes per element while every law evaluation still runs in checked int64.
 
-Right multiplication of the whole box by one element, ``right_keys``, needs
-no rows at all: the same law runs once on the box's open grid, one int64
-column per coordinate laid along its own axis, and broadcasting spans each
-intermediate over only the coordinates it depends on.
+Multiplication of the whole box by one element needs no rows at all: the
+same law runs on the box's open grid, one int64 column per coordinate laid
+along its own axis, and broadcasting spans each intermediate over only the
+coordinates it depends on.  ``right_keys`` runs x*y once on the whole grid;
+``left_keys`` runs y*x one slab of the first coordinate at a time, since
+every intermediate of a left product depends on that coordinate, and writes
+each slab's keys straight into an :func:`index_dtype` map.
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ def apply_rows(law, *arrays) -> np.ndarray:
     return out.reshape(shape[:-1] + out.shape[1:])
 
 
+def index_dtype(n: int) -> type:
+    """int32 for indices into n <= 2^31 rows, which halves a stored index
+    map; intp beyond."""
+    return np.int32 if n <= 1 << 31 else np.intp
+
+
 def coord_dtype(radices) -> np.dtype:
     """The narrowest signed integer dtype holding 0..max(radices)-1: the
     smallest signed type of -max(radices) holds max(radices)-1 too."""
@@ -109,18 +118,43 @@ class CoordGroup:
         by block without materializing the product rows."""
         return self.apply_law(lambda x, y: (self.key(self.mul(x, y)),), X, Y)[..., 0]
 
+    def _open_grid(self, first=slice(None)) -> tuple[np.ndarray, ...]:
+        """The box's open grid: coordinate i is the int64 column
+        ``range(radices[i])`` laid along axis i, the first column cut to the
+        slice ``first``."""
+        cols = [np.arange(m, dtype=np.int64) for m in self.radices]
+        cols[0] = cols[0][first]
+        return np.ix_(*cols)
+
     def right_keys(self, y) -> np.ndarray:
         """Key of x*y for every x of the box, in key order (the group's
         elements when its order is the product of the radices), by one run
-        of the scalar law on the box's open grid: coordinate i is the int64
-        column ``range(radices[i])`` laid along axis i, and y stays Python
-        ints.  Each intermediate spans only the coordinates it depends on;
-        only the final key has one entry per element.  ``ParameterError``
-        when the radices are too large for int64."""
+        of the scalar law on the box's open grid (:meth:`_open_grid`), y
+        staying Python ints.  Each intermediate spans only the coordinates
+        it depends on; only the final key has one entry per element.
+        ``ParameterError`` when the radices are too large for int64."""
         check_int64(self.radices)
-        grid = np.ix_(*(np.arange(m, dtype=np.int64) for m in self.radices))
-        keys = self.key(self.mul(grid, tuple(map(int, y))))
+        keys = self.key(self.mul(self._open_grid(), tuple(map(int, y))))
         return np.broadcast_to(keys, tuple(self.radices)).reshape(-1)
+
+    def left_keys(self, y) -> np.ndarray:
+        """Key of y*x for every x of the box, in key order, as an
+        :func:`index_dtype` map: the scalar law on the box's open grid, run
+        one slab of about ``BLOCK_ROWS`` rows (at least one value of the
+        first coordinate) at a time.  Every intermediate of a left product
+        depends on the first coordinate, so the slabs repeat no work, and
+        each slab's keys are written straight into the map.
+        ``ParameterError`` when the radices are too large for int64."""
+        check_int64(self.radices)
+        y = tuple(map(int, y))
+        n = math.prod(self.radices)
+        head, *tail = self.radices
+        out = np.empty(n, dtype=index_dtype(n))
+        box = out.reshape(self.radices)
+        width = max(1, BLOCK_ROWS // math.prod(tail))
+        for lo in range(0, head, width):
+            box[lo:lo + width] = self.key(self.mul(y, self._open_grid(slice(lo, lo + width))))
+        return out
 
     def power(self, x, n: int):
         """x^n by binary exponentiation; n may be negative."""

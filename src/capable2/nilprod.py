@@ -32,7 +32,7 @@ import numpy as np
 
 from . import hall_core as hall
 from .errors import BuildIntegrityError, CentralityError, ParameterError
-from .group import CoordGroup, apply_rows, check_int64, unravel_rows
+from .group import CoordGroup, check_int64, unravel_rows
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
 
@@ -112,11 +112,10 @@ class NilGroup(CoordGroup):
         [x, b] = c^r, where c = [a,b] has order p0, the first pivot; so only
         rows with p0 | r and p0 | s can be central, and only that stride of
         the box is scanned.  Its rows (u = v = 0, lexicographic) are kept
-        where the commutator law, run on their int64 columns by
-        :func:`capable2.group.apply_rows`, gives the identity against both a
-        and b.  Append generators of the full (u, v) block, then greedily drop
-        redundant generators.  ``ParameterError`` when the radices are too
-        large for int64 rows.
+        where xg and gx, computed straight into their keys by ``mul_keys``,
+        agree for both g = a and g = b.  Append generators of the full (u, v)
+        block, then greedily drop redundant generators.  ``ParameterError``
+        when the radices are too large for int64 rows.
         """
         if hasattr(self, "_center_gens"):
             return list(self._center_gens)
@@ -127,7 +126,8 @@ class NilGroup(CoordGroup):
         box[:, :2] *= p0
         keep = np.ones(len(box), dtype=bool)
         for g in self.gens:
-            keep &= ~apply_rows(self.commutator, box, [g]).any(axis=1)
+            g = np.asarray(g)[None]
+            keep &= self.mul_keys(box, g) == self.mul_keys(g, box)
         sols = [tuple(z) for z in box[keep].tolist()]
         sols += [self.reduce(hall.D), self.reduce(hall.E)]
         self._center_gens = tuple(self.pick_generators(sols))

@@ -20,25 +20,26 @@ order and its cached index maps.  Rows belong to the group and are fetched
 by key (``rows``), in the narrowest signed integer dtype that holds the
 radices, only where a referee returns or multiplies them.
 
-A table runs the law over all of its rows only twice: once for each index
-map R_a, R_b, "right-multiply by a designated generator", each product
-computed straight into its key, never into a |K|-by-5 array of rows.  The
-rows of an ambient or model table are ``rows(0..n-1)``, the box of the
-radices in key order, so there each map is one run of the law on the box's
-open grid (:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs
-its representatives through ``mul_keys``.  Every other full-table map comes
-from one breadth-first walk over R_a and R_b (:func:`_walk`), which carries
-values along its edges, value[p*g] from value[p], and proves that the
-generators reach every row: the left multiplication L_y, since y(pg) =
-(yp)g, and the Frattini labels.  Nothing of the walk is kept.
-``brute_center`` keeps the rows where R_g = L_g for both generators: a row
-that commutes with the generators, when the generators reach every row, is
-central.  ``quotient_central`` checks the rows of its subgroup Z for
-centrality by the law on those rows only, zg = gz for each designated
-generator, and labels the cosets by one breadth-first search over blocks
-of rows: the identity's block is Z, each child block is R_g[block], since
-(xZ)g = (xg)Z, and a block's label is its minimum key, the key of the
-coset's representative.  The blocks must partition the table, which proves
+A table keeps two full-table index maps, R_a and R_b, "right-multiply by
+a designated generator", each product computed straight into its key,
+never into a |K|-by-5 array of rows.  The rows of an ambient or model
+table are ``rows(0..n-1)``, the box of the radices in key order, so there
+each map is one run of the law on the box's open grid
+(:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs its
+representatives through ``mul_keys``.  ``brute_center`` keeps the rows
+where R_a equals L_a, "left-multiply by a", one more run of the law on the
+open grid (:meth:`capable2.group.CoordGroup.left_keys`), and checks b only
+on those survivors: a row that commutes with the generators, when the
+generators generate the table, is central.  Generation is proved once per
+table, by one breadth-first walk over R_a and R_b that carries nothing
+(:func:`_walk`); a quotient table holds the proof from the coset search
+that built it, and the walk that carries the Frattini labels proves it too.
+``quotient_central`` checks the rows of its subgroup Z for centrality,
+R_g[z] against the key of gz from one run of the law per designated
+generator on those rows only, and labels the cosets by one breadth-first
+search over blocks of rows: the identity's block is Z, each child block
+is R_g[block], since (xZ)g = (xg)Z, and a block's label is its minimum
+key, the key of the coset's representative.  The blocks must partition the table, which proves
 Z closed.  One gather per row and generator, and no row products.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
@@ -48,8 +49,8 @@ by gathers.  The relations, with class at most two, make the coordinate map
 a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
 is <g, h>.  By the Burnside basis theorem that image is the whole table
 exactly when g and h lie in distinct nontrivial cosets of the Frattini
-subgroup; each row's coset label is carried along the walk and checked
-against R_a and R_b on every row.  Equal orders make the map
+subgroup; each row's coset label is carried along a walk over R_a and R_b
+and checked against them on every row.  Equal orders make the map
 bijective.
 
 Tables are immutable after construction and deterministically ordered.
@@ -62,7 +63,7 @@ import functools
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import CoordGroup, check_int64
+from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -212,16 +213,21 @@ class GroupTable:
 
     An ambient or model table's rows are ``group.rows(0..n-1)``, the box of
     the radices in key order, so the right multiplications R_g by the
-    designated generators (:attr:`gen_maps`), the table's only full-table
-    law passes besides the squaring map, run on the box's open grid.  One
-    breadth-first walk over R_a and R_b derives any left multiplication
-    (:meth:`left_muls`) and, in a walk of its own, each row's coset of the
-    Frattini subgroup (:attr:`frattini`).
+    designated generators (:attr:`gen_maps`), the table's only stored
+    full-table maps besides the squaring map, run on the box's open grid.
+    That the designated generators generate the table is proved at most
+    once (:meth:`prove_generation`), by one breadth-first walk over R_a and
+    R_b that carries nothing; the walk that carries each row's coset of the
+    Frattini subgroup (:attr:`frattini`) proves it too, and a table built by
+    :func:`quotient_central` is given it as ``generated``, since the coset
+    search that built the quotient reached every coset from Z.
     """
 
-    def __init__(self, group):
+    def __init__(self, group, generated: bool = False):
         self.group = group
         self.order = group.order
+        # whether the designated generators are known to generate the table
+        self.generated = generated
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -260,30 +266,23 @@ class GroupTable:
     def gen_maps(self) -> tuple[np.ndarray, ...]:
         """R_g, the index map "right-multiply by g", for each designated
         generator g, built on first use and stored as int32 indices
-        (:func:`_index_dtype`)."""
-        index = _index_dtype(self.order)
+        (:func:`capable2.group.index_dtype`)."""
+        index = index_dtype(self.order)
         return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
 
     def _row_of(self, x) -> int:
         """The row of one element."""
         return self.index_of(self.group.key_rows([x]))[0]
 
-    def left_muls(self, ys) -> list[np.ndarray]:
-        """The index map "left-multiply by y" for each y of ``ys``, carried
-        along one breadth-first walk over R_a and R_b (:func:`_walk`) with
-        no row products: y*1 = y, and y*(p*g) = (y*p)*g fills each row from
-        its parent through R_g.  Stored as int32 indices
-        (:func:`_index_dtype`).  ``BuildIntegrityError`` when the designated
-        generators do not generate the table."""
-        one = self._row_of(self.group.identity)
-        out = [np.empty(self.order, dtype=_index_dtype(self.order)) for _ in ys]
-        for left, y in zip(out, ys):
-            left[one] = self._row_of(y)
-        for s, parents, kids in _walk(self.gen_maps, one, self.order):
-            step = self.gen_maps[s]
-            for left in out:
-                left[kids] = step[left[parents]]
-        return out
+    def prove_generation(self) -> None:
+        """``BuildIntegrityError`` unless the designated generators generate
+        the table, decided by one breadth-first walk over R_a and R_b
+        (:func:`_walk`) that carries nothing; a no-op once
+        :attr:`generated` is set, which a finished walk does."""
+        if not self.generated:
+            for _ in _walk(self.gen_maps, self._row_of(self.group.identity), self.order):
+                pass
+            self.generated = True
 
     @functools.cached_property
     def frattini(self) -> np.ndarray | None:
@@ -297,7 +296,8 @@ class GroupTable:
         makes lambda a homomorphism onto (Z/2)^2.  In a 2-group Phi is the
         least normal subgroup with an elementary abelian quotient, of index
         at most 4 when two elements generate, so the kernel of lambda is
-        Phi.  ``BuildIntegrityError`` when the designated generators do not
+        Phi.  The finished walk also sets :attr:`generated`.
+        ``BuildIntegrityError`` when the designated generators do not
         generate the table."""
         if len(self.gen_maps) != 2:
             return None
@@ -305,6 +305,7 @@ class GroupTable:
         lab = np.zeros(self.order, dtype=np.int8)
         for s, parents, kids in _walk(self.gen_maps, one, self.order):
             lab[kids] = lab[parents] ^ (1 << s)
+        self.generated = True
         if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(self.gen_maps)):
             return None
         return lab
@@ -355,29 +356,30 @@ def _comm_with_inverses(group, X, X_inv, Y, Y_inv) -> np.ndarray:
 def brute_center(table: GroupTable) -> np.ndarray:
     """{z : zg = gz for all g}, coordinate rows in table order.
 
-    A row x is kept when R_g[x] = L_g[x] for every designated generator g:
-    the two law passes R_a, R_b of :attr:`GroupTable.gen_maps`, and L_a,
-    L_b, carried as int32 index maps along one breadth-first walk over R_a
-    and R_b (:meth:`GroupTable.left_muls`) and freed on return.  That walk
-    proves that the generators reach every row of the table, so they
-    generate it: a kept row commutes with the generators, the generators
-    reach every row, so the row is central, and every dropped row fails
-    against a generator.  Raises ``BuildIntegrityError`` when the
-    generators reach only part of the table.  Two row products per
-    element, each computed straight into its key on the open grid, so the
-    referee holds key columns and index maps, never a table-sized array of
-    product rows.
+    A row x is kept when R_g[x] = L_g[x], "right-" against "left-multiply
+    by g", for every designated generator g.  For the first generator both
+    maps cover the table: R_a from :attr:`GroupTable.gen_maps` and L_a from
+    the group's ``left_keys``, one run of the law on the open grid of an
+    ambient or model's box (:meth:`capable2.group.CoordGroup.left_keys`) or
+    a quotient's representatives through ``mul_keys``.  Each further
+    generator is checked only on the rows that survive, the centralizer of
+    a, by ``mul_keys`` against a gather of its R_g.  A kept row commutes
+    with the generators, and is central because they generate the table,
+    which :meth:`GroupTable.prove_generation` proves once per table (raising
+    ``BuildIntegrityError`` when they reach only part of it); every dropped
+    row fails against a generator.  Every product is computed straight into
+    its key, so the referee holds key columns and index maps, never a
+    table-sized array of product rows.
     """
-    keep = np.ones(table.order, dtype=bool)
-    for right, left in zip(table.gen_maps, table.left_muls(table.group.gens)):
-        keep &= right == left
-    return table.group.rows(np.flatnonzero(keep))
-
-
-def _index_dtype(n: int) -> type:
-    """int32 for indices into n <= 2^31 rows, which halves a stored index
-    map; intp beyond."""
-    return np.int32 if n <= 1 << 31 else np.intp
+    table.prove_generation()
+    g = table.group
+    first, *rest = g.gens
+    keep = np.flatnonzero(table.gen_maps[0] == g.left_keys(first))
+    X = g.rows(keep)
+    for right, y in zip(table.gen_maps[1:], rest):
+        hit = right[keep] == g.mul_keys(np.asarray(y)[None], X)
+        keep, X = keep[hit], X[hit]
+    return X
 
 
 def _walk(steps, start: int, n: int):
@@ -457,7 +459,8 @@ class QuotientGroup(CoordGroup):
     the key of its representative, and a coset id is a running count of
     representatives in key order.  No row products: O(|K|) gathers.
     Products are computed in the parent and mapped to coset ids through
-    one parent-key-indexed int32 array (:func:`_index_dtype`), widened to
+    one parent-key-indexed int32 array (:func:`capable2.group.index_dtype`),
+    the search's labels rewritten into coset ids in place, and widened to
     int64 only in the query-sized results of ``key`` and ``mul_keys``.
     """
 
@@ -466,10 +469,15 @@ class QuotientGroup(CoordGroup):
         self.parent = parent
         lab, reps = _coset_minima(table, sub_keys)
         self._rep = parent.rows(reps)
-        # coset ids count the representatives in key order
+        # coset ids count the representatives in key order; each block of
+        # labels is rewritten in place, so no second |K|-long array of ids
+        # is ever held
         cid = np.empty(table.order, dtype=lab.dtype)
         cid[reps] = np.arange(len(reps))
-        self._cid_of_key = cid[lab]
+        for lo in range(0, len(lab), BLOCK_ROWS):
+            block = lab[lo:lo + BLOCK_ROWS]
+            block[...] = cid[block]
+        self._cid_of_key = lab
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -504,6 +512,11 @@ class QuotientGroup(CoordGroup):
         the representatives are not a box, so through ``mul_keys``."""
         return self.mul_keys(self._rep, np.asarray(y)[None])
 
+    def left_keys(self, y) -> np.ndarray:
+        """Coset id of y*x for every representative x, in coset-id order,
+        through ``mul_keys``."""
+        return self.mul_keys(np.asarray(y)[None], self._rep)
+
     def mul(self, x, y):
         return self._canon(self.parent.mul(x, y))
 
@@ -532,10 +545,11 @@ def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     R_z for z in Z maps Z to the block holding z, Z itself: Z is closed.
     ``ValueError`` "not closed" when a check fails; ``BuildIntegrityError``
     when rows stay unreached, because the designated generators do not
-    generate the table.  Labels are stored in :func:`_index_dtype`.
+    generate the table.  Labels are stored in
+    :func:`capable2.group.index_dtype`.
     """
     n = table.order
-    index = _index_dtype(n)
+    index = index_dtype(n)
     lab = np.full(n, -1, dtype=index)
     slot = np.empty(n, dtype=index)
     frontier = np.asarray(sub_keys, dtype=index)[None]
@@ -568,24 +582,27 @@ def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
 def quotient_central(table: GroupTable, sub) -> GroupTable:
     """Table of the quotient by a central subgroup; ``ValueError`` when the
     rows miss the identity, are not central (naming the first such row) or
-    are not closed.  Centrality is checked by the law on the rows of the
-    subgroup, zg = gz for each designated generator, closure by the coset
-    search of :class:`QuotientGroup`, which raises ``BuildIntegrityError``
-    when the designated generators do not generate the table."""
+    are not closed.  Centrality is zg = gz for each designated generator g:
+    R_g gathered at the keys of the subgroup's rows against gz from one run
+    of the law on those rows.  Closure is checked by the coset search of
+    :class:`QuotientGroup`, which raises ``BuildIntegrityError`` when the
+    designated generators do not generate the table, and otherwise reaches
+    every coset from Z by R_a and R_b: the images of the generators generate
+    the quotient, so its table is built ``generated``."""
     g = table.group
     Z = np.asarray(sub, dtype=np.int64)
     rows = [tuple(r) for r in Z.tolist()]
     if tuple(g.identity) not in rows:
         raise ValueError("subgroup must contain the identity")
+    keys = table.index_of(g.key_rows(Z))
     central = np.ones(len(rows), dtype=bool)
-    for gen in g.gens:
-        x = np.asarray(gen)[None]
-        central &= g.mul_keys(Z, x) == g.mul_keys(x, Z)
+    for right, gen in zip(table.gen_maps, g.gens):
+        central &= right[keys] == g.mul_keys(np.asarray(gen)[None], Z)
     if not central.all():
         raise ValueError(f"subgroup element {rows[np.argmin(central)]} is not central")
-    keys = np.sort(table.index_of(g.key_rows(sub)))
+    keys = np.sort(keys)
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
-    return GroupTable(q)
+    return GroupTable(q, generated=True)
 
 
 # ---------------------------------------------------------------------------

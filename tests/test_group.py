@@ -63,6 +63,28 @@ def test_right_keys_match_the_law_on_the_rows(make):
         assert np.array_equal(g.right_keys(y), g.mul_keys(rows, np.asarray(y)[None])), y
 
 
+@pytest.mark.parametrize("block_rows", [group.BLOCK_ROWS, 7])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(GroupSpec(3, 2)), lambda: model(type_ii(4, 4, 2, 1)), quotient_group,
+     lambda: build(GroupSpec(4, 3))],
+    ids=["nilgroup", "class2-ii", "quotient", "nilgroup-2^16"],
+)
+def test_left_keys_match_the_law_on_the_rows(monkeypatch, make, block_rows):
+    # slabs of the open grid against the law run on every materialized row;
+    # with 7 rows a slab is one value of the first coordinate, and the 2^16
+    # rows of G(4,3) span 8 slabs of BLOCK_ROWS
+    monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
+    g = make()
+    rows = g.rows(np.arange(g.order))
+    rng = np.random.default_rng(6)
+    ys = [*g.gens, *map(tuple, rows[rng.integers(len(rows), size=5)].tolist())]
+    for y in ys:
+        left = g.left_keys(y)
+        assert np.array_equal(left, g.mul_keys(np.asarray(y)[None], rows)), y
+        assert left.dtype == np.int32 or isinstance(g, oracle.QuotientGroup)
+
+
 def test_apply_rows_result_width_follows_the_law(monkeypatch):
     monkeypatch.setattr(group, "BLOCK_ROWS", 7)
     X = np.arange(5 * 30, dtype=np.int64).reshape(3, 10, 5)

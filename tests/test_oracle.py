@@ -128,10 +128,11 @@ def test_ambient_table_decodes_only_the_rows_it_returns(monkeypatch):
     t = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
     assert t.frattini is not None  # R_a, R_b and a walk over them
     assert decoded == []
-    # the center's rows, then the quotient's coset representatives
+    # the 256 rows of the centralizer of a, which hold the center's rows,
+    # then the quotient's coset representatives
     zc = oracle.brute_center(t)
     q = oracle.quotient_central(t, zc)
-    assert decoded == [len(zc), q.order]
+    assert len(zc) == 32 and decoded == [256, q.order]
 
 
 def test_tables_are_deterministic():
@@ -281,9 +282,12 @@ def test_referees_do_linear_work(monkeypatch):
 
         return counted
 
-    def counted_grid(self, y):
-        grids.append(y)
-        return real_grid(self, y)
+    def counted_grid(real):
+        def counted(self, y):
+            grids.append(y)
+            return real(self, y)
+
+        return counted
 
     # products computed as rows and products computed straight into keys
     monkeypatch.setattr(
@@ -291,19 +295,20 @@ def test_referees_do_linear_work(monkeypatch):
         counter(nilprod.NilGroup.mul_arrays, lambda out: out.size // out.shape[-1]),
     )
     monkeypatch.setattr(nilprod.NilGroup, "mul_keys", counter(nilprod.NilGroup.mul_keys, np.size))
-    # whole-table right multiplications on the open grid, which bypass both
-    real_grid = nilprod.NilGroup.right_keys
-    monkeypatch.setattr(nilprod.NilGroup, "right_keys", counted_grid)
+    # whole-table multiplications on the open grid, which bypass both
+    for name in ("right_keys", "left_keys"):
+        monkeypatch.setattr(nilprod.NilGroup, name, counted_grid(getattr(nilprod.NilGroup, name)))
     zc = oracle.brute_center(t)
     assert len(zc) == 32  # rescanning the table per survivor cost 66 rows per element
-    # R_a and R_b, one grid each; each L_g is carried along their walk
-    assert len(grids) == 2 and sum(rows) == 0
+    # R_a, R_b and L_a, one grid each; L_b only on the 256 rows where
+    # R_a = L_a, the centralizer of a
+    assert len(grids) == 3 and rows == [256]
     rows.clear()
     oracle.quotient_central(t, zc)
-    # centrality costs both sides of zg = gz per generator on the rows of Z;
-    # the coset search gathers through the same R_a and R_b: the minimum
-    # over all translates cost 32 rows per element
-    assert len(grids) == 2 and sum(rows) == 4 * len(zc)
+    # centrality gathers zg from R_g and costs gz per generator on the rows
+    # of Z; the coset search gathers through the same R_a and R_b: the
+    # minimum over all translates cost 32 rows per element
+    assert len(grids) == 3 and sum(rows) == 2 * len(zc)
     assert "coords" not in t.__dict__
 
 
@@ -326,18 +331,49 @@ def test_left_mul_matches_the_law():
         assert 1 < len(center) < t.order
         ys = [group.identity, *group.gens, *center]
         ys += [tuple(r) for r in t.coords[rng.integers(t.order, size=20)].tolist()]
-        # every map is carried along one walk
-        for y, left in zip(ys, t.left_muls(ys), strict=True):
+        for y in ys:
+            left = group.left_keys(y)
             assert np.array_equal(left, group.mul_keys(np.asarray(y)[None], t.coords)), y
             if y in center:
                 assert np.array_equal(t.right_mul(y), left), y
-    # the walk refuses designated generators that reach only part of the rows
+    # the generation proof refuses designated generators that reach only
+    # part of the rows, and a refused walk proves nothing for the next call
     g = build(GroupSpec(2, 1))
     stub = copy.copy(g)
     stub.gens = (g.a,)
     t = oracle.GroupTable(stub)
-    with pytest.raises(BuildIntegrityError, match="do not generate"):
-        t.left_muls([g.b])
+    for _ in range(2):
+        with pytest.raises(BuildIntegrityError, match="do not generate"):
+            t.prove_generation()
+    assert not t.generated
+
+
+def test_generation_is_proved_once_per_table(monkeypatch):
+    walked = []
+    real = oracle._walk
+
+    def counted(steps, start, n):
+        walked.append(n)
+        return real(steps, start, n)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    t = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
+    zc = oracle.brute_center(t)
+    assert np.array_equal(oracle.brute_center(t), zc)
+    assert walked == [t.order]
+    # the coset search that built the quotient reached every coset from Z
+    q = oracle.quotient_central(t, zc)
+    assert q.generated
+    assert len(oracle.brute_center(q)) == len(oracle.brute_center(q)) == 8
+    assert walked == [t.order]
+    # so only the Frattini labels walk a quotient
+    assert q.frattini is not None
+    assert walked == [t.order, q.order]
+    # and a table whose labels walked first needs no walk of its own
+    m = oracle.GroupTable.from_group(model(type_i(2, 2, 1)))
+    assert m.frattini is not None
+    oracle.brute_center(m)
+    assert walked == [t.order, q.order, m.order]
 
 
 def test_walk_refuses_a_step_that_repeats_a_row():
