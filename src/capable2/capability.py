@@ -15,8 +15,8 @@ straight from the target's presentation: K_G = F/[R,F]<a^(2^alpha),
 b^(2^beta)>, with F free on a, b and R the kernel of F -> G (the group behind
 the epicenter of Beyl, Felgner and Schmid, J. Algebra 61, 1979).
 ``verify_witness`` recomputes everything at the element level: it builds K,
-takes its center two independent ways, forms K/Z(K), and searches for an
-explicit generator-image isomorphism onto the target model.
+matches its solved center keys with a brute-force scan of K's table, forms
+K/Z(K), and searches for an explicit generator-image isomorphism onto G.
 
 Negative answers are reported from the characterization; there is no finite
 bound on witness size, so non-capability cannot be refuted by search.  The
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import class2, hall_core as hall, nilprod, oracle
 from .class2 import Class2Group, TypeParams
-from .errors import NotCapableError
+from .errors import NotCapableError, ParameterError
 from .hall_core import FreeElt
 from .lattice import canonical_basis
 from .nilprod import GroupSpec, NilGroup
@@ -100,19 +100,27 @@ class LemmaOutcome:
 # necessary conditions
 
 
+def _int_exponents(name: str, values) -> list:
+    """``values`` as a list; ``ParameterError`` unless each is an int, not a bool."""
+    values = list(values)
+    if not all(map(nilprod._is_int, values)):
+        raise ParameterError(f"integer {name} required, got {values!r}")
+    return values
+
+
 def order_conditions(exponents) -> bool:
     """Necessary condition on generator orders 2^r1 <= ... <= 2^rm.
 
     A capable group of class two needs more than one generator and
-    r_m <= r_(m-1) + 1.
+    r_m <= r_(m-1) + 1.  ``ParameterError`` unless they are integers >= 1.
     """
-    exps = list(exponents)
+    exps = _int_exponents("order exponents", exponents)
     if not exps:
-        raise ValueError("at least one generator order is required")
+        raise ParameterError("at least one generator order is required")
     if any(r < 1 for r in exps):
-        raise ValueError("order exponents must be >= 1")
+        raise ParameterError("order exponents must be >= 1")
     if exps != sorted(exps):
-        raise ValueError("order exponents must be nondecreasing")
+        raise ParameterError("order exponents must be nondecreasing")
     return len(exps) > 1 and exps[-1] <= exps[-2] + 1
 
 
@@ -231,21 +239,20 @@ def build_witness(p: TypeParams) -> WitnessSpec:
 def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:
     """Build the ambient group and certify K/Z(K) isomorphic to the target.
 
-    The center is computed twice (congruence solver and brute-force scan) and
-    the two results must agree before the quotient is formed.  Verification
-    stops at the first failed check.
+    The congruence solver's center keys (:meth:`NilGroup.center_keys`) must
+    equal those of the brute-force scan of K's table before the quotient is
+    formed.  Verification stops at the first failed check.
     """
     report = Report(target=w.target, ambient=w.ambient)
     K = nilprod.build(w.ambient)
     report.group_order = K.order
     table = oracle.GroupTable.from_group(K, max_order)
 
-    center_gens = K.center()
-    solved = oracle.closure(table, center_gens)
+    solved = K.center_keys()
     brute = oracle.brute_center(table)
     report.center_order = len(brute)
-    # both in key order: closure sorts by key, the scan keeps table order
-    agree = np.array_equal(solved, brute)
+    # both in key order: the solver's keys are sorted, the scan keeps table order
+    agree = np.array_equal(solved, K.key_rows(brute))
     report.checks.append(
         ("center agreement", agree, f"congruence solver {len(solved)}, scan {len(brute)}")
     )
@@ -296,13 +303,13 @@ def lemma_check_commcond(K: NilGroup, ys, rs, gammas) -> LemmaOutcome:
     commutes with y_i and y_m, then y_m^(2^r_(m-1)) is central.
 
     Unmet hypotheses yield a vacuous true with a note, so sweeps can scan
-    blindly.
+    blindly.  ``ParameterError`` for non-integer exponents or bad lengths.
     """
     ys = [tuple(y) for y in ys]
-    rs = list(rs)
-    gammas = list(gammas)
+    rs = _int_exponents("exponents r_i", rs)
+    gammas = _int_exponents("exponents gamma_i", gammas)
     if len(ys) != len(rs) or len(gammas) != len(ys) - 1 or len(ys) < 2:
-        raise ValueError("need m >= 2 elements, m exponents and m-1 commutator exponents")
+        raise ParameterError("need m >= 2 elements, m exponents and m-1 commutator exponents")
 
     if any(r < 1 for r in rs) or rs != sorted(rs):
         return LemmaOutcome(True, True, "hypotheses unmet: exponents not nondecreasing >= 1")
@@ -328,9 +335,10 @@ def lemma_check_commcond(K: NilGroup, ys, rs, gammas) -> LemmaOutcome:
 
 def lemma_check_halfstep(K: NilGroup, x, y, alpha: int) -> LemmaOutcome:
     """If x^(2^alpha), [x,y]^(2^(alpha-1)) and x^(2^(alpha-1))[x,y]^(-2^(alpha-2))
-    all centralize <x, y>, then y^(2^(alpha-1)) commutes with x."""
-    if alpha <= 1:
-        raise ValueError("alpha > 1 is required")
+    all centralize <x, y>, then y^(2^(alpha-1)) commutes with x.
+    ``ParameterError`` unless alpha is an integer > 1."""
+    if not (nilprod._is_int(alpha) and alpha > 1):
+        raise ParameterError(f"integer alpha > 1 required, got {alpha!r}")
     x, y = tuple(x), tuple(y)
     c = K.commutator(x, y)
     witnesses = (
@@ -352,10 +360,11 @@ def exceptional_obstruction_check(K: NilGroup, x, y, gamma: int) -> LemmaOutcome
 
     When x and y generate K modulo its center this makes x^(2^gamma) central
     in K, which is the obstruction that kills the exceptional type; the note
-    records whether that stronger conclusion applies.
+    records whether that stronger conclusion applies.  ``ParameterError``
+    unless gamma is an integer >= 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not (nilprod._is_int(gamma) and gamma >= 0):
+        raise ParameterError(f"integer gamma >= 0 required, got {gamma!r}")
     x, y = tuple(x), tuple(y)
     diff = K.mul(K.power(x, 1 << gamma), K.power(y, -(1 << gamma)))
     if not K.is_central(diff):

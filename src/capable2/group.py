@@ -210,23 +210,6 @@ class CoordGroup:
                         yield y
             frontier = nxt
 
-    def pick_generators(self, elems) -> list:
-        """Some of ``elems``, picked greedily in order, that generate the
-        same subgroup: each is kept unless the ones before it generate it.
-
-        Each pick at least doubles the span, so there are at most log2 of
-        its order.  Nothing about ``elems`` is checked: whether a set of
-        table rows is closed under multiplication is decided by the coset
-        search of :func:`capable2.oracle.quotient_central`.
-        """
-        gens, spanned = [], {self.identity}
-        for x in elems:
-            if x in spanned:
-                continue
-            gens.append(x)
-            spanned = set(self.closure(gens))
-        return gens
-
     def elements(self):
         """All boxed coordinate tuples, lexicographic."""
         return itertools.product(*(range(m) for m in self.radices))

@@ -25,6 +25,7 @@ Everything is immutable after build and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,34 +92,19 @@ class NilGroup(CoordGroup):
 
     # -- centers and quotients ----------------------------------------------
 
-    def generates_with_center(self, elems) -> bool:
-        """Do ``elems`` generate the whole group together with the center?
-
-        Stops as soon as the subgroup exceeds half the order: it is then the
-        whole group.
-        """
-        half = self.order // 2
-        for n, _ in enumerate(self.closure([*elems, *self.center()]), start=1):
-            if n > half:
-                return True
-        return False
-
-    def center(self) -> list[NilElt]:
-        """Generators of the exact center.
+    @functools.cached_property
+    def _center_rows(self) -> np.ndarray:
+        """The central int64 rows with u = v = 0, lexicographic.
 
         An element is central iff it commutes with a and b.  Its (u, v) part
         never matters, so solve the two commutator congruences over the
         (r, s, t) box, all at once.  Modulo gamma_3, [x, a] = c^(-s) and
         [x, b] = c^r, where c = [a,b] has order p0, the first pivot; so only
         rows with p0 | r and p0 | s can be central, and only that stride of
-        the box is scanned.  Its rows (u = v = 0, lexicographic) are kept
-        where xg and gx, computed straight into their keys by ``mul_keys``,
-        agree for both g = a and g = b.  Append generators of the full (u, v)
-        block, then greedily drop redundant generators.  ``ParameterError``
-        when the radices are too large for int64 rows.
+        the box is scanned.  Its rows are kept where xg and gx, computed
+        straight into their keys by ``mul_keys``, agree for both g = a and
+        g = b.  ``ParameterError`` when the radices are too large for int64.
         """
-        if hasattr(self, "_center_gens"):
-            return list(self._center_gens)
         check_int64(self.radices)
         p0 = self.comm_lattice.pivots[0]
         pruned = (self.r_modulus // p0, self.s_modulus // p0, p0, 1, 1)
@@ -128,10 +114,31 @@ class NilGroup(CoordGroup):
         for g in self.gens:
             g = np.asarray(g)[None]
             keep &= self.mul_keys(box, g) == self.mul_keys(g, box)
-        sols = [tuple(z) for z in box[keep].tolist()]
-        sols += [self.reduce(hall.D), self.reduce(hall.E)]
-        self._center_gens = tuple(self.pick_generators(sols))
-        return list(self._center_gens)
+        return box[keep]
+
+    def center_keys(self) -> np.ndarray:
+        """Sorted int64 keys of the exact center: every element is
+        (r, s, t, 0, 0)(0, 0, 0, u, v) with the second factor central, and
+        u, v are the last two key digits, so each row of
+        :meth:`_center_rows` contributes its key plus each of 0..p1*p2-1."""
+        block = self.radices[3] * self.radices[4]
+        return (self.key_rows(self._center_rows)[:, None] + np.arange(block)).reshape(-1)
+
+    def center(self) -> list[NilElt]:
+        """Generators of the exact center, not a minimal set: the rows of
+        :meth:`_center_rows` and [a,b,a], [a,b,b], which generate the
+        (u, v) block."""
+        rows = [tuple(z) for z in self._center_rows.tolist()]
+        return rows + [self.reduce(hall.D), self.reduce(hall.E)]
+
+    def generates_with_center(self, elems) -> bool:
+        """Do ``elems`` and the center generate the whole group?  By the
+        Burnside basis theorem, x -> (r mod 2, s mod 2) maps the group onto
+        F_2^2 with kernel the Frattini subgroup, so they do exactly when their
+        images, the center's being those of :meth:`_center_rows`, hold two
+        distinct nonzero vectors."""
+        images = {(x[0] % 2, x[1] % 2) for x in [*elems, *self._center_rows.tolist()]}
+        return len(images - {(0, 0)}) >= 2
 
     def central_quotient(self, max_order: int | None = None):
         """Recognize G/Z(G) as validated presentation parameters.

@@ -10,7 +10,7 @@ multiplication law (written once, in :mod:`capable2.hall_core` and
 :meth:`capable2.class2.Class2Group.fold`, and run on int64 columns through
 ``mul_arrays`` and ``mul_keys``) and the breadth-first
 :meth:`capable2.group.CoordGroup.closure`, but never a structural shortcut
-such as :meth:`capable2.nilprod.NilGroup.center`.
+such as :meth:`capable2.nilprod.NilGroup.center_keys` or ``center``.
 
 Every table is keyed 0..n-1: an ambient or model table by the mixed-radix
 key of its boxed coordinates, a quotient table by coset id.  A key is its

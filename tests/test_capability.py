@@ -7,7 +7,7 @@ import pytest
 from capable2 import capability as cap
 from capable2 import class2, hall_core as hall
 from capable2.class2 import model, type_i, type_ii, type_iii
-from capable2.errors import NotCapableError
+from capable2.errors import NotCapableError, ParameterError
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
 
@@ -29,6 +29,26 @@ def test_order_conditions():
         cap.order_conditions([])
     with pytest.raises(ValueError):
         cap.order_conditions([3, 1])
+
+
+def test_exponents_must_be_integers():
+    # a float exponent used to pass as a bound (1.5 <= 2.5 + 1), as an unmet
+    # hypothesis (gamma 0.5) or fail in a shift with a bare TypeError, and a
+    # bool passed as 0 or 1
+    g = build(GroupSpec(2, 1))
+    calls = [
+        lambda: cap.order_conditions([1.5, 2.5]),
+        lambda: cap.order_conditions([1, True]),
+        lambda: cap.lemma_check_commcond(g, [g.a, g.b], [2, 2], [0.5]),
+        lambda: cap.lemma_check_commcond(g, [g.a, g.b], [1.0, 2], [0]),
+        lambda: cap.lemma_check_halfstep(g, g.a, g.b, 2.5),
+        lambda: cap.lemma_check_halfstep(g, g.a, g.b, True),
+        lambda: cap.exceptional_obstruction_check(g, g.a, g.b, 1.5),
+        lambda: cap.exceptional_obstruction_check(g, g.a, g.b, False),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="integer"):
+            call()
 
 
 def test_commutator_order_condition():

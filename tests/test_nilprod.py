@@ -137,26 +137,17 @@ def test_center_small_groups_match_brute_force():
     cases = [build(GroupSpec(1, 1)), build(GroupSpec(2, 1)), build(GroupSpec(2, 2))]
     for g in cases:
         table = oracle.GroupTable.from_group(g)
-        solved = oracle.closure(table, g.center())
         brute = oracle.brute_center(table)
-        assert {tuple(r) for r in solved.tolist()} == {
-            tuple(r) for r in brute.tolist()
-        }
+        assert np.array_equal(g.center_keys(), g.key_rows(brute))
 
 
 def scalar_box_center(g):
     """The center solve as one scalar ``is_central`` test per (r, s, t) box
-    point, with the same greedy generator pass."""
+    point, followed by [a,b,a] and [a,b,b]."""
     box = itertools.product(
         range(g.r_modulus), range(g.s_modulus), range(g.comm_lattice.pivots[0]), (0,), (0,)
     )
-    sols = [z for z in box if g.is_central(z)] + [g.reduce(hall.D), g.reduce(hall.E)]
-    gens, known = [], {g.identity}
-    for cand in sols:
-        if cand not in known:
-            gens.append(cand)
-            known = set(g.closure(gens))
-    return gens
+    return [z for z in box if g.is_central(z)] + [g.reduce(hall.D), g.reduce(hall.E)]
 
 
 def test_center_matches_the_scalar_box_loop():
@@ -181,23 +172,25 @@ def test_center_matches_the_scalar_box_loop():
         solved = g.center()
         assert solved == scalar_box_center(g)
         assert all(type(x) is int for z in solved for x in z)
+        brute = oracle.brute_center(oracle.GroupTable.from_group(g, 1 << 19))
+        assert np.array_equal(g.center_keys(), g.key_rows(brute))
 
 
 def test_array_paths_refuse_radices_beyond_int64(monkeypatch):
-    # 2^21 cubed is 2^63: the law's largest term would leave int64
-    with pytest.raises(ParameterError, match="int64"):
-        build(GroupSpec(21, 1)).center()
+    # 2^21 cubed is 2^63: the law's largest term would leave int64; with
+    # radices 2^20, 2^11, ... the largest key 2^64 would leave int64
+    wide = build(GroupSpec(20, 11))
+    assert max(wide.radices) == 1 << 20 and wide.order == 1 << 64
+    for g in [build(GroupSpec(21, 1)), wide]:
+        for solve in [g.center, g.center_keys]:
+            with pytest.raises(ParameterError, match="int64"):
+                solve()
     # direct array calls, without a table, are refused too, in both laws
     for big in [build(GroupSpec(21, 1)), class2.Class2Group(class2.type_i(21, 1, 1))]:
         rows = np.asarray([big.a, big.b], dtype=np.int64)
         for call in [big.mul_arrays, big.mul_keys, lambda X, Y: big.inv_arrays(X)]:
             with pytest.raises(ParameterError, match="int64"):
                 call(rows, rows)
-    # radices 2^20, 2^11, ...: the largest key 2^64 would leave int64
-    g = build(GroupSpec(20, 11))
-    assert max(g.radices) == 1 << 20 and g.order == 1 << 64
-    with pytest.raises(ParameterError, match="int64"):
-        g.center()
     group.check_int64((1 << 20, 1 << 20, 1 << 20))
     with pytest.raises(ParameterError, match="int64"):
         group.check_int64((1 << 20, 1 << 20, 1 << 20, 4))
@@ -215,9 +208,66 @@ def test_array_paths_refuse_radices_beyond_int64(monkeypatch):
 
 def test_center_of_small_product_is_generated_by_weight3_b_commutator():
     g = build(GroupSpec(1, 1))
-    assert g.center() == [g.reduce(hall.E)]
     table = oracle.GroupTable.from_group(g)
-    assert len(oracle.brute_center(table)) == 2
+    solved = oracle.closure(table, g.center())
+    assert {tuple(r) for r in solved.tolist()} == {g.identity, g.reduce(hall.E)}
+    assert np.array_equal(solved, oracle.brute_center(table))
+
+
+def generates_with_center_by_closure(g, elems):
+    """Reference for ``NilGroup.generates_with_center``: the breadth-first
+    closure of ``elems`` and the center's generators, which is the whole
+    group as soon as it exceeds half the order."""
+    half = g.order // 2
+    for n, _ in enumerate(g.closure([*elems, *g.center()]), start=1):
+        if n > half:
+            return True
+    return False
+
+
+def test_generates_with_center_matches_the_closure_reference():
+    # every product and witness ambient with |K| <= 2^12, and the abelian
+    # C4 x C2, where Z = K: only there do the center's images decide the
+    # answer, and the empty set generates
+    specs = [
+        spec
+        for alpha in range(1, 11)
+        for beta in range(1, alpha + 1)
+        for spec in [GroupSpec(alpha, beta)]
+        + [GroupSpec(alpha, beta, (FreeElt(u=1 << c), FreeElt(v=1 << c))) for c in range(1, beta)]
+        + [capability.build_witness(p).ambient for p in class2.iter_valid_params(4)
+           if capability.decide(p).capable and (p.alpha, p.beta) == (alpha, beta)]
+    ]
+    groups = {}
+    for g in map(build, specs):
+        if g.order <= 1 << 12:
+            groups.setdefault((g.spec.alpha, g.spec.beta, g.comm_lattice.rows), g)
+    abelian = build(GroupSpec(2, 1, (FreeElt(u=1), FreeElt(v=1), FreeElt(t=1))))
+    groups = [*groups.values(), abelian]
+    assert len(groups) == 18 + 4 + 1
+    assert abelian.generates_with_center([])
+    rng = random.Random(6)
+    verdicts = set()
+    for g in groups:
+        a, b = g.a, g.b
+        elements = list(g.elements())
+        fixed = [[], [a], [a, b], [g.mul(a, a), b], [g.mul(a, b), b]]
+        draws = [rng.sample(elements, rng.randint(1, 3)) for _ in range(4)]
+        for elems in fixed + draws:
+            want = generates_with_center_by_closure(g, elems)
+            assert g.generates_with_center(elems) == want, (g, elems)
+            verdicts.add((g is abelian, len(elems), want))
+    assert {(False, 0, False), (False, 1, False), (False, 2, True), (False, 2, False)} <= verdicts
+
+
+def test_center_order_of_every_capable_presentation_witness():
+    # beyond table scale: |Z(K_G)| |G| = |K_G| on every capable tuple with
+    # exponents <= 10, so K_G/Z(K_G) has the order of G
+    ps = [p for p in class2.iter_valid_params(10) if capability.decide(p).capable]
+    assert len(ps) == 158
+    for p in ps:
+        g = build(capability.build_witness(p).ambient)
+        assert len(g.center_keys()) * class2.Class2Group(p).order == g.order
 
 
 def test_published_center_generators_generate_the_center():
