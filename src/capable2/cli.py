@@ -2,13 +2,14 @@
 export cross-check scripts for an external computer algebra system.
 
 Exit codes: 0 success / verification passed, 1 a verification or witness
-operation failed, 2 invalid parameters (the message names the violated
-constraint).
+operation failed or the reader closed standard output early, 2 invalid
+parameters (the message names the violated constraint).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -135,7 +136,16 @@ def main(argv=None) -> int:
     try:
         if args.max_order < 1:
             raise ParameterError(f"--max-order >= 1 required, got {args.max_order}")
-        return args.run(args)
+        code = args.run(args)
+        # flushed here, so that a reader who closed the pipe early is
+        # caught below and not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # nothing more reaches the reader; stdout goes to the null device
+        # so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -188,9 +188,14 @@ class CoordGroup:
         """Smallest power of two k with x^k trivial."""
         return 1 << self.exponent(x, {self.identity})
 
+    def commutes(self, x, others) -> bool:
+        """x*y == y*x for every y in ``others``: two products each, where
+        the commutator [x, y] takes two inverses and three."""
+        return all(self.mul(x, y) == self.mul(y, x) for y in others)
+
     def is_central(self, x) -> bool:
         """Commutes with every designated generator, hence with everything."""
-        return all(self.commutator(x, g) == self.identity for g in self.gens)
+        return self.commutes(x, self.gens)
 
     def closure(self, gens):
         """Yield each element of the subgroup generated by ``gens`` once, in

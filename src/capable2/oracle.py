@@ -36,11 +36,12 @@ table, by one breadth-first walk over R_a and R_b that carries nothing
 that built it, and the walk that carries the Frattini labels proves it too.
 ``quotient_central`` checks the rows of its subgroup Z for centrality,
 R_g[z] against the key of gz from one run of the law per designated
-generator on those rows only, and labels the cosets by one breadth-first
+generator on those rows only, and numbers the cosets by one breadth-first
 search over blocks of rows: the identity's block is Z, each child block
-is R_g[block], since (xZ)g = (xg)Z, and a block's label is its minimum
-key, the key of the coset's representative.  The blocks must partition the table, which proves
-Z closed.  One gather per row and generator, and no row products.
+is R_g[block], since (xZ)g = (xg)Z, and a new block takes the next id.
+The blocks must partition the table, which proves Z closed; the ids are
+then renumbered in key order of the blocks' minima, the representatives.
+One gather per row and generator, and no row products.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -453,31 +454,22 @@ class QuotientGroup(CoordGroup):
     the parent's narrow row dtype.
 
     The cosets come from one breadth-first search over blocks of rows
-    (:func:`_coset_minima`): the identity's block is Z, and each child
-    block is R_g[parent block] for the table's cached R_a and R_b, since
-    (xZ)g = (xg)Z when Z is central.  A block's label is its minimum key,
-    the key of its representative, and a coset id is a running count of
-    representatives in key order.  No row products: O(|K|) gathers.
-    Products are computed in the parent and mapped to coset ids through
-    one parent-key-indexed int32 array (:func:`capable2.group.index_dtype`),
-    the search's labels rewritten into coset ids in place, and widened to
-    int64 only in the query-sized results of ``key`` and ``mul_keys``.
+    (:func:`_cosets`): the identity's block is Z, and each child block is
+    R_g[parent block] for the table's cached R_a and R_b, since (xZ)g =
+    (xg)Z when Z is central.  A new block takes the next id, and the ids
+    are renumbered, in place, in key order of the blocks' minima, the
+    representatives.  No row products: O(|K|) gathers.  Products are
+    computed in the parent and mapped to coset ids through the search's
+    parent-key-indexed int32 ids (:func:`capable2.group.index_dtype`),
+    widened to int64 only in the query-sized results of ``key`` and
+    ``mul_keys``.
     """
 
     def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
-        lab, reps = _coset_minima(table, sub_keys)
+        self._cid_of_key, reps = _cosets(table, sub_keys)
         self._rep = parent.rows(reps)
-        # coset ids count the representatives in key order; each block of
-        # labels is rewritten in place, so no second |K|-long array of ids
-        # is ever held
-        cid = np.empty(table.order, dtype=lab.dtype)
-        cid[reps] = np.arange(len(reps))
-        for lo in range(0, len(lab), BLOCK_ROWS):
-            block = lab[lo:lo + BLOCK_ROWS]
-            block[...] = cid[block]
-        self._cid_of_key = lab
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -527,56 +519,61 @@ class QuotientGroup(CoordGroup):
         return iter(self._rep_tuples)
 
 
-def _coset_minima(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's label, the minimum key of its block Zx, and the sorted
-    labels, by one breadth-first search over blocks; ``sub_keys`` are the
-    sorted distinct keys of a set Z that holds the identity.
+def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's coset id and the sorted representatives, the minimum keys
+    of the blocks Zx, by one breadth-first search over blocks; ``sub_keys``
+    are the sorted distinct keys of a set Z that holds the identity.
 
-    The identity's block is Z.  The child blocks R_g[block] of a level come
-    from one 2-D gather per generator; a child whose minimum is unlabelled
-    is new, and new children are deduplicated by their minimum (the child
-    that wins its slot in a scratch array) and labelled by it.  Two checks
+    The identity's block is Z, with id 0.  The child blocks R_g[block] of a
+    level come from one 2-D gather per generator; a child whose first row
+    is unlabelled is new and takes the next id on all its rows.  Two checks
     follow:
-    - every child, new or not, reads its own minimum on every row;
-    - at the end, the blocks number |table|/|Z|, so no block overwrote the
-      labels of another.
-    Together they say that R_a and R_b permute the labelled blocks, which
-    partition the table.  Then so does every right multiplication, and
-    R_z for z in Z maps Z to the block holding z, Z itself: Z is closed.
-    ``ValueError`` "not closed" when a check fails; ``BuildIntegrityError``
-    when rows stay unreached, because the designated generators do not
-    generate the table.  Labels are stored in
-    :func:`capable2.group.index_dtype`.
+    - every child, new or not, carries one id on all its rows;
+    - at the end, the ids number |table|/|Z|.
+    With every row reached, the blocks, |Z| distinct rows each, then cover
+    the table exactly once, so no id was overwritten, and by the first
+    check R_a and R_b permute the blocks.  Then so does every right multiplication, and R_z for z in
+    Z maps Z to the block holding z, Z itself: Z is closed.  ``ValueError``
+    "not closed" when a check fails; ``BuildIntegrityError`` when rows stay
+    unreached, because the designated generators do not generate the table.
+
+    The ids are then renumbered to the rank of their block's minimum key
+    through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
+    block of rows at a time, so a coset id counts the representatives in
+    key order.  Ids are stored in :func:`capable2.group.index_dtype`.
     """
     n = table.order
     index = index_dtype(n)
     lab = np.full(n, -1, dtype=index)
-    slot = np.empty(n, dtype=index)
     frontier = np.asarray(sub_keys, dtype=index)[None]
-    lab[frontier] = frontier[:, :1]
+    lab[frontier] = 0
     minima = [frontier[:, 0]]
+    count = 1
     while len(frontier):
         level = []
         for step in table.gen_maps:
             kids = step[frontier]
-            mins = kids.min(axis=1)
-            # one new block per unlabelled minimum: the one that wins its slot
-            pos = np.arange(len(mins), dtype=index)
-            slot[mins] = pos
-            new = (slot[mins] == pos) & (lab[mins] < 0)
-            fresh = kids[new]
-            lab[fresh] = mins[new, None]
-            if (lab[kids] != mins[:, None]).any():
+            fresh = kids[lab[kids[:, 0]] < 0]
+            lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
+            count += len(fresh)
+            got = lab[kids]
+            if (got != got[:, :1]).any():
                 raise ValueError("input is not closed under multiplication")
             level.append(fresh)
-            minima.append(mins[new])
+            minima.append(fresh.min(axis=1))
         frontier = np.concatenate(level)
     if (lab < 0).any():
         raise BuildIntegrityError("the designated generators do not generate the table")
-    minima = np.sort(np.concatenate(minima))
-    if len(minima) * len(sub_keys) != n:
+    if count * len(sub_keys) != n:
         raise ValueError("input is not closed under multiplication")
-    return lab, minima
+    minima = np.concatenate(minima)
+    by_min = np.argsort(minima)
+    rank = np.empty(count, dtype=index)
+    rank[by_min] = np.arange(count, dtype=index)
+    for lo in range(0, n, BLOCK_ROWS):
+        block = lab[lo:lo + BLOCK_ROWS]
+        block[...] = rank[block]
+    return lab, minima[by_min]
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
@@ -584,22 +581,23 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     rows miss the identity, are not central (naming the first such row) or
     are not closed.  Centrality is zg = gz for each designated generator g:
     R_g gathered at the keys of the subgroup's rows against gz from one run
-    of the law on those rows.  Closure is checked by the coset search of
-    :class:`QuotientGroup`, which raises ``BuildIntegrityError`` when the
+    of the law on those rows.
+    Closure is checked by the coset search of :class:`QuotientGroup`
+    (:func:`_cosets`), which raises ``BuildIntegrityError`` when the
     designated generators do not generate the table, and otherwise reaches
     every coset from Z by R_a and R_b: the images of the generators generate
     the quotient, so its table is built ``generated``."""
     g = table.group
-    Z = np.asarray(sub, dtype=np.int64)
-    rows = [tuple(r) for r in Z.tolist()]
-    if tuple(g.identity) not in rows:
+    Z = np.asarray(sub, dtype=np.int64).reshape(-1, len(g.radices))
+    if not (Z == g.identity).all(axis=1).any():
         raise ValueError("subgroup must contain the identity")
     keys = table.index_of(g.key_rows(Z))
-    central = np.ones(len(rows), dtype=bool)
+    central = np.ones(len(Z), dtype=bool)
     for right, gen in zip(table.gen_maps, g.gens):
         central &= right[keys] == g.mul_keys(np.asarray(gen)[None], Z)
     if not central.all():
-        raise ValueError(f"subgroup element {rows[np.argmin(central)]} is not central")
+        bad = tuple(Z[np.argmin(central)].tolist())
+        raise ValueError(f"subgroup element {bad} is not central")
     keys = np.sort(keys)
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
     return GroupTable(q, generated=True)
@@ -614,11 +612,10 @@ def iso_2gen(table: GroupTable, target):
 
     Only a table of class at most two can match a class-two target, and only
     there is every commutator [g, h] central: ``None`` unless every
-    [[x, y], z] over the table's designated generators is trivial (in a
-    finite 2-group, which is nilpotent, that makes the third term of the
-    lower central series trivial).  The commutators of the designated
-    generators are then central, so they generate the derived subgroup D
-    of the table, as [a, b] generates the target's.
+    commutator [x, y] of the table's designated generators is central (in
+    a finite 2-group, which is nilpotent, that makes the third term of the
+    lower central series trivial).  Those commutators then generate the
+    derived subgroup D of the table, as [a, b] generates the target's.
 
     Candidate images are pruned by an isomorphism invariant: an image g of
     a must have the order of a and, modulo D, the order of a modulo
@@ -653,7 +650,7 @@ def iso_2gen(table: GroupTable, target):
     coords = table.coords
     # [x, x] = 1 and [y, x] = [x, y]^-1, so the pairs x < y suffice
     comms = [g.commutator(x, y) for i, x in enumerate(g.gens) for y in g.gens[i + 1:]]
-    if any(g.commutator(c, z) != g.identity for c in comms for z in g.gens):
+    if not all(g.is_central(c) for c in comms):
         return None
     lab = table.frattini
     if lab is None:

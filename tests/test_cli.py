@@ -1,5 +1,11 @@
 """CLI surface: exit codes, output formats, sweep table, GAP export."""
 
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from capable2 import class2, cli, nilprod, oracle
@@ -240,3 +246,53 @@ def test_exit_codes_are_total(capsys):
     for argv in invocations:
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1, 2)
+
+
+def readme_cli_lines():
+    """Each ``capable2 ...`` line of the README's CLI block, as (argv, the
+    first output line shown under it or None); a shown line ending in
+    " ..." is a prefix, and a redirection ends the argv."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("capable2 "):
+            shown = lines[i + 1] if i + 1 < len(lines) else ""
+            argv = shlex.split(line.split(">")[0])[1:]
+            out.append((argv, shown[2:] if shown.startswith("# ") else None))
+    return out
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_lines()
+    assert len(examples) == 7 and sum(shown is not None for _, shown in examples) == 2
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if shown is not None:
+            first = out.splitlines()[0]
+            if shown.endswith(" ..."):
+                assert first.startswith(shown[:-4]), (argv, first)
+            else:
+                assert first == shown, (argv, first)
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # the read end is closed before the process starts, so its first
+    # write to standard output fails
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "capable2.cli", "verify", "--type", "i", "--alpha", "1",
+             "--beta", "1", "--gamma", "1"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()

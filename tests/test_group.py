@@ -116,3 +116,18 @@ def test_narrow_rows_run_the_law_in_int64():
         assert np.array_equal(g.mul_keys(A, B), g.mul_keys(A64, B64))
     assert np.array_equal(g.inv_arrays(X), g.inv_arrays(X64))
     assert np.array_equal(g.key_rows(X), g.key_rows(X64))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(GroupSpec(2, 1)), lambda: build(GroupSpec(2, 2, (FreeElt(u=2), FreeElt(v=2)))),
+     lambda: model(type_ii(3, 3, 2, 1)), lambda: model(type_iii(2)), quotient_group],
+    ids=["G(2,1)", "K(2,2,1)", "class2-ii", "class2-iii", "quotient"],
+)
+def test_is_central_matches_the_commutator_definition(make):
+    g = make()
+    central = [g.is_central(x) for x in g.elements()]
+    assert central == [
+        all(g.commutator(x, y) == g.identity for y in g.gens) for x in g.elements()
+    ]
+    assert any(central) and not all(central)

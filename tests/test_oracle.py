@@ -404,6 +404,22 @@ def test_referees_hold_key_columns_not_product_rows():
     assert quotient_peak < budget, quotient_peak / (8 * t.order)
 
 
+@pytest.mark.parametrize("target", [None, type_i(4, 4, 4)], ids=["G(4,3)", "i(4,4,4)"])
+def test_quotient_holds_less_than_one_word_per_element(target):
+    # the coset ids are half a word per element of K; the search and the
+    # renumbering add only level-, block- and |K/Z|-sized arrays
+    spec = GroupSpec(4, 3) if target is None else capability.build_witness(target).ambient
+    t = oracle.GroupTable.from_group(build(spec), 1 << 19)
+    zc = oracle.brute_center(t)
+    tracemalloc.start()
+    try:
+        oracle.quotient_central(t, zc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t.order, peak / (8 * t.order)
+
+
 def test_closure_examples():
     g = build(GroupSpec(2, 1))
     t = oracle.GroupTable.from_group(g)
@@ -457,12 +473,23 @@ def test_quotient_rejects_a_set_of_subgroup_size_that_is_not_closed():
 
 def test_coset_search_counts_its_blocks():
     # Z = {0, 3} on four rows: R_0 carries it onto {1}, {2} and back to
-    # {0}, and R_1 onto {1} and {0}.  Every child block reads its own
-    # minimum, so only the count (3 blocks, where 4/|Z| = 2) refuses Z
+    # {0}, and R_1 onto {1} and {0}.  Every child block carries one id on
+    # all its rows, so only the count (3 ids, where 4/|Z| = 2) refuses Z
     stub = SimpleNamespace(order=4, gen_maps=(np.array([1, 2, 0, 1], dtype=np.int32),
                                               np.array([1, 0, 0, 1], dtype=np.int32)))
     with pytest.raises(ValueError, match="not closed"):
-        oracle._coset_minima(stub, np.array([0, 3]))
+        oracle._cosets(stub, np.array([0, 3]))
+
+
+def test_coset_search_checks_that_a_child_carries_one_id():
+    # Z = {0, 1} on four rows with the steps x+1 and x+2 mod 4: R_0 carries
+    # Z onto {1, 2}, whose first row has id 0 and whose second has none
+    # yet, and R_1 gives {2, 3} the next id.  The ids then cover the rows
+    # and number 4/|Z| = 2, so only the check on each child refuses Z
+    x = np.arange(4, dtype=np.int32)
+    stub = SimpleNamespace(order=4, gen_maps=((x + 1) % 4, (x + 2) % 4))
+    with pytest.raises(ValueError, match="not closed"):
+        oracle._cosets(stub, np.array([0, 1]))
 
 
 def test_quotient_rejects_generators_of_a_proper_subgroup():
