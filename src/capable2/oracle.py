@@ -30,18 +30,25 @@ representatives through ``mul_keys``.  ``brute_center`` keeps the rows
 where R_a equals L_a, "left-multiply by a", one more run of the law on the
 open grid (:meth:`capable2.group.CoordGroup.left_keys`), and checks b only
 on those survivors: a row that commutes with the generators, when the
-generators generate the table, is central.  Generation is proved once per
-table, by one breadth-first walk over R_a and R_b that carries nothing
-(:func:`_walk`); a quotient table holds the proof from the coset search
-that built it, and the walk that carries the Frattini labels proves it too.
-``quotient_central`` checks the rows of its subgroup Z for centrality,
+generators generate the table, is central.  The cosets of a subgroup Z
+are numbered by one breadth-first search over blocks of rows
+(:func:`_cosets`): the identity's block is Z, each child block is
+R_g[block], since R_g maps the right coset Zx onto Zxg, and a new block
+takes the next id.  The blocks must partition the table, which proves Z
+closed; the ids are then renumbered in key order of the blocks' minima,
+the representatives.  A few gathers per row and generator, and no row
+products.  The same search proves, once per table, that the generators
+generate it: a child block that is not new shows an element of Z in
+<a, b>, and when it finds more than |Z|/2 of them, Lagrange's theorem
+puts Z inside <a, b>, which then reaches every block.  With fewer, one
+breadth-first walk over R_a and R_b that carries nothing (:func:`_walk`)
+decides.  On a table not yet proved generated, ``brute_center`` runs the
+search on the subgroup it keeps, C(a) ∩ C(b), and the table holds it for
+``quotient_central``, which checks the rows of its Z for centrality,
 R_g[z] against the key of gz from one run of the law per designated
-generator on those rows only, and numbers the cosets by one breadth-first
-search over blocks of rows: the identity's block is Z, each child block
-is R_g[block], since (xZ)g = (xg)Z, and a new block takes the next id.
-The blocks must partition the table, which proves Z closed; the ids are
-then renumbered in key order of the blocks' minima, the representatives.
-One gather per row and generator, and no row products.
+generator on those rows only, and reuses the search when Z is those
+rows.  A quotient table holds the proof from the search that built it,
+and the walk that carries the Frattini labels proves it too.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -217,9 +224,10 @@ class GroupTable:
     designated generators (:attr:`gen_maps`), the table's only stored
     full-table maps besides the squaring map, run on the box's open grid.
     That the designated generators generate the table is proved at most
-    once (:meth:`prove_generation`), by one breadth-first walk over R_a and
-    R_b that carries nothing; the walk that carries each row's coset of the
-    Frattini subgroup (:attr:`frattini`) proves it too, and a table built by
+    once, by the first coset search (:meth:`cosets`), which falls back to
+    :meth:`prove_generation`'s walk only when it finds too few elements of
+    Z in <a, b>; the walk that carries each row's coset of the Frattini
+    subgroup (:attr:`frattini`) proves it too, and a table built by
     :func:`quotient_central` is given it as ``generated``, since the coset
     search that built the quotient reached every coset from Z.
     """
@@ -229,6 +237,8 @@ class GroupTable:
         self.order = group.order
         # whether the designated generators are known to generate the table
         self.generated = generated
+        # the last coset search: its sub_keys, coset ids and representatives
+        self._search = None
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -284,6 +294,16 @@ class GroupTable:
             for _ in _walk(self.gen_maps, self._row_of(self.group.identity), self.order):
                 pass
             self.generated = True
+
+    def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's coset id and the representatives of the blocks of the
+        sorted keys ``sub_keys``, by the coset search (:func:`_cosets`),
+        which also proves generation.  The search stays on the table, and a
+        second call with the same keys reuses it: :func:`brute_center` runs
+        it on the keys it keeps, and :func:`quotient_central` reuses it."""
+        if self._search is None or not np.array_equal(self._search[0], sub_keys):
+            self._search = (sub_keys, *_cosets(self, sub_keys))
+        return self._search[1:]
 
     @functools.cached_property
     def frattini(self) -> np.ndarray | None:
@@ -365,14 +385,16 @@ def brute_center(table: GroupTable) -> np.ndarray:
     a quotient's representatives through ``mul_keys``.  Each further
     generator is checked only on the rows that survive, the centralizer of
     a, by ``mul_keys`` against a gather of its R_g.  A kept row commutes
-    with the generators, and is central because they generate the table,
-    which :meth:`GroupTable.prove_generation` proves once per table (raising
-    ``BuildIntegrityError`` when they reach only part of it); every dropped
-    row fails against a generator.  Every product is computed straight into
-    its key, so the referee holds key columns and index maps, never a
+    with the generators, and is central because they generate the table;
+    every dropped row fails against a generator.  On a table not yet known
+    to be :attr:`GroupTable.generated`, the kept keys, the subgroup
+    C(a) ∩ C(b), go through the coset search (:meth:`GroupTable.cosets`),
+    which proves generation (raising ``BuildIntegrityError`` when the
+    generators reach only part of the table) and stays on the table for
+    :func:`quotient_central`.  Every product is computed straight into its
+    key, so the referee holds key columns and index maps, never a
     table-sized array of product rows.
     """
-    table.prove_generation()
     g = table.group
     first, *rest = g.gens
     keep = np.flatnonzero(table.gen_maps[0] == g.left_keys(first))
@@ -380,6 +402,8 @@ def brute_center(table: GroupTable) -> np.ndarray:
     for right, y in zip(table.gen_maps[1:], rest):
         hit = right[keep] == g.mul_keys(np.asarray(y)[None], X)
         keep, X = keep[hit], X[hit]
+    if not table.generated:
+        table.cosets(keep)
     return X
 
 
@@ -453,12 +477,13 @@ class QuotientGroup(CoordGroup):
     ``rows``, ``mul_arrays`` and ``inv_arrays`` return representatives in
     the parent's narrow row dtype.
 
-    The cosets come from one breadth-first search over blocks of rows
-    (:func:`_cosets`): the identity's block is Z, and each child block is
-    R_g[parent block] for the table's cached R_a and R_b, since (xZ)g =
-    (xg)Z when Z is central.  A new block takes the next id, and the ids
-    are renumbered, in place, in key order of the blocks' minima, the
-    representatives.  No row products: O(|K|) gathers.  Products are
+    The cosets come from the table's coset search (:meth:`GroupTable.cosets`,
+    reused when :func:`brute_center` ran it on the same keys): the
+    identity's block is Z, and each child block is R_g[parent block] for
+    the table's cached R_a and R_b, since R_g maps the right coset Zx onto
+    Zxg.  A new block takes the next id, and the ids are renumbered, in
+    place, in key order of the blocks' minima, the representatives.  No
+    row products: O(|K|) gathers.  Products are
     computed in the parent and mapped to coset ids through the search's
     parent-key-indexed int32 ids (:func:`capable2.group.index_dtype`),
     widened to int64 only in the query-sized results of ``key`` and
@@ -468,7 +493,7 @@ class QuotientGroup(CoordGroup):
     def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
-        self._cid_of_key, reps = _cosets(table, sub_keys)
+        self._cid_of_key, reps = table.cosets(sub_keys)
         self._rep = parent.rows(reps)
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
@@ -521,21 +546,41 @@ class QuotientGroup(CoordGroup):
 
 def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     """Each row's coset id and the sorted representatives, the minimum keys
-    of the blocks Zx, by one breadth-first search over blocks; ``sub_keys``
-    are the sorted distinct keys of a set Z that holds the identity.
+    of the blocks Zx, by one breadth-first search over blocks that also
+    proves that the designated generators generate the table.  ``sub_keys``
+    are the sorted distinct keys of a set Z that holds the identity, whose
+    key is 0 in every table, so Z's row 0 is the identity.
 
     The identity's block is Z, with id 0.  The child blocks R_g[block] of a
-    level come from one 2-D gather per generator; a child whose first row
-    is unlabelled is new and takes the next id on all its rows.  Two checks
-    follow:
-    - every child, new or not, carries one id on all its rows;
+    level come from one 2-D gather per generator.  A child whose first row
+    is unlabelled is new: it takes the next id on all its rows, and each of
+    its rows stores its column, in the narrowest unsigned dtype that holds
+    |Z|-1, until the columns have shown enough of Z in <a, b> (below).  Two
+    checks follow:
+    - every child that is not new carries one id on all its rows;
     - at the end, the ids number |table|/|Z|.
     With every row reached, the blocks, |Z| distinct rows each, then cover
     the table exactly once, so no id was overwritten, and by the first
-    check R_a and R_b permute the blocks.  Then so does every right multiplication, and R_z for z in
-    Z maps Z to the block holding z, Z itself: Z is closed.  ``ValueError``
-    "not closed" when a check fails; ``BuildIntegrityError`` when rows stay
-    unreached, because the designated generators do not generate the table.
+    check R_a and R_b permute the blocks.  ``ValueError`` "not closed" when
+    a check fails; ``BuildIntegrityError`` when rows stay unreached.  The
+    blocks of a subgroup Z are its right cosets Zx, and every R_g maps a
+    right coset onto a right coset, so a subgroup passes both checks.
+
+    Generation: column j of the block whose first row is t holds z_j t,
+    for Z's row z_j, and each first row is a word in the generators.  A
+    child that is not new has first row tg = z_j t', for the first row t'
+    of the block that holds it and j its column there, so z_j = tgt'^-1
+    lies in <a, b>; R_{z_j} then permutes the blocks and carries 1 to z_j,
+    so Zz_j = Z.  The distinct z_j so found, with the identity, generate a
+    subgroup S of Z, and Z is a union of cosets of S.  Once they number
+    more than |Z|/2, the columns are dropped: when the checks pass,
+    Lagrange's theorem gives S = Z inside <a, b>, and the blocks Zw, w in
+    <a, b>, cover the table, so <a, b> is the table, which is marked
+    :attr:`GroupTable.generated`.  With fewer,
+    :meth:`GroupTable.prove_generation` decides by its walk, unless the
+    table is marked already.  Once the generators generate, every right
+    multiplication permutes the blocks, and R_z for z in Z maps Z to the
+    block holding z, Z itself: Z is closed.
 
     The ids are then renumbered to the rank of their block's minimum key
     through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
@@ -545,27 +590,43 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     n = table.order
     index = index_dtype(n)
     lab = np.full(n, -1, dtype=index)
+    columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
+    col = np.empty(n, dtype=columns.dtype)
+    found = np.zeros(len(sub_keys), dtype=bool)
+    found[0] = True
     frontier = np.asarray(sub_keys, dtype=index)[None]
     lab[frontier] = 0
+    col[frontier] = columns
     minima = [frontier[:, 0]]
     count = 1
     while len(frontier):
         level = []
         for step in table.gen_maps:
             kids = step[frontier]
-            fresh = kids[lab[kids[:, 0]] < 0]
-            lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
-            count += len(fresh)
-            got = lab[kids]
+            new = lab[kids[:, 0]] < 0
+            fresh, stale = kids[new], kids[~new]
+            got = lab[stale]
             if (got != got[:, :1]).any():
                 raise ValueError("input is not closed under multiplication")
+            lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
+            count += len(fresh)
             level.append(fresh)
             minima.append(fresh.min(axis=1))
+            if col is not None:
+                found[col[stale[:, 0]]] = True
+                col[fresh] = columns
+                if 2 * np.count_nonzero(found) > len(sub_keys):
+                    col = None  # enough for Lagrange's theorem
         frontier = np.concatenate(level)
+    spanned = col is None
+    del col
     if (lab < 0).any():
         raise BuildIntegrityError("the designated generators do not generate the table")
     if count * len(sub_keys) != n:
         raise ValueError("input is not closed under multiplication")
+    if spanned:
+        table.generated = True
+    table.prove_generation()
     minima = np.concatenate(minima)
     by_min = np.argsort(minima)
     rank = np.empty(count, dtype=index)
@@ -579,14 +640,16 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
 def quotient_central(table: GroupTable, sub) -> GroupTable:
     """Table of the quotient by a central subgroup; ``ValueError`` when the
     rows miss the identity, are not central (naming the first such row) or
-    are not closed.  Centrality is zg = gz for each designated generator g:
-    R_g gathered at the keys of the subgroup's rows against gz from one run
-    of the law on those rows.
-    Closure is checked by the coset search of :class:`QuotientGroup`
-    (:func:`_cosets`), which raises ``BuildIntegrityError`` when the
-    designated generators do not generate the table, and otherwise reaches
-    every coset from Z by R_a and R_b: the images of the generators generate
-    the quotient, so its table is built ``generated``."""
+    are not closed.  Each row is checked against the designated generators
+    only, zg = gz: R_g gathered at the keys of the subgroup's rows against
+    gz from one run of the law on those rows.  That makes it central
+    because the generators generate the table, which the coset search of
+    :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves unless the
+    table is already :attr:`GroupTable.generated`, raising
+    ``BuildIntegrityError`` when they do not.  The same search checks
+    closure and reaches every coset from Z by R_a and R_b: the images of
+    the generators generate the quotient, so its table is built
+    ``generated``."""
     g = table.group
     Z = np.asarray(sub, dtype=np.int64).reshape(-1, len(g.radices))
     if not (Z == g.identity).all(axis=1).any():

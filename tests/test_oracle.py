@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capable2 import capability, class2, hall_core as hall, nilprod, oracle
+from capable2 import capability, class2, cli, hall_core as hall, nilprod, oracle
 from capable2.class2 import model, type_i, type_iii
 from capable2.errors import BuildIntegrityError, ParameterError
 from capable2.group import CoordGroup
@@ -240,7 +240,21 @@ def check_referees(t):
     return quotients
 
 
-def test_referees_match_reference_definitions():
+def count_walks(monkeypatch):
+    """The table order of each ``oracle._walk`` from now on."""
+    walked = []
+    real = oracle._walk
+
+    def counted(steps, start, n):
+        walked.append(n)
+        return real(steps, start, n)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    return walked
+
+
+def test_referees_match_reference_definitions(monkeypatch):
+    walked = count_walks(monkeypatch)
     groups = list(small_ambients())
     assert len(groups) == 18
     # every witness ambient of order <= 2^12 has exponents <= 4 (a scan up to
@@ -252,12 +266,36 @@ def test_referees_match_reference_definitions():
     assert len(witnesses) == 10
     groups += witnesses
     groups += [model(p) for p in class2.iter_valid_params(3)]
+    fallbacks = 0
     for G in groups:
-        for q in check_referees(oracle.GroupTable.from_group(G)):
+        t = oracle.GroupTable.from_group(G)
+        walked.clear()
+        quotients = check_referees(t)
+        # brute_center's coset search proved that a and b generate the
+        # table, walking it only as its fallback, and the walk agrees
+        assert t.generated and walked in ([], [t.order])
+        fallbacks += len(walked)
+        oracle.GroupTable.from_group(G).prove_generation()
+        for q in quotients:
             # quotient tables are keyed by coset id, 0..n-1 like any other,
             # and their own R_a and R_b carry the coset search of a quotient
             assert np.array_equal(q.group.key_rows(q.coords), np.arange(q.order))
             check_referees(q)
+    # the search finds more than |Z|/2 elements of Z in <a, b> on every
+    # witness, but not on 10 of the 18 ambients and 5 of the 20 models
+    assert fallbacks == 15
+
+
+def test_a_table_can_take_the_walk_fallback_and_pass(monkeypatch):
+    # G(4,1), |K| = 256 and |Z| = 16: the search finds too few elements of
+    # Z in <a, b>, so the walk proves generation
+    walked = count_walks(monkeypatch)
+    t = oracle.GroupTable.from_group(build(GroupSpec(4, 1)))
+    zc = oracle.brute_center(t)
+    assert walked == [t.order] and t.generated
+    assert np.array_equal(zc, reference_center(t))
+    q = oracle.quotient_central(t, zc)
+    assert walked == [t.order] and q.order == t.order // len(zc) == 16
 
 
 def test_brute_center_rejects_generators_of_a_proper_subgroup():
@@ -349,31 +387,87 @@ def test_left_mul_matches_the_law():
 
 
 def test_generation_is_proved_once_per_table(monkeypatch):
-    walked = []
-    real = oracle._walk
+    walked = count_walks(monkeypatch)
+    searched = []
+    real = oracle._cosets
 
-    def counted(steps, start, n):
-        walked.append(n)
-        return real(steps, start, n)
+    def counted(table, sub_keys):
+        searched.append(table.order)
+        return real(table, sub_keys)
 
-    monkeypatch.setattr(oracle, "_walk", counted)
+    monkeypatch.setattr(oracle, "_cosets", counted)
     t = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
     zc = oracle.brute_center(t)
+    assert t.generated
     assert np.array_equal(oracle.brute_center(t), zc)
-    assert walked == [t.order]
-    # the coset search that built the quotient reached every coset from Z
+    # the coset search of the center proved generation, and the quotient
+    # reuses it: one search and no walk for the ambient table
     q = oracle.quotient_central(t, zc)
+    assert searched == [t.order] and walked == []
+    # the search reached every coset from Z
     assert q.generated
     assert len(oracle.brute_center(q)) == len(oracle.brute_center(q)) == 8
-    assert walked == [t.order]
+    assert searched == [t.order] and walked == []
     # so only the Frattini labels walk a quotient
     assert q.frattini is not None
-    assert walked == [t.order, q.order]
-    # and a table whose labels walked first needs no walk of its own
+    assert walked == [q.order]
+    # and a table whose labels walked first needs no search of its own
     m = oracle.GroupTable.from_group(model(type_i(2, 2, 1)))
     assert m.frattini is not None
     oracle.brute_center(m)
-    assert walked == [t.order, q.order, m.order]
+    assert walked == [q.order, m.order] and searched == [t.order]
+
+
+def test_quotient_central_proves_generation_on_a_fresh_table(monkeypatch):
+    walked = count_walks(monkeypatch)
+    K = build(GroupSpec(3, 3))
+    t = oracle.GroupTable.from_group(K)
+    q = oracle.quotient_central(t, K.rows(K.center_keys()))
+    assert t.generated and q.generated and walked == []
+    assert q.order == t.order // 32
+
+
+class KleinFour(CoordGroup):
+    """(Z/2)^2 under xor, keyed 2*x + y, with the one designated generator
+    (0, 1): R_a is key -> key xor 1, so it reaches only {0, 1}."""
+
+    order, radices, identity, gens = 4, (2, 2), (0, 0), ((0, 1),)
+
+    def mul(self, x, y):
+        return ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2)
+
+    def inverse(self, x):
+        return x
+
+
+def test_coset_search_refuses_a_subgroup_outside_the_generated_one(monkeypatch):
+    # Z = {0, 2} on four rows with the one step x -> x xor 1: Z<a> is every
+    # row and the ids number 4/|Z|, but Z is not inside <a> = {0, 1}.  The
+    # search finds one element of Z in <a>, the identity, which is not more
+    # than |Z|/2, so the walk decides.  The rows of Z commute with the
+    # generator, which does not make them central
+    walked = count_walks(monkeypatch)
+    t = oracle.GroupTable(KleinFour())
+    assert np.array_equal(t.gen_maps[0], np.arange(4) ^ 1)
+    with pytest.raises(BuildIntegrityError, match="do not generate"):
+        oracle.quotient_central(t, np.array([(0, 0), (1, 0)]))
+    assert walked == [4] and not t.generated
+
+
+def test_no_witness_ambient_is_walked(monkeypatch):
+    # the 19 ambient tables of cli.sweep_rows(4), the witness_sweep workload:
+    # each one's coset search proves generation, so only quotients walk
+    walked = []
+    real = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda steps, start, n: walked.append(steps) or real(steps, start, n))
+    tables = []
+    real_table = oracle.GroupTable.from_group
+    monkeypatch.setattr(oracle.GroupTable, "from_group",
+                        staticmethod(lambda *args: tables.append(real_table(*args)) or tables[-1]))
+    rows, _ = cli.sweep_rows(4, 1 << 19)
+    assert sum(row.verified == "PASS" for row in rows) == len(tables) == 19
+    assert all(t.generated for t in tables)
+    assert walked and not any(steps is t.gen_maps for steps in walked for t in tables)
 
 
 def test_walk_refuses_a_step_that_repeats_a_row():
@@ -406,11 +500,15 @@ def test_referees_hold_key_columns_not_product_rows():
 
 @pytest.mark.parametrize("target", [None, type_i(4, 4, 4)], ids=["G(4,3)", "i(4,4,4)"])
 def test_quotient_holds_less_than_one_word_per_element(target):
-    # the coset ids are half a word per element of K; the search and the
-    # renumbering add only level-, block- and |K/Z|-sized arrays
+    # the coset ids are half a word per element of K and the columns one
+    # byte (|Z| <= 256); the search and the renumbering add only level-,
+    # block- and |K/Z|-sized arrays.  On a fresh table with its maps built,
+    # so that the quotient runs the search
     spec = GroupSpec(4, 3) if target is None else capability.build_witness(target).ambient
-    t = oracle.GroupTable.from_group(build(spec), 1 << 19)
-    zc = oracle.brute_center(t)
+    K = build(spec)
+    t = oracle.GroupTable.from_group(K, 1 << 19)
+    t.gen_maps
+    zc = K.rows(K.center_keys())
     tracemalloc.start()
     try:
         oracle.quotient_central(t, zc)
