@@ -33,6 +33,7 @@ import numpy as np
 from . import class2, hall_core as hall, nilprod, oracle
 from .class2 import Class2Group, TypeParams
 from .errors import NotCapableError, ParameterError
+from .group import is_int
 from .hall_core import FreeElt
 from .lattice import canonical_basis
 from .nilprod import GroupSpec, NilGroup
@@ -103,7 +104,7 @@ class LemmaOutcome:
 def _int_exponents(name: str, values) -> list:
     """``values`` as a list; ``ParameterError`` unless each is an int, not a bool."""
     values = list(values)
-    if not all(map(nilprod._is_int, values)):
+    if not all(map(is_int, values)):
         raise ParameterError(f"integer {name} required, got {values!r}")
     return values
 
@@ -333,7 +334,7 @@ def lemma_check_halfstep(K: NilGroup, x, y, alpha: int) -> LemmaOutcome:
     """If x^(2^alpha), [x,y]^(2^(alpha-1)) and x^(2^(alpha-1))[x,y]^(-2^(alpha-2))
     all centralize <x, y>, then y^(2^(alpha-1)) commutes with x.
     ``ParameterError`` unless alpha is an integer > 1."""
-    if not (nilprod._is_int(alpha) and alpha > 1):
+    if not (is_int(alpha) and alpha > 1):
         raise ParameterError(f"integer alpha > 1 required, got {alpha!r}")
     x, y = tuple(x), tuple(y)
     c = K.commutator(x, y)
@@ -359,7 +360,7 @@ def exceptional_obstruction_check(K: NilGroup, x, y, gamma: int) -> LemmaOutcome
     records whether that stronger conclusion applies.  ``ParameterError``
     unless gamma is an integer >= 0.
     """
-    if not (nilprod._is_int(gamma) and gamma >= 0):
+    if not (is_int(gamma) and gamma >= 0):
         raise ParameterError(f"integer gamma >= 0 required, got {gamma!r}")
     x, y = tuple(x), tuple(y)
     diff = K.mul(K.power(x, 1 << gamma), K.power(y, -(1 << gamma)))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildIntegrityError, ParameterError
-from .group import CoordGroup
+from .group import CoordGroup, is_int
 
 Word = tuple[tuple[str, int], ...]  # symbols 'a', 'b', 'c' with c = [a,b]
 
@@ -66,7 +66,7 @@ def validate(kind: str, alpha=None, beta=None, gamma=None, sigma=None) -> TypePa
     if not isinstance(kind, str):
         raise ParameterError(f"unknown type {kind!r}: expected i, ii or iii")
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("sigma", sigma)):
-        _need(value is None or (isinstance(value, int) and not isinstance(value, bool)),
+        _need(value is None or is_int(value),
               f"{name} must be an integer, got {value!r}")
     kind = kind.lower()
     if kind == "i":

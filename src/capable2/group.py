@@ -40,6 +40,11 @@ BLOCK_ROWS = 1 << 13
 INT64_BOUND = 1 << 62
 
 
+def is_int(v) -> bool:
+    """Whether ``v`` is an int and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def check_int64(radices) -> None:
     """``ParameterError`` unless the int64 row paths stay below
     ``INT64_BOUND`` on rows with these radices: the largest mixed-radix key

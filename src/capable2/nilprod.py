@@ -33,7 +33,7 @@ import numpy as np
 
 from . import hall_core as hall
 from .errors import BuildIntegrityError, CentralityError, ParameterError
-from .group import CoordGroup, check_int64, unravel_rows
+from .group import CoordGroup, check_int64, is_int, unravel_rows
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
 
@@ -205,7 +205,7 @@ def build(spec: GroupSpec) -> NilGroup:
     ``ParameterError`` for exponents that are not integers with
     alpha >= beta >= 1, and for extras that are not integer ``FreeElt``."""
     alpha, beta = spec.alpha, spec.beta
-    if not (_is_int(alpha) and _is_int(beta)):
+    if not (is_int(alpha) and is_int(beta)):
         raise ParameterError(
             f"integer alpha, beta required, got alpha={alpha!r}, beta={beta!r}"
         )
@@ -223,7 +223,7 @@ def build(spec: GroupSpec) -> NilGroup:
     lat = canonical_basis(gens)
 
     for x in spec.extra_central:
-        if not (isinstance(x, FreeElt) and all(map(_is_int, x.coords()))):
+        if not (isinstance(x, FreeElt) and all(map(is_int, x.coords()))):
             raise ParameterError(
                 f"extra central relator must be an integer FreeElt, got {x!r}"
             )
@@ -247,10 +247,6 @@ def build(spec: GroupSpec) -> NilGroup:
             f"normal-form count {group.order} does not match the expected {expected}"
         )
     return group
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _expected_order(spec: GroupSpec) -> int | None:

@@ -39,16 +39,17 @@ closed; the ids are then renumbered in key order of the blocks' minima,
 the representatives.  A few gathers per row and generator, and no row
 products.  The same search proves, once per table, that the generators
 generate it: a child block that is not new shows an element of Z in
-<a, b>, and when it finds more than |Z|/2 of them, Lagrange's theorem
-puts Z inside <a, b>, which then reaches every block.  With fewer, one
-breadth-first walk over R_a and R_b that carries nothing (:func:`_walk`)
-decides.  On a table not yet proved generated, ``brute_center`` runs the
-search on the subgroup it keeps, C(a) ∩ C(b), and the table holds it for
-``quotient_central``, which checks the rows of its Z for centrality,
-R_g[z] against the key of gz from one run of the law per designated
-generator on those rows only, and reuses the search when Z is those
-rows.  A quotient table holds the proof from the search that built it,
-and the walk that carries the Frattini labels proves it too.
+<a, b>, and by Schreier's lemma these elements generate Z ∩ <a, b>.  The
+search closes them inside Z, with the breadth-first walk (:func:`_walk`)
+over the maps "multiply by z" on Z's rows that the blocks' columns give,
+and asks that they reach all of Z.  On a table not yet proved generated,
+``brute_center`` runs the search on the subgroup it keeps, C(a) ∩ C(b),
+and the table holds it for ``quotient_central``, which checks the rows
+of its Z for centrality, R_g[z] against the key of gz from one run of
+the law per designated generator on those rows only, and reuses the
+search when Z is those rows.  A quotient table holds the proof from the
+search that built it, and the walk that carries the Frattini labels
+proves it too.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -70,8 +71,8 @@ import functools
 
 import numpy as np
 
-from .errors import BuildIntegrityError, EnumerationBudgetError
-from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype
+from .errors import BuildIntegrityError, EnumerationBudgetError, ParameterError
+from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype, is_int
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -119,20 +120,18 @@ _AB_EXPANSION["e"] = (
 
 
 def _parse_word(w) -> list[tuple[str, int]]:
-    """Accept 'aBab'-style strings (uppercase = inverse) or (sym, exp) pairs."""
-    letters: list[tuple[str, int]] = []
+    """Accept 'aBab'-style strings (uppercase = inverse) or (sym, exp) pairs
+    with int exponents; ``ParameterError`` for anything else."""
     if isinstance(w, str):
-        for ch in w:
-            if ch in " \t":
-                continue
-            sym = ch.lower()
-            if sym not in _RANK:
-                raise ValueError(f"unknown letter {ch!r}")
-            letters.append((sym, -1 if ch.isupper() else 1))
-        return letters
-    for sym, exp in w:
-        if sym not in _RANK:
-            raise ValueError(f"unknown letter {sym!r}")
+        w = [(ch.lower(), -1 if ch.isupper() else 1) for ch in w if ch not in " \t"]
+    try:
+        pairs = [(sym, exp) for sym, exp in w]
+    except (TypeError, ValueError):
+        raise ParameterError(f"a word is a string or (letter, exponent) pairs, got {w!r}") from None
+    letters: list[tuple[str, int]] = []
+    for sym, exp in pairs:
+        if not (isinstance(sym, str) and sym in _RANK and is_int(exp)):
+            raise ParameterError(f"{(sym, exp)!r} is not a letter a-e with an integer exponent")
         sign = 1 if exp > 0 else -1
         letters.extend((sym, sign) for _ in range(abs(exp)))
     return letters
@@ -224,12 +223,11 @@ class GroupTable:
     designated generators (:attr:`gen_maps`), the table's only stored
     full-table maps besides the squaring map, run on the box's open grid.
     That the designated generators generate the table is proved at most
-    once, by the first coset search (:meth:`cosets`), which falls back to
-    :meth:`prove_generation`'s walk only when it finds too few elements of
-    Z in <a, b>; the walk that carries each row's coset of the Frattini
-    subgroup (:attr:`frattini`) proves it too, and a table built by
-    :func:`quotient_central` is given it as ``generated``, since the coset
-    search that built the quotient reached every coset from Z.
+    once, by the first coset search (:meth:`cosets`); the walk that carries
+    each row's coset of the Frattini subgroup (:attr:`frattini`) proves it
+    too, and a table built by :func:`quotient_central` is given it as
+    ``generated``, since the coset search that built the quotient reached
+    every coset from Z.
     """
 
     def __init__(self, group, generated: bool = False):
@@ -243,9 +241,11 @@ class GroupTable:
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
         """Table of every element; ``EnumerationBudgetError`` above
-        ``max_order`` elements, ``ParameterError`` when the radices are too
-        large for int64 rows."""
+        ``max_order`` elements, ``ParameterError`` when ``max_order`` is not
+        an int >= 1 or the radices are too large for int64 rows."""
         limit = DEFAULT_MAX_ORDER if max_order is None else max_order
+        if not (is_int(limit) and limit >= 1):
+            raise ParameterError(f"integer enumeration bound >= 1 required, got {limit!r}")
         if group.order > limit:
             raise EnumerationBudgetError(
                 f"group of order {group.order} exceeds the enumeration bound {limit}"
@@ -281,20 +281,6 @@ class GroupTable:
         index = index_dtype(self.order)
         return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
 
-    def _row_of(self, x) -> int:
-        """The row of one element."""
-        return self.index_of(self.group.key_rows([x]))[0]
-
-    def prove_generation(self) -> None:
-        """``BuildIntegrityError`` unless the designated generators generate
-        the table, decided by one breadth-first walk over R_a and R_b
-        (:func:`_walk`) that carries nothing; a no-op once
-        :attr:`generated` is set, which a finished walk does."""
-        if not self.generated:
-            for _ in _walk(self.gen_maps, self._row_of(self.group.identity), self.order):
-                pass
-            self.generated = True
-
     def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray]:
         """Each row's coset id and the representatives of the blocks of the
         sorted keys ``sub_keys``, by the coset search (:func:`_cosets`),
@@ -322,10 +308,12 @@ class GroupTable:
         generate the table."""
         if len(self.gen_maps) != 2:
             return None
-        one = self._row_of(self.group.identity)
         lab = np.zeros(self.order, dtype=np.int8)
-        for s, parents, kids in _walk(self.gen_maps, one, self.order):
+        seen = key_mask(self.group, [self.group.identity])
+        for s, parents, kids in _walk(self.gen_maps, seen):
             lab[kids] = lab[parents] ^ (1 << s)
+        if not seen.all():
+            raise BuildIntegrityError("the designated generators do not generate the table")
         self.generated = True
         if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(self.gen_maps)):
             return None
@@ -390,7 +378,7 @@ def brute_center(table: GroupTable) -> np.ndarray:
     to be :attr:`GroupTable.generated`, the kept keys, the subgroup
     C(a) ∩ C(b), go through the coset search (:meth:`GroupTable.cosets`),
     which proves generation (raising ``BuildIntegrityError`` when the
-    generators reach only part of the table) and stays on the table for
+    generators do not generate the table) and stays on the table for
     :func:`quotient_central`.  Every product is computed straight into its
     key, so the referee holds key columns and index maps, never a
     table-sized array of product rows.
@@ -407,21 +395,22 @@ def brute_center(table: GroupTable) -> np.ndarray:
     return X
 
 
-def _walk(steps, start: int, n: int):
-    """Breadth-first walk from ``start`` over the index maps ``steps`` on
-    the indices 0..n-1.  Yields one (s, parents, kids) run per level and
-    step, in breadth-first order: ``kids = steps[s][parents]`` are the
-    indices first reached there, so a caller carries values along the
-    edges as they are walked, value[kid] from value[parent].
+def _walk(steps, seen):
+    """Breadth-first walk over the index maps ``steps`` from the indices
+    that the boolean mask ``seen`` marks, marking in ``seen`` every index
+    reached.  Yields one (s, parents, kids) run per level and step, in
+    breadth-first order: ``kids = steps[s][parents]`` are the indices first
+    reached there, so a caller carries values along the edges as they are
+    walked, value[kid] from value[parent].  The marked indices are then
+    closed under the steps; whether they are all of them is the caller's
+    question.
 
     Each step is meant to be injective (a right multiplication is), so the
     kids of one run are distinct without a dedupe.  After the last run,
     ``BuildIntegrityError`` when the runs reached an index twice (a step
-    repeats a row) or left one unreached (the steps do not generate)."""
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = np.asarray([start])
-    reached = 1
+    repeats a row)."""
+    frontier = np.flatnonzero(seen)
+    reached = len(frontier)
     while len(frontier):
         level = []
         for s, step in enumerate(steps):
@@ -435,8 +424,6 @@ def _walk(steps, start: int, n: int):
         frontier = np.concatenate(level)
     if reached != np.count_nonzero(seen):
         raise BuildIntegrityError("a step repeats a row: the steps are not permutations")
-    if reached != n:
-        raise BuildIntegrityError("the designated generators do not generate the table")
 
 
 def closure(table: GroupTable, gens) -> np.ndarray:
@@ -555,7 +542,7 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     level come from one 2-D gather per generator.  A child whose first row
     is unlabelled is new: it takes the next id on all its rows, and each of
     its rows stores its column, in the narrowest unsigned dtype that holds
-    |Z|-1, until the columns have shown enough of Z in <a, b> (below).  Two
+    |Z|-1, until the columns have shown all of Z in <a, b> (below).  Two
     checks follow:
     - every child that is not new carries one id on all its rows;
     - at the end, the ids number |table|/|Z|.
@@ -570,17 +557,23 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     for Z's row z_j, and each first row is a word in the generators.  A
     child that is not new has first row tg = z_j t', for the first row t'
     of the block that holds it and j its column there, so z_j = tgt'^-1
-    lies in <a, b>; R_{z_j} then permutes the blocks and carries 1 to z_j,
-    so Zz_j = Z.  The distinct z_j so found, with the identity, generate a
-    subgroup S of Z, and Z is a union of cosets of S.  Once they number
-    more than |Z|/2, the columns are dropped: when the checks pass,
-    Lagrange's theorem gives S = Z inside <a, b>, and the blocks Zw, w in
-    <a, b>, cover the table, so <a, b> is the table, which is marked
-    :attr:`GroupTable.generated`.  With fewer,
-    :meth:`GroupTable.prove_generation` decides by its walk, unless the
-    table is marked already.  Once the generators generate, every right
-    multiplication permutes the blocks, and R_z for z in Z maps Z to the
-    block holding z, Z itself: Z is closed.
+    lies in <a, b>, and the child's row of columns is the map
+    i -> (the column of z_i z_j) on Z's rows.  Every id is given once, so
+    the rows that carry one id hold distinct columns and that map is a
+    permutation; when the checks pass, no block overlapped another, and
+    every column read was final.  The z_j are the Schreier generators of
+    Z ∩ <a, b>, the stabilizer of the block Z, for the tree of first rows,
+    so by Schreier's lemma they generate it.  The search keeps the
+    subgroup S that the z_j found so far generate, as a mask over Z's
+    rows: a z_j outside S appends its map to ``shifts``, and :func:`_walk`
+    closes S under ``shifts``, starting from S.  S at least doubles each
+    time, so ``shifts`` holds at most log2 |Z| maps.  Once S = Z the
+    columns are dropped.  After the checks, S = Z puts Z inside <a, b>,
+    the blocks Zw, w in <a, b>, cover the table, and <a, b> is the table,
+    which is marked :attr:`GroupTable.generated`; otherwise Z ⊄ <a, b>
+    and ``BuildIntegrityError``.  Once the generators generate, every
+    right multiplication permutes the blocks, and R_z for z in Z maps Z
+    to the block holding z, Z itself: Z is closed.
 
     The ids are then renumbered to the rank of their block's minimum key
     through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
@@ -592,8 +585,8 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     lab = np.full(n, -1, dtype=index)
     columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
     col = np.empty(n, dtype=columns.dtype)
-    found = np.zeros(len(sub_keys), dtype=bool)
-    found[0] = True
+    inside = columns == 0  # S, first the identity's row
+    shifts = []
     frontier = np.asarray(sub_keys, dtype=index)[None]
     lab[frontier] = 0
     col[frontier] = columns
@@ -613,20 +606,23 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
             level.append(fresh)
             minima.append(fresh.min(axis=1))
             if col is not None:
-                found[col[stale[:, 0]]] = True
+                for kid in stale[~inside[col[stale[:, 0]]]]:
+                    if not inside[col[kid[0]]]:  # S may have grown since the filter
+                        shifts.append(col[kid])
+                        for _ in _walk(shifts, inside):
+                            pass
                 col[fresh] = columns
-                if 2 * np.count_nonzero(found) > len(sub_keys):
-                    col = None  # enough for Lagrange's theorem
+                if inside.all():
+                    col = None  # S = Z
         frontier = np.concatenate(level)
-    spanned = col is None
     del col
     if (lab < 0).any():
         raise BuildIntegrityError("the designated generators do not generate the table")
     if count * len(sub_keys) != n:
         raise ValueError("input is not closed under multiplication")
-    if spanned:
-        table.generated = True
-    table.prove_generation()
+    if not inside.all():
+        raise BuildIntegrityError("the designated generators do not generate the table")
+    table.generated = True
     minima = np.concatenate(minima)
     by_min = np.argsort(minima)
     rank = np.empty(count, dtype=index)
@@ -644,8 +640,7 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     only, zg = gz: R_g gathered at the keys of the subgroup's rows against
     gz from one run of the law on those rows.  That makes it central
     because the generators generate the table, which the coset search of
-    :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves unless the
-    table is already :attr:`GroupTable.generated`, raising
+    :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves, raising
     ``BuildIntegrityError`` when they do not.  The same search checks
     closure and reaches every coset from Z by R_a and R_b: the images of
     the generators generate the quotient, so its table is built

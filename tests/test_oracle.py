@@ -42,6 +42,17 @@ def test_collect_word_accepts_letter_exponent_pairs():
     assert oracle.collect_word([("a", 3), ("b", -2)]).coords() == (3, -2, 0, 0, 0)
 
 
+@pytest.mark.parametrize("word", [
+    [("a", 1.5)], [("a", True)], [("a", "2")], 123, [("a",)], [("a", 1, 2)],
+    [("x", 1)], [(["a"], 1)], "ax",
+])
+def test_collect_word_refuses_malformed_words(word):
+    # a float or bool exponent is not truncated or read as 1, and input that
+    # is neither a string nor (letter, exponent) pairs is not a TypeError
+    with pytest.raises(ParameterError):
+        oracle.collect_word(word)
+
+
 def test_round_trip_ten_thousand_random_elements():
     rng = random.Random(0)
     for _ in range(10_000):
@@ -76,6 +87,18 @@ def test_enumeration_bound():
         oracle.GroupTable.from_group(g, max_order=1 << 10)
     t = oracle.GroupTable.from_group(g)  # default bound 2^16 admits 2^14
     assert t.order == g.order
+
+
+@pytest.mark.parametrize("bound", [100.5, float(1 << 20), -1, 0, True, "65536"])
+def test_enumeration_bound_must_be_a_positive_int(bound):
+    # the one check behind verify_witness, central_quotient and the CLI
+    g = build(GroupSpec(1, 1))
+    w = capability.build_witness(type_i(1, 1, 1))
+    for enumerate_with in (lambda: oracle.GroupTable.from_group(g, bound),
+                           lambda: g.central_quotient(bound),
+                           lambda: capability.verify_witness(w, bound)):
+        with pytest.raises(ParameterError, match="enumeration bound"):
+            enumerate_with()
 
 
 class HugeRadices(CoordGroup):
@@ -210,11 +233,11 @@ def reference_cosets(table, sub):
     return table.coords[reps], cid
 
 
-def small_ambients(max_order=1 << 12):
+def small_ambients(max_order=1 << 12, max_alpha=12, max_beta=3):
     # order >= 2^(alpha + 4*beta - 1) without extras and 2^(alpha + 2*beta + 2)
     # with them, so alpha <= 12 and beta <= 3 cover every ambient up to 2^12
-    for alpha in range(1, 13):
-        for beta in range(1, min(alpha, 3) + 1):
+    for alpha in range(1, max_alpha + 1):
+        for beta in range(1, min(alpha, max_beta) + 1):
             for spec in [GroupSpec(alpha, beta)] + [
                 GroupSpec(alpha, beta, (FreeElt(u=1 << g), FreeElt(v=1 << g)))
                 for g in range(1, beta)
@@ -241,16 +264,31 @@ def check_referees(t):
 
 
 def count_walks(monkeypatch):
-    """The table order of each ``oracle._walk`` from now on."""
+    """The table order of each ``oracle._walk`` over a table from now on.
+    A table is walked over its R_a and R_b, the tuple ``gen_maps``; the
+    coset search closes its subgroup S of Z over a list of maps on Z's
+    rows, which is not counted."""
     walked = []
     real = oracle._walk
 
-    def counted(steps, start, n):
-        walked.append(n)
-        return real(steps, start, n)
+    def counted(steps, seen):
+        if isinstance(steps, tuple):
+            walked.append(len(seen))
+        return real(steps, seen)
 
     monkeypatch.setattr(oracle, "_walk", counted)
     return walked
+
+
+def generated_by_walk(table, steps=None) -> bool:
+    """Whether the index maps ``steps`` (default: R_a and R_b) reach every
+    row from the identity, by one breadth-first walk that carries nothing:
+    the reference for the coset search's generation proof."""
+    seen = np.zeros(table.order, dtype=bool)
+    seen[table.group.key(table.group.identity)] = True
+    for _ in oracle._walk(table.gen_maps if steps is None else steps, seen):
+        pass
+    return bool(seen.all())
 
 
 def test_referees_match_reference_definitions(monkeypatch):
@@ -266,36 +304,33 @@ def test_referees_match_reference_definitions(monkeypatch):
     assert len(witnesses) == 10
     groups += witnesses
     groups += [model(p) for p in class2.iter_valid_params(3)]
-    fallbacks = 0
+    assert len(groups) == 48
     for G in groups:
         t = oracle.GroupTable.from_group(G)
         walked.clear()
         quotients = check_referees(t)
         # brute_center's coset search proved that a and b generate the
-        # table, walking it only as its fallback, and the walk agrees
-        assert t.generated and walked in ([], [t.order])
-        fallbacks += len(walked)
-        oracle.GroupTable.from_group(G).prove_generation()
+        # table with no walk over it, and the walk agrees
+        assert t.generated and walked == []
+        assert generated_by_walk(oracle.GroupTable.from_group(G))
         for q in quotients:
             # quotient tables are keyed by coset id, 0..n-1 like any other,
             # and their own R_a and R_b carry the coset search of a quotient
             assert np.array_equal(q.group.key_rows(q.coords), np.arange(q.order))
             check_referees(q)
-    # the search finds more than |Z|/2 elements of Z in <a, b> on every
-    # witness, but not on 10 of the 18 ambients and 5 of the 20 models
-    assert fallbacks == 15
 
 
-def test_a_table_can_take_the_walk_fallback_and_pass(monkeypatch):
-    # G(4,1), |K| = 256 and |Z| = 16: the search finds too few elements of
-    # Z in <a, b>, so the walk proves generation
+def test_a_search_that_finds_few_elements_of_z_needs_no_walk(monkeypatch):
+    # G(4,1), |K| = 256 and |Z| = 16: the search finds at most |Z|/2
+    # distinct elements z_j of Z in <a, b>, and the subgroup they generate
+    # is all of Z
     walked = count_walks(monkeypatch)
     t = oracle.GroupTable.from_group(build(GroupSpec(4, 1)))
     zc = oracle.brute_center(t)
-    assert walked == [t.order] and t.generated
+    assert walked == [] and t.generated
     assert np.array_equal(zc, reference_center(t))
     q = oracle.quotient_central(t, zc)
-    assert walked == [t.order] and q.order == t.order // len(zc) == 16
+    assert walked == [] and q.order == t.order // len(zc) == 16
 
 
 def test_brute_center_rejects_generators_of_a_proper_subgroup():
@@ -378,11 +413,11 @@ def test_left_mul_matches_the_law():
     # part of the rows, and a refused walk proves nothing for the next call
     g = build(GroupSpec(2, 1))
     stub = copy.copy(g)
-    stub.gens = (g.a,)
+    stub.gens = (g.a, g.a)
     t = oracle.GroupTable(stub)
     for _ in range(2):
         with pytest.raises(BuildIntegrityError, match="do not generate"):
-            t.prove_generation()
+            t.frattini
     assert not t.generated
 
 
@@ -427,45 +462,62 @@ def test_quotient_central_proves_generation_on_a_fresh_table(monkeypatch):
     assert q.order == t.order // 32
 
 
-class KleinFour(CoordGroup):
-    """(Z/2)^2 under xor, keyed 2*x + y, with the one designated generator
-    (0, 1): R_a is key -> key xor 1, so it reaches only {0, 1}."""
+class Elementary(CoordGroup):
+    """(Z/2)^rank under xor, keyed by the binary digits of the coordinates,
+    with the designated generators ``gens``."""
 
-    order, radices, identity, gens = 4, (2, 2), (0, 0), ((0, 1),)
+    def __init__(self, rank, gens):
+        self.order, self.radices = 1 << rank, (2,) * rank
+        self.identity, self.gens = (0,) * rank, gens
 
     def mul(self, x, y):
-        return ((x[0] + y[0]) % 2, (x[1] + y[1]) % 2)
+        return tuple((u + v) % 2 for u, v in zip(x, y))
 
     def inverse(self, x):
         return x
 
 
 def test_coset_search_refuses_a_subgroup_outside_the_generated_one(monkeypatch):
-    # Z = {0, 2} on four rows with the one step x -> x xor 1: Z<a> is every
-    # row and the ids number 4/|Z|, but Z is not inside <a> = {0, 1}.  The
-    # search finds one element of Z in <a>, the identity, which is not more
-    # than |Z|/2, so the walk decides.  The rows of Z commute with the
-    # generator, which does not make them central
+    # Z<a, b> is every row and the ids number |K|/|Z|, but Z is not inside
+    # <a, b>: the elements of Z that the search finds in <a, b> generate
+    # only Z ∩ <a, b>, so it refuses with no walk over the table.  The rows
+    # of Z commute with the generators, which does not make them central
     walked = count_walks(monkeypatch)
-    t = oracle.GroupTable(KleinFour())
-    assert np.array_equal(t.gen_maps[0], np.arange(4) ^ 1)
-    with pytest.raises(BuildIntegrityError, match="do not generate"):
-        oracle.quotient_central(t, np.array([(0, 0), (1, 0)]))
-    assert walked == [4] and not t.generated
+    for group, sub in [
+        # (Z/2)^2 with the one generator (0, 1), so R_a is key -> key xor 1,
+        # and Z = {0, 2}: Z ∩ <a> = {1}
+        (Elementary(2, ((0, 1),)), [(0, 0), (1, 0)]),
+        # (Z/2)^3 with the generators (0, 0, 1) and (0, 1, 0), and
+        # Z = {(x, y, 0)}: Z ∩ <a, b> = {1, (0, 1, 0)} holds exactly |Z|/2
+        # rows, where a count of the elements found cannot decide
+        (Elementary(3, ((0, 0, 1), (0, 1, 0))), [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]),
+    ]:
+        walked.clear()
+        t = oracle.GroupTable(group)
+        with pytest.raises(BuildIntegrityError, match="do not generate"):
+            oracle.quotient_central(t, np.array(sub))
+        assert walked == [] and not t.generated
+        assert not generated_by_walk(t)
 
 
-def test_no_witness_ambient_is_walked(monkeypatch):
-    # the 19 ambient tables of cli.sweep_rows(4), the witness_sweep workload:
-    # each one's coset search proves generation, so only quotients walk
+def test_no_ambient_is_walked(monkeypatch):
+    # the 19 ambient tables of cli.sweep_rows(4), the witness_sweep workload,
+    # and the 18 ambients with exponents <= 4 and |K| <= 2^16, the recognize
+    # workload: each one's coset search proves generation, so only the
+    # Frattini labels of quotients and models walk
     walked = []
     real = oracle._walk
-    monkeypatch.setattr(oracle, "_walk", lambda steps, start, n: walked.append(steps) or real(steps, start, n))
+    monkeypatch.setattr(oracle, "_walk", lambda steps, seen: walked.append(steps) or real(steps, seen))
     tables = []
     real_table = oracle.GroupTable.from_group
     monkeypatch.setattr(oracle.GroupTable, "from_group",
                         staticmethod(lambda *args: tables.append(real_table(*args)) or tables[-1]))
     rows, _ = cli.sweep_rows(4, 1 << 19)
     assert sum(row.verified == "PASS" for row in rows) == len(tables) == 19
+    ambients = list(small_ambients(1 << 16, max_alpha=4, max_beta=4))
+    for K in ambients:
+        K.central_quotient()
+    assert len(ambients) == 18 and len(tables) == 37
     assert all(t.generated for t in tables)
     assert walked and not any(steps is t.gen_maps for steps in walked for t in tables)
 
@@ -474,9 +526,11 @@ def test_walk_refuses_a_step_that_repeats_a_row():
     # from 0, step 0 reaches 1, then 3 from both 1 and 2: every row is
     # reached, so only the count of reached rows sees the repeat
     steps = [np.array([1, 3, 3, 0]), np.array([2, 0, 0, 0])]
+    seen = np.array([True, False, False, False])
     with pytest.raises(BuildIntegrityError, match="repeats a row"):
-        for _ in oracle._walk(steps, 0, 4):
+        for _ in oracle._walk(steps, seen):
             pass
+    assert seen.all()
 
 
 def test_referees_hold_key_columns_not_product_rows():
@@ -723,16 +777,7 @@ def set_image_fills(group, table, grow, h, c, ea, eb, ec) -> bool:
 def generates(table, x, y) -> bool:
     """Breadth-first generation test: right multiplication by x and y
     reaches every row from the identity."""
-    steps = [table.right_mul(x), table.right_mul(y)]
-    one = table.group.key(table.group.identity)
-    try:
-        for _ in oracle._walk(steps, one, table.order):
-            pass
-    except BuildIntegrityError as e:
-        # right multiplications are permutations: only a part is reached
-        assert "do not generate" in str(e)
-        return False
-    return True
+    return generated_by_walk(table, [table.right_mul(x), table.right_mul(y)])
 
 
 def test_image_fills_matches_the_set_loop():
