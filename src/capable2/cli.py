@@ -79,14 +79,13 @@ def _params_from_args(args) -> TypeParams:
     )
 
 
-def _add_param_flags(sub, with_sigma=True):
+def _add_param_flags(sub):
     sub.add_argument("--type", required=True, choices=["i", "ii", "iii"],
                      help="presentation type")
     sub.add_argument("--alpha", type=int, default=None)
     sub.add_argument("--beta", type=int, default=None)
     sub.add_argument("--gamma", type=int, default=None)
-    if with_sigma:
-        sub.add_argument("--sigma", type=int, default=None)
+    sub.add_argument("--sigma", type=int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -42,14 +42,16 @@ generate it: a child block that is not new shows an element of Z in
 <a, b>, and by Schreier's lemma these elements generate Z ∩ <a, b>.  The
 search closes them inside Z, with the breadth-first walk (:func:`_walk`)
 over the maps "multiply by z" on Z's rows that the blocks' columns give,
-and asks that they reach all of Z.  On a table not yet proved generated,
+and asks that they reach all of Z; no table is walked.  The search also
+carries each block's label for its coset of the Frattini subgroup and
+checks it on every block.  On a table not yet proved generated,
 ``brute_center`` runs the search on the subgroup it keeps, C(a) ∩ C(b),
 and the table holds it for ``quotient_central``, which checks the rows
 of its Z for centrality, R_g[z] against the key of gz from one run of
 the law per designated generator on those rows only, and reuses the
-search when Z is those rows.  A quotient table holds the proof from the
-search that built it, and the walk that carries the Frattini labels
-proves it too.
+search when Z is those rows.  A quotient table is handed the search that
+built it, which is, block for block, the quotient's own search of its
+trivial subgroup: the proof of generation and the Frattini labels.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -58,9 +60,9 @@ by gathers.  The relations, with class at most two, make the coordinate map
 a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
 is <g, h>.  By the Burnside basis theorem that image is the whole table
 exactly when g and h lie in distinct nontrivial cosets of the Frattini
-subgroup; each row's coset label is carried along a walk over R_a and R_b
-and checked against them on every row.  Equal orders make the map
-bijective.
+subgroup; each row's coset label comes from the coset search of the
+trivial subgroup, which checks it against R_a and R_b on every row.  Equal
+orders make the map bijective.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -76,6 +78,8 @@ from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype, is_int
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
+# swaps and cancellations after which collect_word gives up
+COLLECT_MAX_STEPS = 50_000_000
 
 # ---------------------------------------------------------------------------
 # word collection
@@ -137,7 +141,7 @@ def _parse_word(w) -> list[tuple[str, int]]:
     return letters
 
 
-def collect_word(w, max_steps: int = 50_000_000) -> FreeElt:
+def collect_word(w) -> FreeElt:
     """Collect a word over a, b, c, d, e (and inverses) to its normal form.
 
     Pure letter-by-letter rewriting: scan for an adjacent out-of-order pair,
@@ -159,7 +163,7 @@ def collect_word(w, max_steps: int = 50_000_000) -> FreeElt:
     steps = 0
     while i < len(word) - 1:
         steps += 1
-        if steps > max_steps:
+        if steps > COLLECT_MAX_STEPS:
             raise RuntimeError("collection did not terminate within the step cap")
         x, y = word[i], word[i + 1]
         if x[0] == y[0] and x[1] == -y[1]:
@@ -223,20 +227,26 @@ class GroupTable:
     designated generators (:attr:`gen_maps`), the table's only stored
     full-table maps besides the squaring map, run on the box's open grid.
     That the designated generators generate the table is proved at most
-    once, by the first coset search (:meth:`cosets`); the walk that carries
-    each row's coset of the Frattini subgroup (:attr:`frattini`) proves it
-    too, and a table built by :func:`quotient_central` is given it as
-    ``generated``, since the coset search that built the quotient reached
-    every coset from Z.
+    once, by the first coset search (:meth:`cosets`), which also carries
+    each row's coset of the Frattini subgroup (:attr:`frattini`) when its
+    subgroup is trivial.  A table built by :func:`quotient_central` is
+    given that search, since the coset search that built the quotient
+    reached every coset from Z and labelled each.
     """
 
-    def __init__(self, group, generated: bool = False):
+    def __init__(self, group):
         self.group = group
         self.order = group.order
-        # whether the designated generators are known to generate the table
-        self.generated = generated
-        # the last coset search: its sub_keys, coset ids and representatives
+        # the last coset search: its sub_keys, coset ids, representatives
+        # and Frattini labels
         self._search = None
+
+    @property
+    def generated(self) -> bool:
+        """Whether the designated generators are proved to generate the
+        table: true once a coset search (:meth:`cosets`) has finished, since
+        a search that fails raises."""
+        return self._search is not None
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -281,12 +291,13 @@ class GroupTable:
         index = index_dtype(self.order)
         return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
 
-    def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's coset id and the representatives of the blocks of the
-        sorted keys ``sub_keys``, by the coset search (:func:`_cosets`),
-        which also proves generation.  The search stays on the table, and a
-        second call with the same keys reuses it: :func:`brute_center` runs
-        it on the keys it keeps, and :func:`quotient_central` reuses it."""
+    def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Each row's coset id, the representatives and the Frattini labels
+        of the blocks of the sorted keys ``sub_keys``, by the coset search
+        (:func:`_cosets`), which also proves generation.  The search stays
+        on the table, and a second call with the same keys reuses it:
+        :func:`brute_center` runs it on the keys it keeps, and
+        :func:`quotient_central` reuses it."""
         if self._search is None or not np.array_equal(self._search[0], sub_keys):
             self._search = (sub_keys, *_cosets(self, sub_keys))
         return self._search[1:]
@@ -297,27 +308,18 @@ class GroupTable:
         with a -> 1 and b -> 2, or ``None`` when the table is not minimally
         generated by its two designated generators (for example, cyclic).
 
-        The labels are carried along one breadth-first walk over R_a and
-        R_b, lambda(p*g_s) = lambda(p) xor 2^s, and returned only after the
-        check lambda(R_s x) = lambda(x) xor 2^s on every row.  That check
-        makes lambda a homomorphism onto (Z/2)^2.  In a 2-group Phi is the
-        least normal subgroup with an elementary abelian quotient, of index
-        at most 4 when two elements generate, so the kernel of lambda is
-        Phi.  The finished walk also sets :attr:`generated`.
+        The labels are those of the coset search of the trivial subgroup,
+        whose blocks are the rows (:func:`_cosets`); a quotient table is
+        given that search by :func:`quotient_central`.  The search checks
+        lambda(R_s x) = lambda(x) xor 2^s on every row, which makes lambda a
+        homomorphism onto (Z/2)^2.  In a 2-group Phi is the least normal
+        subgroup with an elementary abelian quotient, of index at most 4
+        when two elements generate, so the kernel of lambda is Phi.
         ``BuildIntegrityError`` when the designated generators do not
         generate the table."""
-        if len(self.gen_maps) != 2:
+        if len(self.group.gens) != 2:
             return None
-        lab = np.zeros(self.order, dtype=np.int8)
-        seen = key_mask(self.group, [self.group.identity])
-        for s, parents, kids in _walk(self.gen_maps, seen):
-            lab[kids] = lab[parents] ^ (1 << s)
-        if not seen.all():
-            raise BuildIntegrityError("the designated generators do not generate the table")
-        self.generated = True
-        if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(self.gen_maps)):
-            return None
-        return lab
+        return self.cosets([0])[2]
 
     @functools.cached_property
     def squares(self) -> np.ndarray:
@@ -398,30 +400,24 @@ def brute_center(table: GroupTable) -> np.ndarray:
 def _walk(steps, seen):
     """Breadth-first walk over the index maps ``steps`` from the indices
     that the boolean mask ``seen`` marks, marking in ``seen`` every index
-    reached.  Yields one (s, parents, kids) run per level and step, in
-    breadth-first order: ``kids = steps[s][parents]`` are the indices first
-    reached there, so a caller carries values along the edges as they are
-    walked, value[kid] from value[parent].  The marked indices are then
-    closed under the steps; whether they are all of them is the caller's
-    question.
+    reached.  The marked indices are then closed under the steps; whether
+    they are all of them is the caller's question.
 
-    Each step is meant to be injective (a right multiplication is), so the
-    kids of one run are distinct without a dedupe.  After the last run,
-    ``BuildIntegrityError`` when the runs reached an index twice (a step
-    repeats a row)."""
+    Each step is meant to be injective (a permutation is), so the indices
+    first reached by one step of a level are distinct without a dedupe.
+    At the end, ``BuildIntegrityError`` when the walk reached an index
+    twice (a step repeats a row)."""
     frontier = np.flatnonzero(seen)
     reached = len(frontier)
     while len(frontier):
         level = []
-        for s, step in enumerate(steps):
+        for step in steps:
             kids = step[frontier]
-            new = ~seen[kids]
-            parents, kids = frontier[new], kids[new]
+            kids = kids[~seen[kids]]
             seen[kids] = True
-            reached += len(kids)
-            yield s, parents, kids
             level.append(kids)
         frontier = np.concatenate(level)
+        reached += len(frontier)
     if reached != np.count_nonzero(seen):
         raise BuildIntegrityError("a step repeats a row: the steps are not permutations")
 
@@ -436,22 +432,21 @@ def closure(table: GroupTable, gens) -> np.ndarray:
 def normal_closure(table: GroupTable, gens) -> np.ndarray:
     """Smallest normal subgroup containing ``gens``.
 
-    Conjugation by the group's designated generators suffices to normalize,
-    since they generate the whole group.
+    Each round conjugates the current generators of N by the group's
+    designated generators and adds the conjugates that fall outside N.  A
+    subgroup that holds its generators' conjugates by every designated
+    generator is normal, since they generate the whole group.
     """
     g = table.group
     current = [tuple(x) for x in gens]
-    sub = closure(table, current)
     while True:
-        size = len(sub)
-        conjs = []
-        for gen in g.gens:
-            gi = g.inverse(gen)
-            for s in sub.tolist():
-                conjs.append(g.mul(g.mul(gi, tuple(s)), gen))
-        sub = closure(table, [tuple(s) for s in sub.tolist()] + conjs)
-        if len(sub) == size:
+        sub = closure(table, current)
+        members = set(map(tuple, sub.tolist()))
+        outside = [c for c in (g.mul(g.mul(g.inverse(gen), x), gen)
+                               for gen in g.gens for x in current) if c not in members]
+        if not outside:
             return sub
+        current += outside
 
 
 class QuotientGroup(CoordGroup):
@@ -470,7 +465,9 @@ class QuotientGroup(CoordGroup):
     the table's cached R_a and R_b, since R_g maps the right coset Zx onto
     Zxg.  A new block takes the next id, and the ids are renumbered, in
     place, in key order of the blocks' minima, the representatives.  No
-    row products: O(|K|) gathers.  Products are
+    row products: O(|K|) gathers.  The search's Frattini label of each
+    coset, in coset-id order, is kept as ``labels`` (``None`` when the
+    quotient has none) for :func:`quotient_central`.  Products are
     computed in the parent and mapped to coset ids through the search's
     parent-key-indexed int32 ids (:func:`capable2.group.index_dtype`),
     widened to int64 only in the query-sized results of ``key`` and
@@ -480,7 +477,7 @@ class QuotientGroup(CoordGroup):
     def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
-        self._cid_of_key, reps = table.cosets(sub_keys)
+        self._cid_of_key, reps, self.labels = table.cosets(sub_keys)
         self._rep = parent.rows(reps)
         self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
@@ -531,12 +528,13 @@ class QuotientGroup(CoordGroup):
         return iter(self._rep_tuples)
 
 
-def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's coset id and the sorted representatives, the minimum keys
-    of the blocks Zx, by one breadth-first search over blocks that also
-    proves that the designated generators generate the table.  ``sub_keys``
-    are the sorted distinct keys of a set Z that holds the identity, whose
-    key is 0 in every table, so Z's row 0 is the identity.
+def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each row's coset id, the sorted representatives, the minimum keys
+    of the blocks Zx, and each block's Frattini label (or ``None``), by
+    one breadth-first search over blocks that also proves that the
+    designated generators generate the table.  ``sub_keys`` are the
+    sorted distinct keys of a set Z that holds the identity, whose key is
+    0 in every table, so Z's row 0 is the identity.
 
     The identity's block is Z, with id 0.  The child blocks R_g[block] of a
     level come from one 2-D gather per generator.  A child whose first row
@@ -545,13 +543,24 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     |Z|-1, until the columns have shown all of Z in <a, b> (below).  Two
     checks follow:
     - every child that is not new carries one id on all its rows;
-    - at the end, the ids number |table|/|Z|.
-    With every row reached, the blocks, |Z| distinct rows each, then cover
-    the table exactly once, so no id was overwritten, and by the first
-    check R_a and R_b permute the blocks.  ``ValueError`` "not closed" when
-    a check fails; ``BuildIntegrityError`` when rows stay unreached.  The
-    blocks of a subgroup Z are its right cosets Zx, and every R_g maps a
-    right coset onto a right coset, so a subgroup passes both checks.
+    - no level hands out more than |table|//|Z| ids.
+    With every row reached, the blocks, at most |Z| rows each, cover the
+    table, so the ids number at least |table|/|Z|; by the second check
+    they number exactly that, and the blocks, |Z| distinct rows each,
+    cover the table exactly once.  So no id was overwritten, and by the
+    first check R_a and R_b permute the blocks.  ``ValueError`` "not
+    closed" when a check fails; ``BuildIntegrityError`` when rows stay
+    unreached.  The blocks of a subgroup Z are its right cosets Zx, and
+    every R_g maps a right coset onto a right coset, so a subgroup passes
+    both checks.
+
+    Labels: Z's block has label 0, and a new child of a block by the s-th
+    generator takes the block's label xor 2^s.  A child that is not new
+    must already carry that label, or the labels are ``None``: each block
+    is a parent once per generator, so the labels that pass are a
+    homomorphism from the blocks onto (Z/2)^2, with a -> 1 and b -> 2.
+    With Z trivial the blocks are the rows, and they give
+    :attr:`GroupTable.frattini`; with Z central they are the quotient's.
 
     Generation: column j of the block whose first row is t holds z_j t,
     for Z's row z_j, and each first row is a word in the generators.  A
@@ -569,20 +578,23 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     closes S under ``shifts``, starting from S.  S at least doubles each
     time, so ``shifts`` holds at most log2 |Z| maps.  Once S = Z the
     columns are dropped.  After the checks, S = Z puts Z inside <a, b>,
-    the blocks Zw, w in <a, b>, cover the table, and <a, b> is the table,
-    which is marked :attr:`GroupTable.generated`; otherwise Z ⊄ <a, b>
-    and ``BuildIntegrityError``.  Once the generators generate, every
-    right multiplication permutes the blocks, and R_z for z in Z maps Z
-    to the block holding z, Z itself: Z is closed.
+    the blocks Zw, w in <a, b>, cover the table, and <a, b> is the table;
+    otherwise Z ⊄ <a, b> and ``BuildIntegrityError``.  Once the generators
+    generate, every right multiplication permutes the blocks, and R_z for
+    z in Z maps Z to the block holding z, Z itself: Z is closed.
 
     The ids are then renumbered to the rank of their block's minimum key
     through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
     block of rows at a time, so a coset id counts the representatives in
-    key order.  Ids are stored in :func:`capable2.group.index_dtype`.
+    key order, and the labels are permuted to match.  Ids are stored in
+    :func:`capable2.group.index_dtype`.
     """
     n = table.order
     index = index_dtype(n)
     lab = np.full(n, -1, dtype=index)
+    blocks = n // len(sub_keys)
+    labels = np.zeros(blocks, dtype=np.int8)  # per id; Z's is 0
+    homomorphic = True
     columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
     col = np.empty(n, dtype=columns.dtype)
     inside = columns == 0  # S, first the identity's row
@@ -594,14 +606,18 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     count = 1
     while len(frontier):
         level = []
-        for step in table.gen_maps:
+        ids = lab[frontier[:, 0]]
+        for s, step in enumerate(table.gen_maps):
             kids = step[frontier]
             new = lab[kids[:, 0]] < 0
             fresh, stale = kids[new], kids[~new]
             got = lab[stale]
-            if (got != got[:, :1]).any():
+            if (got != got[:, :1]).any() or count + len(fresh) > blocks:
                 raise ValueError("input is not closed under multiplication")
+            up = labels[ids] ^ (1 << s)
+            homomorphic = homomorphic and np.array_equal(labels[got[:, 0]], up[~new])
             lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
+            labels[count:count + len(fresh)] = up[new]
             count += len(fresh)
             level.append(fresh)
             minima.append(fresh.min(axis=1))
@@ -609,20 +625,14 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
                 for kid in stale[~inside[col[stale[:, 0]]]]:
                     if not inside[col[kid[0]]]:  # S may have grown since the filter
                         shifts.append(col[kid])
-                        for _ in _walk(shifts, inside):
-                            pass
+                        _walk(shifts, inside)
                 col[fresh] = columns
                 if inside.all():
                     col = None  # S = Z
         frontier = np.concatenate(level)
     del col
-    if (lab < 0).any():
+    if (lab < 0).any() or not inside.all():
         raise BuildIntegrityError("the designated generators do not generate the table")
-    if count * len(sub_keys) != n:
-        raise ValueError("input is not closed under multiplication")
-    if not inside.all():
-        raise BuildIntegrityError("the designated generators do not generate the table")
-    table.generated = True
     minima = np.concatenate(minima)
     by_min = np.argsort(minima)
     rank = np.empty(count, dtype=index)
@@ -630,7 +640,7 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n, BLOCK_ROWS):
         block = lab[lo:lo + BLOCK_ROWS]
         block[...] = rank[block]
-    return lab, minima[by_min]
+    return lab, minima[by_min], labels[by_min] if homomorphic else None
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
@@ -642,9 +652,12 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     because the generators generate the table, which the coset search of
     :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves, raising
     ``BuildIntegrityError`` when they do not.  The same search checks
-    closure and reaches every coset from Z by R_a and R_b: the images of
-    the generators generate the quotient, so its table is built
-    ``generated``."""
+    closure and reaches every coset from Z by R_a and R_b, labelling
+    each: it is, block for block, the quotient table's search of its
+    trivial subgroup, whose ids and representatives are the quotient's
+    keys, and the new table is handed it, so it is
+    :attr:`GroupTable.generated` and has its :attr:`GroupTable.frattini`
+    labels without a search or an index map of its own."""
     g = table.group
     Z = np.asarray(sub, dtype=np.int64).reshape(-1, len(g.radices))
     if not (Z == g.identity).all(axis=1).any():
@@ -658,7 +671,10 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
         raise ValueError(f"subgroup element {bad} is not central")
     keys = np.sort(keys)
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
-    return GroupTable(q, generated=True)
+    out = GroupTable(q)
+    ids = np.arange(q.order, dtype=index_dtype(q.order))
+    out._search = ([0], ids, ids, q.labels)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_ambient_table_decodes_only_the_rows_it_returns(monkeypatch):
 
     monkeypatch.setattr(nilprod.NilGroup, "rows", counted)
     t = oracle.GroupTable.from_group(build(GroupSpec(3, 3)))
-    assert t.frattini is not None  # R_a, R_b and a walk over them
+    assert t.frattini is not None  # R_a, R_b and the coset search of {1}
     assert decoded == []
     # the 256 rows of the centralizer of a, which hold the center's rows,
     # then the quotient's coset representatives
@@ -267,7 +267,7 @@ def count_walks(monkeypatch):
     """The table order of each ``oracle._walk`` over a table from now on.
     A table is walked over its R_a and R_b, the tuple ``gen_maps``; the
     coset search closes its subgroup S of Z over a list of maps on Z's
-    rows, which is not counted."""
+    rows, and the references below walk lists too, which are not counted."""
     walked = []
     real = oracle._walk
 
@@ -286,9 +286,47 @@ def generated_by_walk(table, steps=None) -> bool:
     the reference for the coset search's generation proof."""
     seen = np.zeros(table.order, dtype=bool)
     seen[table.group.key(table.group.identity)] = True
-    for _ in oracle._walk(table.gen_maps if steps is None else steps, seen):
-        pass
+    oracle._walk(list(table.gen_maps) if steps is None else steps, seen)
     return bool(seen.all())
+
+
+def frattini_by_walk(table):
+    """Each row's Frattini label, carried along a breadth-first walk over
+    R_a and R_b, lambda(p g_s) = lambda(p) xor 2^s, and then checked,
+    lambda(R_s x) = lambda(x) xor 2^s, on every row; ``None`` without two
+    designated generators or when a check fails: the reference for the
+    labels of the coset search."""
+    if len(table.group.gens) != 2:
+        return None
+    lab = np.zeros(table.order, dtype=np.int8)
+    seen = np.zeros(table.order, dtype=bool)
+    seen[table.group.key(table.group.identity)] = True
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        level = []
+        for s, step in enumerate(table.gen_maps):
+            kids = step[frontier]
+            new = ~seen[kids]
+            parents, kids = frontier[new], kids[new]
+            seen[kids] = True
+            lab[kids] = lab[parents] ^ (1 << s)
+            level.append(kids)
+        frontier = np.concatenate(level)
+    if not seen.all():
+        raise BuildIntegrityError("the designated generators do not generate the table")
+    if any((lab[step] != lab ^ (1 << s)).any() for s, step in enumerate(table.gen_maps)):
+        return None
+    return lab
+
+
+def assert_frattini_by_walk(table):
+    """``table.frattini`` equals the walk's labels, value and dtype, or
+    both are ``None``; its labels, which may be ``None``."""
+    lab, ref = table.frattini, frattini_by_walk(table)
+    assert (lab is None) == (ref is None), table.group
+    if ref is not None:
+        assert lab.dtype == ref.dtype and np.array_equal(lab, ref), table.group
+    return lab
 
 
 def test_referees_match_reference_definitions(monkeypatch):
@@ -317,7 +355,13 @@ def test_referees_match_reference_definitions(monkeypatch):
             # quotient tables are keyed by coset id, 0..n-1 like any other,
             # and their own R_a and R_b carry the coset search of a quotient
             assert np.array_equal(q.group.key_rows(q.coords), np.arange(q.order))
-            check_referees(q)
+            # the labels handed over by the parent's search, before the
+            # quotient's own searches replace that search
+            assert_frattini_by_walk(q)
+            for qq in check_referees(q):
+                assert_frattini_by_walk(qq)
+        assert_frattini_by_walk(t)
+        assert walked == []
 
 
 def test_a_search_that_finds_few_elements_of_z_needs_no_walk(monkeypatch):
@@ -439,18 +483,32 @@ def test_generation_is_proved_once_per_table(monkeypatch):
     # reuses it: one search and no walk for the ambient table
     q = oracle.quotient_central(t, zc)
     assert searched == [t.order] and walked == []
-    # the search reached every coset from Z
+    # the search reached every coset from Z, and it is the quotient's own
+    # search of its trivial subgroup, with the Frattini labels
     assert q.generated
+    assert q.frattini is not None
+    assert searched == [t.order] and walked == []
     assert len(oracle.brute_center(q)) == len(oracle.brute_center(q)) == 8
     assert searched == [t.order] and walked == []
-    # so only the Frattini labels walk a quotient
-    assert q.frattini is not None
-    assert walked == [q.order]
-    # and a table whose labels walked first needs no search of its own
+    # a model's labels come from its own search of {1}, which proves
+    # generation, so its center needs no search after it
     m = oracle.GroupTable.from_group(model(type_i(2, 2, 1)))
     assert m.frattini is not None
+    assert searched == [t.order, m.order]
     oracle.brute_center(m)
-    assert walked == [q.order, m.order] and searched == [t.order]
+    assert walked == [] and searched == [t.order, m.order]
+
+
+def test_a_witness_builds_no_quotient_map(monkeypatch):
+    # iso_2gen reads the quotient's Frattini labels from the search that
+    # built it, so verify_witness builds no R_g on the quotient
+    calls = []
+    real = oracle.QuotientGroup.right_keys
+    monkeypatch.setattr(oracle.QuotientGroup, "right_keys",
+                        lambda self, y: calls.append(y) or real(self, y))
+    report = capability.verify_witness(capability.build_witness(type_i(4, 4, 4)), 1 << 19)
+    assert report.passed and report.group_order == 1 << 19
+    assert calls == []
 
 
 def test_quotient_central_proves_generation_on_a_fresh_table(monkeypatch):
@@ -503,8 +561,9 @@ def test_coset_search_refuses_a_subgroup_outside_the_generated_one(monkeypatch):
 def test_no_ambient_is_walked(monkeypatch):
     # the 19 ambient tables of cli.sweep_rows(4), the witness_sweep workload,
     # and the 18 ambients with exponents <= 4 and |K| <= 2^16, the recognize
-    # workload: each one's coset search proves generation, so only the
-    # Frattini labels of quotients and models walk
+    # workload: each one's coset search proves generation, and the
+    # quotients' Frattini labels come from that search, so only the
+    # closures of Schreier generators inside Z walk
     walked = []
     real = oracle._walk
     monkeypatch.setattr(oracle, "_walk", lambda steps, seen: walked.append(steps) or real(steps, seen))
@@ -528,8 +587,7 @@ def test_walk_refuses_a_step_that_repeats_a_row():
     steps = [np.array([1, 3, 3, 0]), np.array([2, 0, 0, 0])]
     seen = np.array([True, False, False, False])
     with pytest.raises(BuildIntegrityError, match="repeats a row"):
-        for _ in oracle._walk(steps, seen):
-            pass
+        oracle._walk(steps, seen)
     assert seen.all()
 
 
@@ -626,7 +684,8 @@ def test_quotient_rejects_a_set_of_subgroup_size_that_is_not_closed():
 def test_coset_search_counts_its_blocks():
     # Z = {0, 3} on four rows: R_0 carries it onto {1}, {2} and back to
     # {0}, and R_1 onto {1} and {0}.  Every child block carries one id on
-    # all its rows, so only the count (3 ids, where 4/|Z| = 2) refuses Z
+    # all its rows, so only the bound on the ids refuses Z: {2} would take
+    # a third id, where 4/|Z| = 2
     stub = SimpleNamespace(order=4, gen_maps=(np.array([1, 2, 0, 1], dtype=np.int32),
                                               np.array([1, 0, 0, 1], dtype=np.int32)))
     with pytest.raises(ValueError, match="not closed"):
@@ -825,7 +884,7 @@ def test_frattini_labels_decide_generation():
     tables += [q for _, q in witness_quotients() if q.order <= 32]
     assert len(tables) == 13
     for t in tables:
-        lab = t.frattini
+        lab = assert_frattini_by_walk(t)
         assert lab is not None and sorted(set(lab.tolist())) == [0, 1, 2, 3]
         rows = [tuple(r) for r in t.coords.tolist()]
         for i, x in enumerate(rows):
@@ -838,6 +897,21 @@ def test_a_cyclic_table_has_no_frattini_labels():
     t = oracle.GroupTable.from_group(Cyclic8())
     assert t.frattini is None
     assert oracle.iso_2gen(t, model(type_i(1, 1, 1))) is None
+    # with the generators 1 and 4 too; the search proves generation
+    # either way, and the walk finds no labels either
+    c = Cyclic8()
+    c.gens = ((1,), (4,))
+    for group in (Cyclic8(), c):
+        t = oracle.GroupTable.from_group(group)
+        assert assert_frattini_by_walk(t) is None and t.generated
+
+
+def test_model_frattini_labels_match_the_walk():
+    tables = [oracle.GroupTable.from_group(model(p))
+              for k in range(3, 11) for p in class2.params_with_order(1 << k)]
+    assert len(tables) == 108
+    for t in tables:
+        assert assert_frattini_by_walk(t) is not None
 
 
 @functools.cache
@@ -928,3 +1002,41 @@ def test_iso_tries_one_candidate_image_of_a(monkeypatch):
         assert oracle.iso_2gen(q, model(p)) is not None
         assert len(calls) == 1, (p, len(calls))
     assert len(quotients) == 14
+
+
+def normal_closure_by_elements(table, gens):
+    """The normal closure by conjugating every element of the current
+    subgroup by each designated generator and closing over all of them,
+    |N|^2 products a round: the reference for ``normal_closure``."""
+    g = table.group
+    sub = oracle.closure(table, [tuple(x) for x in gens])
+    while True:
+        size = len(sub)
+        conjs = []
+        for gen in g.gens:
+            gi = g.inverse(gen)
+            for s in sub.tolist():
+                conjs.append(g.mul(g.mul(gi, tuple(s)), gen))
+        sub = oracle.closure(table, [tuple(s) for s in sub.tolist()] + conjs)
+        if len(sub) == size:
+            return sub
+
+
+def test_normal_closure_matches_the_reference():
+    # the normal closure of [a, b] on the 18 recognize quotients, every
+    # model of order <= 2^9, and three ambients where [a, b] is not central,
+    # so that a second round runs
+    tables = []
+    for K in small_ambients(1 << 16, max_alpha=4, max_beta=4):
+        t = oracle.GroupTable.from_group(K)
+        tables.append(oracle.quotient_central(t, oracle.brute_center(t)))
+    tables += [oracle.GroupTable.from_group(model(p))
+               for k in range(3, 10) for p in class2.params_with_order(1 << k)]
+    ambients = [build(GroupSpec(*ab)) for ab in [(2, 1), (2, 2), (3, 2)]]
+    assert not any(g.is_central(g.commutator(g.a, g.b)) for g in ambients)
+    tables += [oracle.GroupTable.from_group(g) for g in ambients]
+    assert len(tables) == 18 + 76 + 3
+    for t in tables:
+        gens = [t.group.commutator(*t.group.gens)]
+        assert np.array_equal(oracle.normal_closure(t, gens),
+                              normal_closure_by_elements(t, gens)), t.group
