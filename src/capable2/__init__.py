@@ -21,6 +21,7 @@ from .capability import (
     lemma_check_commcond,
     lemma_check_halfstep,
     order_conditions,
+    small_witness,
     verify_witness,
 )
 from .class2 import (
@@ -82,6 +83,7 @@ __all__ = [
     "mul",
     "order_conditions",
     "power",
+    "small_witness",
     "type_i",
     "type_ii",
     "type_iii",

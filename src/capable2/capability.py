@@ -13,10 +13,15 @@ and type iii is never capable.  ``decide`` evaluates the clause table;
 ``build_witness`` builds one class-three ambient for every positive clause,
 straight from the target's presentation: K_G = F/[R,F]<a^(2^alpha),
 b^(2^beta)>, with F free on a, b and R the kernel of F -> G (the group behind
-the epicenter of Beyl, Felgner and Schmid, J. Algebra 61, 1979).
-``verify_witness`` recomputes everything at the element level: it builds K,
-matches its solved center keys with a brute-force scan of K's table, forms
-K/Z(K), and searches for an explicit generator-image isomorphism onto G.
+the epicenter of Beyl, Felgner and Schmid, J. Algebra 61, 1979).  K_G is the
+recipe, and the largest witness in its family of quotients; ``small_witness``
+descends from it, one central involution at a time, to a quotient that is
+still a witness and that no further involution shrinks, and that is what the
+CLI's ``verify`` and ``sweep`` check (i(4,4,4): 2^16 elements, against K_G's
+2^19).  ``verify_witness`` recomputes everything at the element level, for
+either witness: it builds K, matches its solved center keys with a
+brute-force scan of K's table, forms K/Z(K), and searches for an explicit
+generator-image isomorphism onto G.
 
 Negative answers are reported from the characterization; there is no finite
 bound on witness size, so non-capability cannot be refuted by search.  The
@@ -26,6 +31,7 @@ three hypothesis-gated lemma checkers at the bottom of this module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +41,7 @@ from .class2 import Class2Group, TypeParams
 from .errors import NotCapableError, ParameterError
 from .group import is_int
 from .hall_core import FreeElt
-from .lattice import canonical_basis
+from .lattice import CommLattice, canonical_basis
 from .nilprod import GroupSpec, NilGroup
 
 NONCERT_NOTE = (
@@ -232,9 +238,78 @@ def build_witness(p: TypeParams) -> WitnessSpec:
             rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])
             gens += [hall.commutator_coords(rx, y)[2:] for y in (hall.A, hall.B)]
-    rows = canonical_basis(gens).rows
+    return _witness_spec(p, canonical_basis(gens))
+
+
+def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
+    """The quotient of the (alpha, beta) product whose relation lattice is
+    ``lattice``, as a witness for ``p``.  The canonical basis rows become the
+    extras, weight-three rows first, so that each is central in the group
+    built from the ones before it."""
+    rows = lattice.rows
     extras = tuple(FreeElt(0, 0, *row) for row in rows[1:] + rows[:1])
     return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
+
+
+def _central_involutions(K: NilGroup) -> list:
+    """The central elements (0, 0, t, u, v) of order two, as (t, u, v) in key
+    order.
+
+    2z lies in K's relation lattice L exactly when z = w/2 for some w in L,
+    and z modulo L depends only on the parities of w's coefficients on L's
+    canonical rows: so z is half of the sum of a subset of the rows, and
+    there are at most seven.  z is central when [z, a] and [z, b] lie in L.
+    """
+    lat = K.comm_lattice
+    found = set()
+    for subset in itertools.product((0, 1), repeat=3):
+        w = [sum(c * row[i] for c, row in zip(subset, lat.rows)) for i in range(3)]
+        if any(x % 2 for x in w):
+            continue
+        z = lat.reduce([x // 2 for x in w])
+        if any(z) and all(
+            lat.contains(hall.commutator_coords((0, 0, *z), g)[2:]) for g in (hall.A, hall.B)
+        ):
+            found.add(z)
+    return sorted(found)
+
+
+def small_witness(p: TypeParams) -> WitnessSpec:
+    """A quotient of K_G that is still a witness for ``p`` and that no central
+    involution shrinks further, found by a greedy descent.  On every capable
+    tuple with exponents <= 4 it is the smallest quotient that any chain of
+    central involutions reaches.
+
+    Let N lie in Z(K) with r = s = 0.  Then Z(K/N) contains Z(K)/N, and K/N
+    is a witness exactly when they are equal, that is when |Z(K/N)| |G| =
+    |K/N|, counted by the congruence solver as ``len(center_keys())``.  An
+    element central modulo a subgroup of N is central modulo N, so every
+    subgroup of a good N is good: every maximal good N is reached one central
+    involution at a time, and an involution refused at one step stays refused
+    at every later one.  Each step accepts the first involution, in key
+    order, whose quotient passes the count, and the descent stops when none
+    does.  :func:`verify_witness` referees the result.  Raises
+    :class:`NotCapableError` like :func:`build_witness`, and
+    ``ParameterError`` when the keys are too large for int64.
+    """
+    K = nilprod.build(build_witness(p).ambient)
+    target_order = Class2Group(p).order
+    refused = set()
+    while True:
+        for z in _central_involutions(K):
+            if z in refused:
+                continue
+            # z is central, so the lattice needs no layered centrality check;
+            # the solver reads only alpha and beta of the spec
+            Q = NilGroup(K.spec, canonical_basis(K.comm_lattice.rows + (z,)))
+            _, p1, p2 = Q.comm_lattice.pivots
+            if len(Q._center_rows) * p1 * p2 * target_order == Q.order:
+                break
+            refused.add(z)
+        else:
+            return _witness_spec(p, K.comm_lattice)
+        K = Q
+        refused = {K.comm_lattice.reduce(z) for z in refused}
 
 
 def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:

@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     RankDeficientError,
 )
+from .group import is_int
 
 TSV_COLUMNS = ("type", "alpha", "beta", "gamma", "sigma", "order", "verdict", "clause", "verified")
 
@@ -62,15 +63,30 @@ def sweep_rows(max_alpha: int, max_order: int | None = None, verify: bool = True
         status = "n/a"
         if verdict.capable and verify:
             try:
-                report = capability.verify_witness(
-                    capability.build_witness(p), max_order
-                )
+                report = capability.verify_witness(_small_witness(p, max_order), max_order)
                 status = "PASS" if report.passed else "FAIL"
             except EnumerationBudgetError as exc:
                 status = "SKIPPED"
                 warnings.append(f"{p}: {exc}")
         rows.append(SweepRow(p, order, verdict, status))
     return rows, warnings
+
+
+def _small_witness(p: TypeParams, max_order: int | None) -> capability.WitnessSpec:
+    """``p``'s small witness, or, for a capable ``p``,
+    ``EnumerationBudgetError`` before the descent when no witness fits the
+    budget: K/Z(K) = G with Z(K) nontrivial, since K is a 2-group, so every
+    witness has at least 2|G| elements.  The descent would otherwise scan
+    centers (and from exponent 13 on, overflow int64) for a table that is
+    refused anyway."""
+    limit = oracle.DEFAULT_MAX_ORDER if max_order is None else max_order
+    least = 2 * class2.Class2Group(p).order
+    if is_int(limit) and least > limit and capability.decide(p).capable:
+        raise EnumerationBudgetError(
+            f"every witness for {p} has at least {least} elements, which exceeds "
+            f"the enumeration bound {limit}"
+        )
+    return capability.small_witness(p)
 
 
 def _params_from_args(args) -> TypeParams:
@@ -108,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("classify", _cmd_classify, "validate parameters and print model invariants"),
         ("decide", _cmd_decide, "print the capability verdict and clause"),
         ("witness", _cmd_witness, "print the witness recipe for a capable group"),
-        ("verify", _cmd_verify, "build the witness and verify the central quotient"),
+        ("verify", _cmd_verify, "build the small witness and verify the central quotient"),
         ("export-cas", _cmd_export, "emit a GAP script re-checking a verified witness"),
     ):
         parents = [budget] if name in ("classify", "verify", "export-cas") else []
@@ -185,12 +201,19 @@ def _cmd_witness(args) -> int:
     print(f"target {p}: ambient {K.describe()} of order {K.order}")
     for e in w.ambient.extra_central:
         print(f"  extra central relator: {e}")
+    try:
+        small = nilprod.build(capability.small_witness(p).ambient)
+    except ParameterError as exc:  # the descent counts centers by int64 keys
+        print(f"  no quotient by central involutions: {exc}")
+    else:
+        print(f"  smallest quotient by central involutions, which verify and sweep check: "
+              f"{small.describe()} of order {small.order}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     p = _params_from_args(args)
-    report = capability.verify_witness(capability.build_witness(p), args.max_order)
+    report = capability.verify_witness(_small_witness(p, args.max_order), args.max_order)
     print(report.describe())
     return 0 if report.passed else 1
 

@@ -1,5 +1,6 @@
 """Decision procedure, witness construction/verification, lemma checkers."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from capable2 import class2, hall_core as hall
 from capable2.class2 import model, type_i, type_ii, type_iii
 from capable2.errors import NotCapableError, ParameterError
 from capable2.hall_core import FreeElt
-from capable2.nilprod import GroupSpec, build
+from capable2.lattice import canonical_basis
+from capable2.nilprod import GroupSpec, NilGroup, build
 
 
 def K(alpha, beta, gamma):
@@ -239,6 +241,76 @@ def test_witness_order_formulas():
     for beta in (1, 2):
         w = cap.build_witness(type_i(beta, beta, beta))
         assert build(w.ambient).order == 1 << (5 * beta - 1)
+
+
+# -- small witnesses ---------------------------------------------------------------
+
+
+def central_involutions(K):
+    """Reference for the descent's candidates: every central (0, 0, t, u, v)
+    of order two, as the t of a central row with r = s = 0 times the whole
+    (u, v) block, kept where 2(t, u, v) lies in the lattice."""
+    _, p1, p2 = K.comm_lattice.pivots
+    ts = [t for r, s, t, _, _ in K._center_rows.tolist() if r == s == 0]
+    return [
+        z for z in itertools.product(ts, range(p1), range(p2))
+        if any(z) and K.comm_lattice.contains(tuple(2 * x for x in z))
+    ]
+
+
+def least_descent_order(p):
+    """The least order over every chain of quotients of K_G by central
+    involutions that stay witnesses, by exhaustive search; every candidate
+    set on the way is checked against the descent's own."""
+    K = build(cap.build_witness(p).ambient)
+    target_order = class2.Class2Group(p).order
+    seen, stack, least = {K.comm_lattice}, [K], K.order
+    while stack:
+        K = stack.pop()
+        least = min(least, K.order)
+        involutions = central_involutions(K)
+        assert cap._central_involutions(K) == involutions, p
+        for z in involutions:
+            lat = canonical_basis(K.comm_lattice.rows + (z,))
+            if lat not in seen:
+                seen.add(lat)
+                Q = NilGroup(K.spec, lat)
+                if len(Q.center_keys()) * target_order == Q.order:
+                    stack.append(Q)
+    return least
+
+
+def test_small_witness_verifies_at_the_least_order():
+    # every capable tuple with exponents <= 4: the descent's witness passes
+    # every referee with K_G's generator images, has the least order of any
+    # chain of central involutions, and a center of order 2^beta (type i) or
+    # 2^alpha (type ii)
+    orders = {}
+    for p in class2.iter_valid_params(4):
+        if not cap.decide(p).capable:
+            continue
+        w = cap.small_witness(p)
+        report = cap.verify_witness(w, 1 << 20)
+        assert report.passed, report.describe()
+        assert report.generator_images == cap.verify_witness(
+            cap.build_witness(p), 1 << 20
+        ).generator_images, p
+        assert report.group_order == least_descent_order(p), p
+        assert report.center_order == 1 << (p.beta if p.kind == "i" else p.alpha), p
+        orders[str(p)] = report.group_order.bit_length() - 1
+    assert len(orders) == 19
+    assert (orders["i(4,4,4)"], orders["i(4,4,3)"], orders["i(4,3,3)"]) == (16, 15, 13)
+    assert (orders["ii(4,3,3,2)"], orders["i(1,1,1)"], orders["ii(4,4,2,0)"]) == (13, 4, 12)
+
+
+def test_small_witness_refusals():
+    with pytest.raises(NotCapableError):
+        cap.small_witness(type_iii(1))
+    with pytest.raises(NotCapableError):
+        cap.small_witness(type_i(3, 2, 1))
+    # the descent counts centers by int64 keys, which K_G's outgrow here
+    with pytest.raises(ParameterError, match="int64"):
+        cap.small_witness(type_i(13, 13, 13))
 
 
 # -- lemma checkers ----------------------------------------------------------------

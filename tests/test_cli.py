@@ -64,6 +64,35 @@ def test_witness_prints_recipe(capsys):
     assert out.count("extra central relator") == 3
 
 
+def test_witness_prints_both_orders(capsys):
+    code, out, _ = run(capsys, "witness", "--type", "i", "--alpha", "4",
+                       "--beta", "4", "--gamma", "4")
+    assert code == 0
+    recipe, small = out.splitlines()[0], out.splitlines()[-1]
+    assert recipe.endswith("of order 524288")
+    assert "central involutions" in small and small.endswith("of order 65536")
+    # past the int64 key bound the recipe is still printed
+    code, out, _ = run(capsys, "witness", "--type", "i", "--alpha", "13",
+                       "--beta", "13", "--gamma", "13")
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"of order {1 << 64}")
+    assert out.splitlines()[-1].startswith("  no quotient by central involutions: radices")
+
+
+def test_verify_checks_the_small_witness(capsys):
+    # i(4,4,4)'s small witness fits the default budget of 2^16, K_G does not
+    params = ("--type", "i", "--alpha", "4", "--beta", "4", "--gamma", "4")
+    code, out, _ = run(capsys, "verify", *params)
+    assert code == 0
+    assert "|K|=65536" in out and "|Z(K)|=16" in out and "iso=PASS" in out
+    # every witness has at least 2|G| elements: past the budget, the tuple is
+    # refused before the descent, which cannot count int64-overflowing keys
+    code, _, err = run(capsys, "verify", "--type", "i", "--alpha", "13", "--beta", "13",
+                       "--gamma", "13")
+    assert code == 1
+    assert "at least 1099511627776 elements, which exceeds the enumeration bound 65536" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "--type", "i", "--alpha", "2",
                        "--beta", "2", "--gamma", "1")
