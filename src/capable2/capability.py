@@ -15,12 +15,12 @@ straight from the target's presentation: K_G = F/[R,F]<a^(2^alpha),
 b^(2^beta)>, with F free on a, b and R the kernel of F -> G (the group behind
 the epicenter of Beyl, Felgner and Schmid, J. Algebra 61, 1979).  K_G is the
 recipe, and the largest witness in its family of quotients; ``small_witness``
-descends from it, one central involution at a time, to a quotient that is
-still a witness and that no further involution shrinks, and that is what the
-CLI's ``verify`` and ``sweep`` check (i(4,4,4): 2^16 elements, against K_G's
-2^19).  ``verify_witness`` recomputes everything at the element level, for
-either witness: it builds K, matches its solved center keys with a
-brute-force scan of K's table, forms K/Z(K), and searches for an explicit
+is K_G modulo one weight-three commutator, fixed by the presentation type and
+confirmed by the congruence solver's count of the center, and that is what
+the CLI's ``verify`` and ``sweep`` check (i(4,4,4): 2^16 elements, against
+K_G's 2^19).  ``verify_witness`` recomputes everything at the element
+level, for either witness: it builds K, matches its solved center keys with
+a brute-force scan of K's table, forms K/Z(K), and searches for an explicit
 generator-image isomorphism onto G.
 
 Negative answers are reported from the characterization; there is no finite
@@ -31,14 +31,13 @@ three hypothesis-gated lemma checkers at the bottom of this module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import class2, hall_core as hall, nilprod, oracle
 from .class2 import Class2Group, TypeParams
-from .errors import NotCapableError, ParameterError
+from .errors import BuildIntegrityError, NotCapableError, ParameterError
 from .group import is_int
 from .hall_core import FreeElt
 from .lattice import CommLattice, canonical_basis
@@ -113,6 +112,16 @@ def _int_exponents(name: str, values) -> list:
     if not all(map(is_int, values)):
         raise ParameterError(f"integer {name} required, got {values!r}")
     return values
+
+
+def _int_elements(name: str, elems) -> list:
+    """Each of ``elems`` as a tuple; ``ParameterError`` unless each is five
+    ints, not bools.  Coordinates outside the box still name an element."""
+    elems = [tuple(x) if isinstance(x, (tuple, list)) else x for x in elems]
+    for x in elems:
+        if not (isinstance(x, tuple) and len(x) == 5 and all(map(is_int, x))):
+            raise ParameterError(f"{name} must be five integer coordinates, got {x!r}")
+    return elems
 
 
 def order_conditions(exponents) -> bool:
@@ -217,16 +226,21 @@ def _word_coords(word) -> tuple:
 
 
 def build_witness(p: TypeParams) -> WitnessSpec:
-    """The group K_G = F/[R,F]<a^(2^alpha), b^(2^beta)> of the presentation.
+    """The group K_G = F/[R,F]<a^(2^alpha), b^(2^beta)> of the presentation,
+    from the relation lattice of :func:`_relation_lattice`.  Raises
+    :class:`NotCapableError` when ``decide`` is negative."""
+    return _witness_spec(p, _relation_lattice(p))
+
+
+def _relation_lattice(p: TypeParams) -> CommLattice:
+    """K_G's relation lattice.
 
     F is free on a, b and R is the kernel of F -> G, which holds the relators
     of ``Class2Group(p).relations()`` and gamma_3(F).  In hall_core's free
     class-three group F/gamma_4(F), [R,F] is the (t, u, v) lattice spanned
     by [rho, x] and [[rho, x], y] for the relators rho and x, y in {a, b}.
-    Its canonical basis rows become the extras, weight-three rows first, so
-    that each is central in the group built from the ones before it.  Every
-    capable tuple has alpha >= beta.  Raises :class:`NotCapableError` when
-    ``decide`` is negative.
+    Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
+    when ``decide`` is negative.
     """
     verdict = decide(p)
     if not verdict.capable:
@@ -238,7 +252,7 @@ def build_witness(p: TypeParams) -> WitnessSpec:
             rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])
             gens += [hall.commutator_coords(rx, y)[2:] for y in (hall.A, hall.B)]
-    return _witness_spec(p, canonical_basis(gens))
+    return canonical_basis(gens)
 
 
 def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
@@ -251,65 +265,37 @@ def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
     return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
 
 
-def _central_involutions(K: NilGroup) -> list:
-    """The central elements (0, 0, t, u, v) of order two, as (t, u, v) in key
-    order.
-
-    2z lies in K's relation lattice L exactly when z = w/2 for some w in L,
-    and z modulo L depends only on the parities of w's coefficients on L's
-    canonical rows: so z is half of the sum of a subset of the rows, and
-    there are at most seven.  z is central when [z, a] and [z, b] lie in L.
-    """
-    lat = K.comm_lattice
-    found = set()
-    for subset in itertools.product((0, 1), repeat=3):
-        w = [sum(c * row[i] for c, row in zip(subset, lat.rows)) for i in range(3)]
-        if any(x % 2 for x in w):
-            continue
-        z = lat.reduce([x // 2 for x in w])
-        if any(z) and all(
-            lat.contains(hall.commutator_coords((0, 0, *z), g)[2:]) for g in (hall.A, hall.B)
-        ):
-            found.add(z)
-    return sorted(found)
-
-
 def small_witness(p: TypeParams) -> WitnessSpec:
-    """A quotient of K_G that is still a witness for ``p`` and that no central
-    involution shrinks further, found by a greedy descent.  On every capable
-    tuple with exponents <= 4 it is the smallest quotient that any chain of
-    central involutions reaches.
+    """K_G modulo one weight-three commutator, fixed by the presentation
+    type: a smaller group that is still a witness for ``p``.
 
-    Let N lie in Z(K) with r = s = 0.  Then Z(K/N) contains Z(K)/N, and K/N
-    is a witness exactly when they are equal, that is when |Z(K/N)| |G| =
-    |K/N|, counted by the congruence solver as ``len(center_keys())``.  An
-    element central modulo a subgroup of N is central modulo N, so every
-    subgroup of a good N is good: every maximal good N is reached one central
-    involution at a time, and an involution refused at one step stays refused
-    at every later one.  Each step accepts the first involution, in key
-    order, whose quotient passes the count, and the descent stops when none
-    does.  :func:`verify_witness` referees the result.  Raises
-    :class:`NotCapableError` like :func:`build_witness`, and
-    ``ParameterError`` when the keys are too large for int64.
+    The relator is [a,b,b] for type i with gamma < alpha, [a,b,a][a,b,b]
+    for type i with gamma = alpha, and [a,b,a] for type ii.  K_G has class
+    three, so the relator is central, and K = K_G/<relator> is F/M with
+    [R,F] <= M <= R.  R/M is central in K, of order |K|/|G|, with quotient
+    G; so K is a witness exactly when |Z(K)| |G| = |K|.  The congruence
+    solver counts |Z(K)| as ``len(_center_rows)`` * p1 * p2, and a count
+    that differs raises :class:`BuildIntegrityError`.  On every tuple the
+    tests check (exponents <= 10) the lattice's pivots multiply to
+    2^(beta+gamma) (type i) and 2^(alpha+sigma) (type ii), so |Z(K)| is
+    2^beta and 2^alpha.  :func:`verify_witness` referees the result.
+    Raises :class:`NotCapableError` like :func:`build_witness`, and
+    ``ParameterError`` when K's keys are too large for int64 (from
+    i(16,16,16) on).
     """
-    K = nilprod.build(build_witness(p).ambient)
-    target_order = Class2Group(p).order
-    refused = set()
-    while True:
-        for z in _central_involutions(K):
-            if z in refused:
-                continue
-            # z is central, so the lattice needs no layered centrality check;
-            # the solver reads only alpha and beta of the spec
-            Q = NilGroup(K.spec, canonical_basis(K.comm_lattice.rows + (z,)))
-            _, p1, p2 = Q.comm_lattice.pivots
-            if len(Q._center_rows) * p1 * p2 * target_order == Q.order:
-                break
-            refused.add(z)
-        else:
-            return _witness_spec(p, K.comm_lattice)
-        K = Q
-        refused = {K.comm_lattice.reduce(z) for z in refused}
+    rows = _relation_lattice(p).rows
+    relator = (0, 1, 0) if p.kind == "ii" else (0, 0, 1) if p.gamma < p.alpha else (0, 1, 1)
+    lattice = canonical_basis(rows + (relator,))
+    # the solver reads only alpha and beta of the spec
+    K = NilGroup(GroupSpec(p.alpha, p.beta), lattice)
+    _, p1, p2 = lattice.pivots
+    center_order = len(K._center_rows) * p1 * p2
+    if center_order * Class2Group(p).order != K.order:
+        raise BuildIntegrityError(
+            f"K_G modulo {relator} is no witness for {p}: "
+            f"|Z(K)| = {center_order}, |K| = {K.order}"
+        )
+    return _witness_spec(p, lattice)
 
 
 def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:
@@ -375,9 +361,10 @@ def lemma_check_commcond(K: NilGroup, ys, rs, gammas) -> LemmaOutcome:
     commutes with y_i and y_m, then y_m^(2^r_(m-1)) is central.
 
     Unmet hypotheses yield a vacuous true with a note, so sweeps can scan
-    blindly.  ``ParameterError`` for non-integer exponents or bad lengths.
+    blindly.  ``ParameterError`` for non-integer exponents, malformed
+    elements or bad lengths.
     """
-    ys = [tuple(y) for y in ys]
+    ys = _int_elements("elements y_i", ys)
     rs = _int_exponents("exponents r_i", rs)
     gammas = _int_exponents("exponents gamma_i", gammas)
     if len(ys) != len(rs) or len(gammas) != len(ys) - 1 or len(ys) < 2:
@@ -408,10 +395,11 @@ def lemma_check_commcond(K: NilGroup, ys, rs, gammas) -> LemmaOutcome:
 def lemma_check_halfstep(K: NilGroup, x, y, alpha: int) -> LemmaOutcome:
     """If x^(2^alpha), [x,y]^(2^(alpha-1)) and x^(2^(alpha-1))[x,y]^(-2^(alpha-2))
     all centralize <x, y>, then y^(2^(alpha-1)) commutes with x.
-    ``ParameterError`` unless alpha is an integer > 1."""
+    ``ParameterError`` unless alpha is an integer > 1 and x, y are five
+    integer coordinates each."""
     if not (is_int(alpha) and alpha > 1):
         raise ParameterError(f"integer alpha > 1 required, got {alpha!r}")
-    x, y = tuple(x), tuple(y)
+    x, y = _int_elements("elements x, y", (x, y))
     c = K.commutator(x, y)
     witnesses = (
         K.power(x, 1 << alpha),
@@ -433,11 +421,12 @@ def exceptional_obstruction_check(K: NilGroup, x, y, gamma: int) -> LemmaOutcome
     When x and y generate K modulo its center this makes x^(2^gamma) central
     in K, which is the obstruction that kills the exceptional type; the note
     records whether that stronger conclusion applies.  ``ParameterError``
-    unless gamma is an integer >= 0.
+    unless gamma is an integer >= 0 and x, y are five integer coordinates
+    each.
     """
     if not (is_int(gamma) and gamma >= 0):
         raise ParameterError(f"integer gamma >= 0 required, got {gamma!r}")
-    x, y = tuple(x), tuple(y)
+    x, y = _int_elements("elements x, y", (x, y))
     diff = K.mul(K.power(x, 1 << gamma), K.power(y, -(1 << gamma)))
     if not K.is_central(diff):
         return LemmaOutcome(

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
 from .errors import BuildIntegrityError, ParameterError
 from .group import CoordGroup, is_int
 
@@ -228,8 +229,6 @@ class Fingerprint:
 def fingerprint(table) -> Fingerprint:
     """Fingerprint of the group of a :class:`capable2.oracle.GroupTable`
     (model, quotient, ...), computed on that table's own index maps."""
-    from . import oracle
-
     group = table.group
     counts = np.bincount(table.exponents()).tolist()
     hist = {1 << e: n for e, n in enumerate(counts) if n}
@@ -249,8 +248,6 @@ def model_fingerprint(p: TypeParams) -> Fingerprint:
     """Fingerprint of the model of ``p``, enumerated once per tuple for the
     life of the process.  The model's table is built with no enumeration
     budget, so a caller bounds the orders it asks for."""
-    from . import oracle
-
     m = model(p)
     return fingerprint(oracle.GroupTable(m))
 
@@ -262,8 +259,6 @@ def _abelian_invariants(table, derived) -> tuple[int, ...]:
     exponents of :meth:`oracle.GroupTable.exponents`), the number of
     invariant factors of exponent >= k is f(k) - f(k-1).
     """
-    from . import oracle
-
     exps = table.exponents(oracle.key_mask(table.group, derived))
     counts = np.cumsum(np.bincount(exps)).tolist()
     n = table.order // len(derived)

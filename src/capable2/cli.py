@@ -74,11 +74,11 @@ def sweep_rows(max_alpha: int, max_order: int | None = None, verify: bool = True
 
 def _small_witness(p: TypeParams, max_order: int | None) -> capability.WitnessSpec:
     """``p``'s small witness, or, for a capable ``p``,
-    ``EnumerationBudgetError`` before the descent when no witness fits the
+    ``EnumerationBudgetError`` before it is built when no witness fits the
     budget: K/Z(K) = G with Z(K) nontrivial, since K is a 2-group, so every
-    witness has at least 2|G| elements.  The descent would otherwise scan
-    centers (and from exponent 13 on, overflow int64) for a table that is
-    refused anyway."""
+    witness has at least 2|G| elements.  The witness's center count would
+    otherwise scan for a table that is refused anyway, and from exponent 16
+    on refuse its int64 keys with a ``ParameterError``."""
     limit = oracle.DEFAULT_MAX_ORDER if max_order is None else max_order
     least = 2 * class2.Class2Group(p).order
     if is_int(limit) and least > limit and capability.decide(p).capable:
@@ -203,7 +203,7 @@ def _cmd_witness(args) -> int:
         print(f"  extra central relator: {e}")
     try:
         small = nilprod.build(capability.small_witness(p).ambient)
-    except ParameterError as exc:  # the descent counts centers by int64 keys
+    except ParameterError as exc:  # the witness's center is counted by int64 keys
         print(f"  no quotient by central involutions: {exc}")
     else:
         print(f"  smallest quotient by central involutions, which verify and sweep check: "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hall_core as hall
+from . import class2, hall_core as hall, oracle
 from .errors import BuildIntegrityError, CentralityError, ParameterError
 from .group import CoordGroup, check_int64, is_int, unravel_rows
 from .hall_core import FreeElt
@@ -149,8 +149,6 @@ class NilGroup(CoordGroup):
         (:func:`capable2.class2.model_fingerprint`), and confirmed by an
         explicit generator-image isomorphism onto the same quotient table.
         """
-        from . import class2, oracle
-
         table = oracle.GroupTable.from_group(self, max_order)
         q = oracle.quotient_central(table, oracle.brute_center(table))
         fq = class2.fingerprint(q)

@@ -53,6 +53,26 @@ def test_exponents_must_be_integers():
             call()
 
 
+def test_lemma_checkers_reject_malformed_elements():
+    # a float element used to run through the law as floats and come out as
+    # a vacuous "hypotheses unmet", and a short one raised a bare unpacking
+    # ValueError
+    g = build(GroupSpec(2, 1))
+    for bad in [(0.5, 0, 0, 0, 0), (0, True, 0, 0, 0), (1, 0), (1, 0, 0, 0, 0, 0), 3]:
+        calls = [
+            lambda: cap.lemma_check_commcond(g, [g.a, bad], [1, 2], [0]),
+            lambda: cap.lemma_check_halfstep(g, bad, g.b, 2),
+            lambda: cap.exceptional_obstruction_check(g, g.a, bad, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="five integer coordinates"):
+                call()
+    # integer coordinates outside the box still name an element
+    for x in [(5, 0, 0, 0, 0), [1, 0, -1, 0, 0]]:
+        assert cap.lemma_check_halfstep(g, x, g.b, 2).holds
+        assert cap.exceptional_obstruction_check(g, x, g.b, 1).holds
+
+
 def test_commutator_order_condition():
     assert cap.commutator_order_condition(model(type_i(3, 2, 2))) is True
     assert cap.commutator_order_condition(model(type_i(3, 2, 1))) is False
@@ -258,6 +278,50 @@ def central_involutions(K):
     ]
 
 
+def halved_involutions(K):
+    """The greedy descent's candidates, in key order.  2z lies in K's
+    relation lattice L exactly when z = w/2 for some w in L, and z modulo L
+    depends only on the parities of w's coefficients on L's canonical rows:
+    so z is half of the sum of a subset of the rows, and there are at most
+    seven.  z is central when [z, a] and [z, b] lie in L."""
+    lat = K.comm_lattice
+    found = set()
+    for subset in itertools.product((0, 1), repeat=3):
+        w = [sum(c * row[i] for c, row in zip(subset, lat.rows)) for i in range(3)]
+        if any(x % 2 for x in w):
+            continue
+        z = lat.reduce([x // 2 for x in w])
+        if any(z) and all(
+            lat.contains(hall.commutator_coords((0, 0, *z), g)[2:]) for g in (hall.A, hall.B)
+        ):
+            found.add(z)
+    return sorted(found)
+
+
+def greedy_descent(p):
+    """Reference for ``small_witness``: the greedy descent from K_G by central
+    involutions.  Each step quotients by the first candidate, in key order,
+    whose quotient passes the count |Z| |G| = |K|, and the descent stops
+    when none does.  An element central modulo a subgroup of N is central
+    modulo N, so an involution refused at one step stays refused."""
+    K = build(cap.build_witness(p).ambient)
+    target_order = class2.Class2Group(p).order
+    refused = set()
+    while True:
+        for z in halved_involutions(K):
+            if z in refused:
+                continue
+            Q = NilGroup(K.spec, canonical_basis(K.comm_lattice.rows + (z,)))
+            _, p1, p2 = Q.comm_lattice.pivots
+            if len(Q._center_rows) * p1 * p2 * target_order == Q.order:
+                break
+            refused.add(z)
+        else:
+            return cap._witness_spec(p, K.comm_lattice)
+        K = Q
+        refused = {K.comm_lattice.reduce(z) for z in refused}
+
+
 def least_descent_order(p):
     """The least order over every chain of quotients of K_G by central
     involutions that stay witnesses, by exhaustive search; every candidate
@@ -269,7 +333,7 @@ def least_descent_order(p):
         K = stack.pop()
         least = min(least, K.order)
         involutions = central_involutions(K)
-        assert cap._central_involutions(K) == involutions, p
+        assert halved_involutions(K) == involutions, p
         for z in involutions:
             lat = canonical_basis(K.comm_lattice.rows + (z,))
             if lat not in seen:
@@ -281,7 +345,7 @@ def least_descent_order(p):
 
 
 def test_small_witness_verifies_at_the_least_order():
-    # every capable tuple with exponents <= 4: the descent's witness passes
+    # every capable tuple with exponents <= 4: the small witness passes
     # every referee with K_G's generator images, has the least order of any
     # chain of central involutions, and a center of order 2^beta (type i) or
     # 2^alpha (type ii)
@@ -303,14 +367,34 @@ def test_small_witness_verifies_at_the_least_order():
     assert (orders["ii(4,3,3,2)"], orders["i(1,1,1)"], orders["ii(4,4,2,0)"]) == (13, 4, 12)
 
 
+def test_small_witness_is_the_greedy_descent():
+    # every capable tuple with exponents <= 10: the lattice helper gives the
+    # lattice nilprod builds from K_G's spec, the one relator gives the
+    # greedy descent's witness, and the center has order |K|/|G| = 2^beta
+    # (type i) or 2^alpha (type ii)
+    capable = 0
+    for p in class2.iter_valid_params(10):
+        if not cap.decide(p).capable:
+            continue
+        capable += 1
+        assert cap._relation_lattice(p) == build(cap.build_witness(p).ambient).comm_lattice, p
+        w = cap.small_witness(p)
+        assert w == greedy_descent(p), p
+        center_exp = p.beta if p.kind == "i" else p.alpha
+        assert build(w.ambient).order == class2.Class2Group(p).order << center_exp, p
+    assert capable == 158
+
+
 def test_small_witness_refusals():
     with pytest.raises(NotCapableError):
         cap.small_witness(type_iii(1))
     with pytest.raises(NotCapableError):
         cap.small_witness(type_i(3, 2, 1))
-    # the descent counts centers by int64 keys, which K_G's outgrow here
+    # K_G's keys outgrow int64 from exponent 13 on, the small witness's only
+    # from 16: its center is counted by int64 keys
+    assert build(cap.small_witness(type_i(13, 13, 13)).ambient).order == 1 << 52
     with pytest.raises(ParameterError, match="int64"):
-        cap.small_witness(type_i(13, 13, 13))
+        cap.small_witness(type_i(16, 16, 16))
 
 
 # -- lemma checkers ----------------------------------------------------------------

@@ -71,11 +71,17 @@ def test_witness_prints_both_orders(capsys):
     recipe, small = out.splitlines()[0], out.splitlines()[-1]
     assert recipe.endswith("of order 524288")
     assert "central involutions" in small and small.endswith("of order 65536")
-    # past the int64 key bound the recipe is still printed
+    # K_G's keys outgrow int64 here, the small witness's do not
     code, out, _ = run(capsys, "witness", "--type", "i", "--alpha", "13",
                        "--beta", "13", "--gamma", "13")
     assert code == 0
     assert out.splitlines()[0].endswith(f"of order {1 << 64}")
+    assert out.splitlines()[-1].endswith(f"of order {1 << 52}")
+    # past the small witness's int64 key bound the recipe is still printed
+    code, out, _ = run(capsys, "witness", "--type", "i", "--alpha", "16",
+                       "--beta", "16", "--gamma", "16")
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"of order {1 << 79}")
     assert out.splitlines()[-1].startswith("  no quotient by central involutions: radices")
 
 
@@ -86,7 +92,7 @@ def test_verify_checks_the_small_witness(capsys):
     assert code == 0
     assert "|K|=65536" in out and "|Z(K)|=16" in out and "iso=PASS" in out
     # every witness has at least 2|G| elements: past the budget, the tuple is
-    # refused before the descent, which cannot count int64-overflowing keys
+    # refused before its witness's center is counted
     code, _, err = run(capsys, "verify", "--type", "i", "--alpha", "13", "--beta", "13",
                        "--gamma", "13")
     assert code == 1
