@@ -204,10 +204,10 @@ def _cmd_witness(args) -> int:
     try:
         small = nilprod.build(capability.small_witness(p).ambient)
     except ParameterError as exc:  # the witness's center is counted by int64 keys
-        print(f"  no quotient by central involutions: {exc}")
+        print(f"  no small witness, K_G modulo the weight-three relator of its type: {exc}")
     else:
-        print(f"  smallest quotient by central involutions, which verify and sweep check: "
-              f"{small.describe()} of order {small.order}")
+        print(f"  small witness, K_G modulo the weight-three relator of its type, which verify "
+              f"and sweep check: {small.describe()} of order {small.order}")
     return 0
 
 
@@ -273,7 +273,7 @@ def _cmd_selftest(args) -> int:
         check(f"decide {p} -> {clause or 'not capable'}",
               v.capable == capable and v.clause == clause)
         if capable:
-            rep = capability.verify_witness(capability.build_witness(p), args.max_order)
+            rep = capability.verify_witness(_small_witness(p, args.max_order), args.max_order)
             check(f"witness for {p} verifies", rep.passed)
 
     return 0 if failures == 0 else 1
@@ -298,7 +298,7 @@ def _gap_word(word) -> str:
 
 def _cmd_export(args) -> int:
     p = _params_from_args(args)
-    w = capability.build_witness(p)
+    w = _small_witness(p, args.max_order)
     report = capability.verify_witness(w, args.max_order)
     if not report.passed:
         print("refusing to export: witness verification failed", file=sys.stderr)
@@ -320,15 +320,14 @@ def _pretty_relation(lhs, rhs) -> str:
     return f"{side(lhs)} = {side(rhs)}"
 
 
-def export_cas(p: TypeParams, w: capability.WitnessSpec, report=None) -> str:
+def export_cas(p: TypeParams, w: capability.WitnessSpec, report: capability.Report) -> str:
     """GAP script that rebuilds target and witness from presentations and
     re-checks the central-quotient isomorphism.
 
-    Only exported for verified witnesses: pass the successful report (the
-    CLI verifies first), or None to verify here.
+    Only exported for verified witnesses: pass the successful report of
+    :func:`capable2.capability.verify_witness` on ``w`` (the CLI verifies
+    first).
     """
-    if report is None:
-        report = capability.verify_witness(w)
     if not report.passed:
         raise NotCapableError("witness has not been verified; refusing to export")
 

@@ -40,18 +40,19 @@ the representatives.  A few gathers per row and generator, and no row
 products.  The same search proves, once per table, that the generators
 generate it: a child block that is not new shows an element of Z in
 <a, b>, and by Schreier's lemma these elements generate Z ∩ <a, b>.  The
-search closes them inside Z, with the breadth-first walk (:func:`_walk`)
-over the maps "multiply by z" on Z's rows that the blocks' columns give,
-and asks that they reach all of Z; no table is walked.  The search also
-carries each block's label for its coset of the Frattini subgroup and
-checks it on every block.  On a table not yet proved generated,
-``brute_center`` runs the search on the subgroup it keeps, C(a) ∩ C(b),
-and the table holds it for ``quotient_central``, which checks the rows
-of its Z for centrality, R_g[z] against the key of gz from one run of
-the law per designated generator on those rows only, and reuses the
-search when Z is those rows.  A quotient table is handed the search that
-built it, which is, block for block, the quotient's own search of its
-trivial subgroup: the proof of generation and the Frattini labels.
+search grows the subgroup S that they generate inside Z by cosets S z,
+S z^2, ..., one gather each through the map "multiply by z" on Z's rows
+that the blocks' columns give, and asks that S reach all of Z; no table
+is walked.  The search also carries each block's label for its coset of
+the Frattini subgroup and checks it on every block.  On a table not yet
+proved generated, ``brute_center`` runs the search on the subgroup it
+keeps, C(a) ∩ C(b), and the table holds it for ``quotient_central``,
+which checks the rows of its Z for centrality, R_g[z] against the key of
+gz from one run of the law per designated generator on those rows only,
+and reuses the search when Z is those rows.  A quotient table is handed
+the search that built it, which is, block for block, the quotient's own
+search of its trivial subgroup: the proof of generation and the Frattini
+labels.
 
 ``iso_2gen`` works on the same index maps.  A table's squaring map (the
 index of x^2 per row, built on first use, so never for an ambient table)
@@ -397,31 +398,6 @@ def brute_center(table: GroupTable) -> np.ndarray:
     return X
 
 
-def _walk(steps, seen):
-    """Breadth-first walk over the index maps ``steps`` from the indices
-    that the boolean mask ``seen`` marks, marking in ``seen`` every index
-    reached.  The marked indices are then closed under the steps; whether
-    they are all of them is the caller's question.
-
-    Each step is meant to be injective (a permutation is), so the indices
-    first reached by one step of a level are distinct without a dedupe.
-    At the end, ``BuildIntegrityError`` when the walk reached an index
-    twice (a step repeats a row)."""
-    frontier = np.flatnonzero(seen)
-    reached = len(frontier)
-    while len(frontier):
-        level = []
-        for step in steps:
-            kids = step[frontier]
-            kids = kids[~seen[kids]]
-            seen[kids] = True
-            level.append(kids)
-        frontier = np.concatenate(level)
-        reached += len(frontier)
-    if reached != np.count_nonzero(seen):
-        raise BuildIntegrityError("a step repeats a row: the steps are not permutations")
-
-
 def closure(table: GroupTable, gens) -> np.ndarray:
     """Subgroup generated by ``gens`` inside the table's group, in key order."""
     g = table.group
@@ -479,7 +455,6 @@ class QuotientGroup(CoordGroup):
         self.parent = parent
         self._cid_of_key, reps, self.labels = table.cosets(sub_keys)
         self._rep = parent.rows(reps)
-        self._rep_tuples = [tuple(r) for r in self._rep.tolist()]
         self.order = len(self._rep)
         self.radices = parent.radices
         self.identity = self._canon(parent.identity)
@@ -491,7 +466,7 @@ class QuotientGroup(CoordGroup):
         return self._cid_of_key[self.parent.key(x)].astype(np.int64)
 
     def _canon(self, x):
-        return self._rep_tuples[self.key(x)]
+        return tuple(self._rep[self.key(x)].tolist())
 
     def _canon_rows(self, X) -> np.ndarray:
         return self._rep[self.key_rows(X)]
@@ -525,7 +500,7 @@ class QuotientGroup(CoordGroup):
         return self._canon(self.parent.inverse(x))
 
     def elements(self):
-        return iter(self._rep_tuples)
+        return map(tuple, self._rep.tolist())
 
 
 def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -574,10 +549,14 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     Z ∩ <a, b>, the stabilizer of the block Z, for the tree of first rows,
     so by Schreier's lemma they generate it.  The search keeps the
     subgroup S that the z_j found so far generate, as a mask over Z's
-    rows: a z_j outside S appends its map to ``shifts``, and :func:`_walk`
-    closes S under ``shifts``, starting from S.  S at least doubles each
-    time, so ``shifts`` holds at most log2 |Z| maps.  Once S = Z the
-    columns are dropped.  After the checks, S = Z puts Z inside <a, b>,
+    rows.  A z = z_j outside S marks the cosets S z, S z^2, ..., each one
+    gather of the previous one's rows through z's map, and stops at the
+    first coset that meets a marked row.  Every marked row is a product of
+    z_j, so S stays inside Z ∩ <a, b> whether or not Z is central.  In a
+    generated table Z is central, hence abelian, and the cosets S z^k are
+    disjoint until z^k lies in S, so the marked rows are <S, z>.  Each pass
+    marks only unmarked rows, so the loop ends.  Once S = Z the columns
+    are dropped.  After the checks, S = Z puts Z inside <a, b>,
     the blocks Zw, w in <a, b>, cover the table, and <a, b> is the table;
     otherwise Z ⊄ <a, b> and ``BuildIntegrityError``.  Once the generators
     generate, every right multiplication permutes the blocks, and R_z for
@@ -598,7 +577,6 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
     col = np.empty(n, dtype=columns.dtype)
     inside = columns == 0  # S, first the identity's row
-    shifts = []
     frontier = np.asarray(sub_keys, dtype=index)[None]
     lab[frontier] = 0
     col[frontier] = columns
@@ -624,8 +602,9 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
             if col is not None:
                 for kid in stale[~inside[col[stale[:, 0]]]]:
                     if not inside[col[kid[0]]]:  # S may have grown since the filter
-                        shifts.append(col[kid])
-                        _walk(shifts, inside)
+                        by_z, coset = col[kid], np.flatnonzero(inside)
+                        while not inside[coset := by_z[coset]].any():
+                            inside[coset] = True
                 col[fresh] = columns
                 if inside.all():
                     col = None  # S = Z

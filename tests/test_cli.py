@@ -10,7 +10,7 @@ import pytest
 
 from capable2 import class2, cli, nilprod, oracle
 from capable2.cli import TSV_COLUMNS, main, sweep_rows
-from capable2.errors import BuildIntegrityError, RankDeficientError
+from capable2.errors import BuildIntegrityError, NotCapableError, RankDeficientError
 
 
 def run(capsys, *argv):
@@ -70,7 +70,9 @@ def test_witness_prints_both_orders(capsys):
     assert code == 0
     recipe, small = out.splitlines()[0], out.splitlines()[-1]
     assert recipe.endswith("of order 524288")
-    assert "central involutions" in small and small.endswith("of order 65536")
+    assert small.startswith("  small witness, K_G modulo the weight-three relator of its type, "
+                            "which verify and sweep check: ")
+    assert small.endswith("of order 65536")
     # K_G's keys outgrow int64 here, the small witness's do not
     code, out, _ = run(capsys, "witness", "--type", "i", "--alpha", "13",
                        "--beta", "13", "--gamma", "13")
@@ -82,7 +84,8 @@ def test_witness_prints_both_orders(capsys):
                        "--beta", "16", "--gamma", "16")
     assert code == 0
     assert out.splitlines()[0].endswith(f"of order {1 << 79}")
-    assert out.splitlines()[-1].startswith("  no quotient by central involutions: radices")
+    assert out.splitlines()[-1].startswith(
+        "  no small witness, K_G modulo the weight-three relator of its type: radices")
 
 
 def test_verify_checks_the_small_witness(capsys):
@@ -258,14 +261,27 @@ def test_export_cas_renders_presentations(capsys):
     assert "a^4 = [a,b]^2" in out  # the power-to-commutator relation
     assert "EpimorphismPGroup" in out
     assert "IsomorphismGroups" in out
-    assert "Assert(0, Size(K) = 1024);" in out
+    # the small witness, K_G modulo [a,b,a], not K_G of order 1024
+    assert "Assert(0, Size(K) = 512);" in out
+
+
+def test_export_cas_checks_the_small_witness(capsys):
+    # i(4,4,4)'s small witness fits the default budget of 2^16, K_G (2^19)
+    # does not
+    code, out, err = run(capsys, "export-cas", "--type", "i", "--alpha", "4",
+                         "--beta", "4", "--gamma", "4")
+    assert code == 0 and err == ""
+    assert "Assert(0, Size(K) = 65536);" in out
+    assert "Assert(0, Size(Centre(K)) = 16);" in out
 
 
 def test_export_cas_refuses_unverified():
     w = cli.capability.build_witness(class2.type_i(2, 2, 1))
     bad = cli.capability.WitnessSpec(w.ambient, class2.type_i(2, 2, 2))
-    with pytest.raises(Exception):
-        cli.export_cas(class2.type_i(2, 2, 2), bad)
+    report = cli.capability.verify_witness(bad)
+    assert not report.passed
+    with pytest.raises(NotCapableError, match="refusing to export"):
+        cli.export_cas(class2.type_i(2, 2, 2), bad, report)
 
 
 def test_exit_codes_are_total(capsys):

@@ -263,20 +263,56 @@ def check_referees(t):
     return quotients
 
 
+def walk(steps, seen):
+    """Breadth-first walk over the index maps ``steps`` from the indices
+    that the boolean mask ``seen`` marks, marking in ``seen`` every index
+    reached; ``BuildIntegrityError`` when the walk reached an index twice
+    (a step repeats a row).  The reference for generation: the package
+    walks no table, and the coset search closes its elements of Z by
+    cosets."""
+    frontier = np.flatnonzero(seen)
+    reached = len(frontier)
+    while len(frontier):
+        level = []
+        for step in steps:
+            kids = step[frontier]
+            kids = kids[~seen[kids]]
+            seen[kids] = True
+            level.append(kids)
+        frontier = np.concatenate(level)
+        reached += len(frontier)
+    if reached != np.count_nonzero(seen):
+        raise BuildIntegrityError("a step repeats a row: the steps are not permutations")
+
+
 def count_walks(monkeypatch):
-    """The table order of each ``oracle._walk`` over a table from now on.
-    A table is walked over its R_a and R_b, the tuple ``gen_maps``; the
-    coset search closes its subgroup S of Z over a list of maps on Z's
-    rows, and the references below walk lists too, which are not counted."""
+    """The table order of each coset search from now on that walks its
+    table: one that gathers more rows through R_a and R_b, the table's
+    ``gen_maps``, than its blocks hold, len(gen_maps) * order.  The search
+    gathers each block once per generator, and a walk over the table would
+    gather every row again."""
     walked = []
-    real = oracle._walk
+    real = oracle._cosets
 
-    def counted(steps, seen):
-        if isinstance(steps, tuple):
-            walked.append(len(seen))
-        return real(steps, seen)
+    def counted(table, sub_keys):
+        maps = table.gen_maps
+        rows = []
 
-    monkeypatch.setattr(oracle, "_walk", counted)
+        class Gathered(np.ndarray):
+            def __getitem__(self, index):
+                out = np.asarray(super().__getitem__(index))
+                rows.append(out.size)
+                return out
+
+        table.__dict__["gen_maps"] = tuple(m.view(Gathered) for m in maps)
+        try:
+            return real(table, sub_keys)
+        finally:
+            table.__dict__["gen_maps"] = maps
+            if sum(rows) > len(maps) * table.order:
+                walked.append(table.order)
+
+    monkeypatch.setattr(oracle, "_cosets", counted)
     return walked
 
 
@@ -286,7 +322,7 @@ def generated_by_walk(table, steps=None) -> bool:
     the reference for the coset search's generation proof."""
     seen = np.zeros(table.order, dtype=bool)
     seen[table.group.key(table.group.identity)] = True
-    oracle._walk(list(table.gen_maps) if steps is None else steps, seen)
+    walk(table.gen_maps if steps is None else steps, seen)
     return bool(seen.all())
 
 
@@ -561,12 +597,14 @@ def test_coset_search_refuses_a_subgroup_outside_the_generated_one(monkeypatch):
 def test_no_ambient_is_walked(monkeypatch):
     # the 19 ambient tables of cli.sweep_rows(4), the witness_sweep workload,
     # and the 18 ambients with exponents <= 4 and |K| <= 2^16, the recognize
-    # workload: each one's coset search proves generation, and the
-    # quotients' Frattini labels come from that search, so only the
-    # closures of Schreier generators inside Z walk
-    walked = []
-    real = oracle._walk
-    monkeypatch.setattr(oracle, "_walk", lambda steps, seen: walked.append(steps) or real(steps, seen))
+    # workload: one coset search per table proves generation, gathering each
+    # row once per generator, and the quotients' Frattini labels come from
+    # that search
+    walked = count_walks(monkeypatch)
+    searched = []
+    real = oracle._cosets
+    monkeypatch.setattr(oracle, "_cosets",
+                        lambda table, sub_keys: searched.append(table) or real(table, sub_keys))
     tables = []
     real_table = oracle.GroupTable.from_group
     monkeypatch.setattr(oracle.GroupTable, "from_group",
@@ -578,17 +616,8 @@ def test_no_ambient_is_walked(monkeypatch):
         K.central_quotient()
     assert len(ambients) == 18 and len(tables) == 37
     assert all(t.generated for t in tables)
-    assert walked and not any(steps is t.gen_maps for steps in walked for t in tables)
-
-
-def test_walk_refuses_a_step_that_repeats_a_row():
-    # from 0, step 0 reaches 1, then 3 from both 1 and 2: every row is
-    # reached, so only the count of reached rows sees the repeat
-    steps = [np.array([1, 3, 3, 0]), np.array([2, 0, 0, 0])]
-    seen = np.array([True, False, False, False])
-    with pytest.raises(BuildIntegrityError, match="repeats a row"):
-        oracle._walk(steps, seen)
-    assert seen.all()
+    assert [sum(s is t for s in searched) for t in tables] == [1] * 37
+    assert walked == []
 
 
 def test_referees_hold_key_columns_not_product_rows():
