@@ -211,20 +211,6 @@ def decide(p: TypeParams) -> Verdict:
 # witnesses
 
 
-# exponent coordinate of each presentation symbol's powers in the free group
-_SYMBOL_COORD = {"a": 0, "b": 1, "c": 2}
-
-
-def _word_coords(word) -> tuple:
-    """Coordinates of a presentation word in the free class-three group."""
-    acc = (0, 0, 0, 0, 0)
-    for sym, exp in word:
-        power = [0, 0, 0, 0, 0]
-        power[_SYMBOL_COORD[sym]] = exp
-        acc = hall.mul_coords(acc, power)
-    return acc
-
-
 def build_witness(p: TypeParams) -> WitnessSpec:
     """The group K_G = F/[R,F]<a^(2^alpha), b^(2^beta)> of the presentation,
     from the relation lattice of :func:`_relation_lattice`.  Raises
@@ -236,9 +222,11 @@ def _relation_lattice(p: TypeParams) -> CommLattice:
     """K_G's relation lattice.
 
     F is free on a, b and R is the kernel of F -> G, which holds the relators
-    of ``Class2Group(p).relations()`` and gamma_3(F).  In hall_core's free
-    class-three group F/gamma_4(F), [R,F] is the (t, u, v) lattice spanned
-    by [rho, x] and [[rho, x], y] for the relators rho and x, y in {a, b}.
+    of ``Class2Group(p).relations()`` and gamma_3(F).  Each relator rho is
+    placed in hall_core's free class-three group F/gamma_4(F) by
+    :func:`capable2.class2.relator_coords`, whose first three coordinates
+    also span the model's own lattice; there [R,F] is the (t, u, v) lattice
+    spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.
     Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
     when ``decide`` is negative.
     """
@@ -247,7 +235,7 @@ def _relation_lattice(p: TypeParams) -> CommLattice:
         raise NotCapableError(verdict.rationale)
     gens = []
     for lhs, rhs in Class2Group(p).relations():
-        rho = hall.mul_coords(_word_coords(lhs), hall.inverse_coords(_word_coords(rhs)))
+        rho = class2.relator_coords(lhs, rhs)
         for x in (hall.A, hall.B):
             rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])

@@ -1,8 +1,7 @@
 """Two-generator 2-groups of class two: validated presentation parameters,
 coordinate models, and isomorphism-invariant fingerprints.
 
-Every finite nonabelian two-generator 2-group of class two is isomorphic to
-a group of one of three presentation types:
+Three presentation types of two-generator 2-groups of class two:
 
   i    a^(2^alpha) = b^(2^beta) = [a,b]^(2^gamma) = 1,
        alpha >= beta >= gamma >= 1                      ("coproduct type")
@@ -16,9 +15,12 @@ a group of one of three presentation types:
 
 with [a,b] central throughout.  The bound alpha+beta+sigma > 3 keeps the
 dihedral group of order 8 out of type ii (it is already i with all exponents
-1).  Models are coordinate sets a^i b^j [a,b]^k with fold rules derived from
-the defining relations; uniqueness of the representation is validated by the
-oracle-side closure tests, not assumed.
+1).  Every two-generator 2-group of class two and order at most 2^7 is
+isomorphic to a group of one of these types; from order 2^8 on some are
+not.  The test suite checks both claims by enumerating every such group of
+order up to 2^10 as a quotient of the free class-two group by a lattice.
+A model (:class:`Class2Group`) is such a quotient too, by the lattice its
+``relations()`` span.
 
 One coincidence survives these constraint lists: i(b,b,b) and
 ii(b+1, b, b, b-1) present isomorphic groups for every b >= 2.  In the
@@ -33,13 +35,15 @@ canonical answer.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import hall_core as hall, oracle
 from .errors import BuildIntegrityError, ParameterError
 from .group import CoordGroup, is_int
+from .lattice import canonical_basis
 
 Word = tuple[tuple[str, int], ...]  # symbols 'a', 'b', 'c' with c = [a,b]
 
@@ -112,49 +116,56 @@ def type_iii(gamma) -> TypeParams:
     return validate("iii", gamma=gamma)
 
 
-class Class2Group(CoordGroup):
-    """Coordinate model a^i b^j [a,b]^k of one presented group.
+def relator_coords(lhs: Word, rhs: Word) -> tuple[int, int, int, int, int]:
+    """Coordinates of the relator lhs * rhs^-1 in hall_core's free
+    class-three group, the exponents of a, b, [a,b], [a,b,a] and [a,b,b].
+    The first three are its coordinates in the free class-two group."""
 
-    Multiplication is (i1,j1,k1)*(i2,j2,k2) = fold(i1+i2, j1+j2, k1+k2-j1*i2);
-    the -j1*i2 term comes from b a = a b [a,b]^-1 with [a,b] central, and the
-    fold rewrites excess powers through the defining relations.
+    def coords(word):
+        acc = (0, 0, 0, 0, 0)
+        for sym, exp in word:
+            power = [0, 0, 0, 0, 0]
+            power[("a", "b", "c").index(sym)] = exp
+            acc = hall.mul_coords(acc, power)
+        return acc
+
+    return hall.mul_coords(coords(lhs), hall.inverse_coords(coords(rhs)))
+
+
+class Class2Group(CoordGroup):
+    """Coordinate model a^i b^j [a,b]^k of the group F/N that ``relations()``
+    present, F free of class two on a and b, N the normal closure of the
+    relators.
+
+    In F, (i1,j1,k1)*(i2,j2,k2) = (i1+i2, j1+j2, k1+k2-j1*i2): the -j1*i2
+    term comes from b a = a b [a,b]^-1 with [a,b] central.  For a relator
+    rho = a^r b^s [a,b]^t, [rho,a] = [a,b]^-s and [rho,b] = [a,b]^r lie in
+    N, so [a,b]^g does, g the gcd of all relators' a and b exponents; and a
+    product of elements of N adds coordinates up to a multiple of g.  So N's
+    coordinates are the lattice spanned by the relators' coordinates and
+    (0, 0, g), the law is F's reduced by its canonical basis, and the group
+    is the box of its pivots.
     """
 
     def __init__(self, params: TypeParams):
         self.params = params
-        p = params
-        if p.kind == "i":
-            self.mi, self.mj, self.mk = 1 << p.alpha, 1 << p.beta, 1 << p.gamma
-        elif p.kind == "ii":
-            self.mi, self.mj, self.mk = 1 << p.alpha, 1 << p.beta, 1 << p.sigma
-            self._carry_i = 1 << (p.alpha + p.sigma - p.gamma)
-        else:
-            self.mi, self.mj, self.mk = 1 << (p.gamma + 1), 1 << p.gamma, 1 << (p.gamma - 1)
-            self._carry_i = 1 << p.gamma
-        self.order = self.mi * self.mj * self.mk
-        self.radices = (self.mi, self.mj, self.mk)
+        rows = [relator_coords(lhs, rhs)[:3] for lhs, rhs in self.relations()]
+        g = math.gcd(*(x for row in rows for x in row[:2]))
+        self.lattice = canonical_basis(rows + [(0, 0, g)])
+        self.radices = self.lattice.pivots
+        self.order = self.lattice.index
         self.identity = (0, 0, 0)
-        self.a = (1, 0, 0)
-        self.b = (0, 1, 0)
+        self.a = self.lattice.reduce((1, 0, 0))
+        self.b = self.lattice.reduce((0, 1, 0))
         self.gens = (self.a, self.b)
 
     # -- the law (scalars, or int64 columns through mul_arrays) --------------
 
-    def fold(self, i, j, k):
-        p = self.params
-        if p.kind == "i":
-            return (i % self.mi, j % self.mj, k % self.mk)
-        q, k = divmod(k, self.mk)
-        if p.kind == "ii":
-            return ((i + q * self._carry_i) % self.mi, j % self.mj, k)
-        qj, j = divmod(j, self.mj)
-        return ((i + (q + qj) * self._carry_i) % self.mi, j, k)
-
     def mul(self, x, y):
-        return self.fold(x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0])
+        return self.lattice.reduce((x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0]))
 
     def inverse(self, x):
-        return self.fold(-x[0], -x[1], -x[2] - x[0] * x[1])
+        return self.lattice.reduce((-x[0], -x[1], -x[2] - x[0] * x[1]))
 
     def mul_arrays(self, X, Y) -> np.ndarray:
         return self.apply_law(self.mul, X, Y)

@@ -168,25 +168,6 @@ class NilGroup(CoordGroup):
 
     # -- display -------------------------------------------------------------
 
-    def to_square_basis(self, x: NilElt) -> NilElt:
-        """Coordinates in the alternative basis [a,b], [a^2,b], [a,b^2].
-
-        Display only: [a^2,b] = [a,b]^2 [a,b,a] and [a,b^2] = [a,b]^2 [a,b,b],
-        so (t, u, v) maps to (t - 2u - 2v, u, v), reduced by the transformed
-        relation lattice.  For a plain product with alpha > beta the box is
-        2^(beta+1), 2^beta, 2^(beta-1); for alpha = beta the middle modulus
-        halves.
-        """
-        lat = self._square_basis_lattice()
-        r, s, t, u, v = x
-        return (r, s) + lat.reduce((t - 2 * u - 2 * v, u, v))
-
-    def _square_basis_lattice(self) -> CommLattice:
-        if not hasattr(self, "_square_lat"):
-            gens = [(t - 2 * u - 2 * v, u, v) for (t, u, v) in self.comm_lattice.rows]
-            self._square_lat = canonical_basis(gens)
-        return self._square_lat
-
     def describe(self) -> str:
         s = f"C_{self.r_modulus} * C_{self.s_modulus} (class-three nilpotent product)"
         if self.spec.extra_central:

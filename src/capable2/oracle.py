@@ -7,7 +7,7 @@ sign variants, so it referees :mod:`capable2.hall_core`.  The table-level
 routines (center, closure, quotient, isomorphism) referee the congruence-level
 computations elsewhere in the package; they reuse each group's own
 multiplication law (written once, in :mod:`capable2.hall_core` and
-:meth:`capable2.class2.Class2Group.fold`, and run on int64 columns through
+:meth:`capable2.class2.Class2Group.mul`, and run on int64 columns through
 ``mul_arrays`` and ``mul_keys``) and the breadth-first
 :meth:`capable2.group.CoordGroup.closure`, but never a structural shortcut
 such as :meth:`capable2.nilprod.NilGroup.center_keys` or ``center``.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quotients
 from capable2 import class2, group, nilprod, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii, validate
 from capable2.errors import ParameterError
@@ -75,6 +76,8 @@ def test_model_orders():
     assert model(type_i(1, 1, 1)).order == 8
     assert model(type_i(2, 2, 1)).order == 32
     assert model(type_ii(3, 2, 2, 1)).order == 64
+    # a^4 = [a,b]^2 and a^8 = 1 give [a,b]^4 = 1: the box is (4, 4, 4)
+    assert model(type_ii(3, 2, 2, 1)).lattice.rows == ((4, 0, 2), (0, 4, 0), (0, 0, 4))
     assert model(type_iii(1)).order == 8
     assert model(type_iii(2)).order == 64
 
@@ -289,7 +292,7 @@ def test_fold_closure_counts():
 
 @pytest.mark.parametrize("block_rows", [group.BLOCK_ROWS, 7])
 def test_array_law_matches_scalar_for_every_kind(monkeypatch, block_rows):
-    # mul_arrays/inv_arrays run the scalar fold on columns; compare them row
+    # mul_arrays/inv_arrays run the scalar law on columns; compare them row
     # by row on every pair, in one block and in blocks of 7 rows
     monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
     for p in [type_i(3, 2, 1), type_ii(4, 4, 2, 1), type_ii(3, 2, 2, 1), type_iii(1), type_iii(2)]:
@@ -302,15 +305,105 @@ def test_array_law_matches_scalar_for_every_kind(monkeypatch, block_rows):
             assert tuple(inv[i].tolist()) == g.inverse(x)
             for j, y in enumerate(elems):
                 assert tuple(prod[i, j].tolist()) == g.mul(x, y)
-        if p.kind == "iii":
-            # the double carry: both the [a,b] and the b coordinate overflow
-            assert any(
-                x[1] + y[1] >= g.mj and not 0 <= x[2] + y[2] - x[1] * y[0] < g.mk
-                for x in elems
-                for y in elems
-            )
+        if p.kind != "i":
+            # types ii and iii have a lattice row with an entry off its
+            # pivot, and some product is reduced through it
+            assert any(reduces_off_diagonal(g.lattice, x, y) for x in elems for y in elems)
+
+
+def reduces_off_diagonal(lattice, x, y) -> bool:
+    """Whether reducing the free class-two product x*y subtracts a multiple
+    of a lattice row with a nonzero entry off its pivot (the first two
+    coordinates of the product are the sums)."""
+    (p0, a01, a02), (_, p1, a12), _ = lattice.rows
+    k0 = (x[0] + y[0]) // p0
+    return bool(k0 and (a01 or a02)) or bool((x[1] + y[1] - k0 * a01) // p1 and a12)
 
 
 def test_iter_valid_params_alpha1():
     found = {str(p) for p in class2.iter_valid_params(1)}
     assert found == {"i(1,1,1)", "iii(1)"}
+
+
+class FoldModel(group.CoordGroup):
+    """The reference model: a^i b^j [a,b]^k with one hand-derived fold rule
+    per presentation type, which rewrites excess powers through that type's
+    defining relations.  Multiplication is (i1,j1,k1)*(i2,j2,k2) =
+    fold(i1+i2, j1+j2, k1+k2-j1*i2)."""
+
+    def __init__(self, p):
+        self.params = p
+        if p.kind == "i":
+            self.mi, self.mj, self.mk = 1 << p.alpha, 1 << p.beta, 1 << p.gamma
+        elif p.kind == "ii":
+            self.mi, self.mj, self.mk = 1 << p.alpha, 1 << p.beta, 1 << p.sigma
+            self._carry_i = 1 << (p.alpha + p.sigma - p.gamma)
+        else:
+            self.mi, self.mj, self.mk = 1 << (p.gamma + 1), 1 << p.gamma, 1 << (p.gamma - 1)
+            self._carry_i = 1 << p.gamma
+        self.order = self.mi * self.mj * self.mk
+        self.radices = (self.mi, self.mj, self.mk)
+        self.identity = (0, 0, 0)
+        self.a = (1, 0, 0)
+        self.b = (0, 1, 0)
+        self.gens = (self.a, self.b)
+
+    def fold(self, i, j, k):
+        p = self.params
+        if p.kind == "i":
+            return (i % self.mi, j % self.mj, k % self.mk)
+        q, k = divmod(k, self.mk)
+        if p.kind == "ii":
+            return ((i + q * self._carry_i) % self.mi, j % self.mj, k)
+        qj, j = divmod(j, self.mj)
+        return ((i + (q + qj) * self._carry_i) % self.mi, j, k)
+
+    def mul(self, x, y):
+        return self.fold(x[0] + y[0], x[1] + y[1], x[2] + y[2] - x[1] * y[0])
+
+    def inverse(self, x):
+        return self.fold(-x[0], -x[1], -x[2] - x[0] * x[1])
+
+    def mul_arrays(self, X, Y):
+        return self.apply_law(self.mul, X, Y)
+
+
+def test_lattice_model_agrees_with_the_fold_model():
+    # same order and fingerprint, and an explicit isomorphism, on every
+    # tuple with |G| <= 2^10 (exponents <= 9 reach all of them)
+    params = [p for p in class2.iter_valid_params(9) if FoldModel(p).order <= 1 << 10]
+    assert len(params) == 108
+    for p in params:
+        fold = oracle.GroupTable.from_group(FoldModel(p))
+        assert fold.order == model(p).order, p
+        assert class2.fingerprint(fold) == class2.model_fingerprint(p), p
+        assert oracle.iso_2gen(fold, model(p)) is not None, p
+
+
+def test_the_presentation_list_is_complete_below_order_256_and_not_at_256():
+    # every lattice of index 2^n, n = 3..8, as a quotient of the free
+    # class-two group: each tuple is hit, and from 2^8 on some groups are
+    # on no tuple of the list, all with one fingerprint at 2^8
+    outside = quotients.check(8)
+    assert not any(outside[n] for n in range(3, 8))
+    [(fp, count)] = outside[8].items()
+    assert count == 12
+    assert (fp.exponent, fp.center_order, fp.derived_order) == (32, 16, 4)
+    assert fp.abelian_invariants == (16, 4)
+    assert dict(fp.order_histogram)[2] == 3  # involutions
+
+
+def test_two_relators_present_a_group_off_the_list():
+    # a^4 [a,b] and b^16 [a,b]^2 alone: their a and b exponents have gcd 4,
+    # so [a,b]^4 = 1 follows, and the group has order 256
+    g = quotients.Quotient([(4, 0, 1), (0, 16, 2)])
+    assert g.order == 256
+    assert g.lattice.rows == ((4, 0, 1), (0, 16, 2), (0, 0, 4))
+    table = oracle.GroupTable.from_group(g)
+    fp = class2.fingerprint(table)
+    params = class2.params_with_order(256)
+    assert len(params) == 17
+    assert not [
+        p for p in params
+        if class2.model_fingerprint(p) == fp and oracle.iso_2gen(table, model(p)) is not None
+    ]

@@ -10,6 +10,7 @@ from capable2 import group, hall_core as hall
 from capable2 import capability, class2, nilprod, oracle
 from capable2.errors import CentralityError, ParameterError
 from capable2.hall_core import FreeElt
+from capable2.lattice import canonical_basis
 from capable2.nilprod import GroupSpec, build
 
 
@@ -325,21 +326,27 @@ def test_central_quotient_reports_canonical_tuple_on_the_known_coincidence():
     assert str(build(GroupSpec(2, 2)).central_quotient()) == "i(2,2,2)"
 
 
+def square_basis(g):
+    """The relation lattice in the basis [a,b], [a^2,b], [a,b^2] of the
+    commutator block, and the map of elements into it: [a^2,b] =
+    [a,b]^2 [a,b,a] and [a,b^2] = [a,b]^2 [a,b,b], so (t, u, v) becomes
+    (t - 2u - 2v, u, v)."""
+    lat = canonical_basis([(t - 2 * u - 2 * v, u, v) for t, u, v in g.comm_lattice.rows])
+    return lat, lambda x: (x[0], x[1], *lat.reduce((x[2] - 2 * x[3] - 2 * x[4], x[3], x[4])))
+
+
 def test_square_commutator_basis_moduli():
     # alternative normal form [a,b]^t [a^2,b]^u [a,b^2]^v: t mod 2^(beta+1),
     # u mod 2^beta (halved when alpha=beta), v mod 2^(beta-1)
-    g = build(GroupSpec(2, 1))
-    lat = g._square_basis_lattice()
-    assert lat.pivots == (4, 2, 1)
-    g = build(GroupSpec(3, 2))
-    assert g._square_basis_lattice().pivots == (8, 4, 2)
-    g = build(GroupSpec(2, 2))
-    assert g._square_basis_lattice().pivots == (8, 2, 2)
+    assert square_basis(build(GroupSpec(2, 1)))[0].pivots == (4, 2, 1)
+    assert square_basis(build(GroupSpec(3, 2)))[0].pivots == (8, 4, 2)
+    assert square_basis(build(GroupSpec(2, 2)))[0].pivots == (8, 2, 2)
 
 
 def test_square_commutator_basis_is_a_bijection():
     g = build(GroupSpec(3, 2))
-    seen = {g.to_square_basis(x) for x in g.elements()}
+    _, to_square = square_basis(g)
+    seen = {to_square(x) for x in g.elements()}
     assert len(seen) == g.order
 
 
@@ -385,8 +392,6 @@ def test_membership_congruences_for_general_type_subgroup():
             hall.power(hall.E, -(1 << sigma)),
         )
         n2 = hall.power(hall.D, 1 << sigma)
-        from capable2.lattice import canonical_basis
-
         lat_n = canonical_basis(
             g.comm_lattice.rows + (n1.comm_coords(), n2.comm_coords())
         )
@@ -420,8 +425,9 @@ def test_membership_congruences_for_halved_step_subgroup():
         assert len(nset) == 2  # central and cyclic of order two
         assert n2 in {n1, g.inverse(n1)}
         mods = (1 << (beta + 1), 1 << beta, 1 << (beta + 1), 1 << (beta - 1), 1 << (beta - 1))
+        _, to_square = square_basis(g)
         for x in g.elements():
-            r, s, t, u, v = g.to_square_basis(x)
+            r, s, t, u, v = to_square(x)
             cong = (
                 r % mods[0] == 0
                 and s % mods[1] == 0
