@@ -221,11 +221,13 @@ def build_witness(p: TypeParams) -> WitnessSpec:
 def _relation_lattice(p: TypeParams) -> CommLattice:
     """K_G's relation lattice.
 
-    F is free on a, b and R is the kernel of F -> G, which holds the relators
-    of ``Class2Group(p).relations()`` and gamma_3(F).  Each relator rho is
-    placed in hall_core's free class-three group F/gamma_4(F) by
-    :func:`capable2.class2.relator_coords`, whose first three coordinates
-    also span the model's own lattice; there [R,F] is the (t, u, v) lattice
+    F is free on a, b and R is the kernel of F -> G.  Modulo gamma_3(F), R
+    is N, the elements whose coordinates lie in the lattice of
+    ``Class2Group(p)``, so R = N gamma_3(F); the three rows of that lattice
+    generate N (:func:`capable2.oracle.iso_2gen` gives the argument).  Each
+    row (r, s, t) is lifted to rho = a^r b^s [a,b]^t in hall_core's free
+    class-three group F/gamma_4(F); the lift does not matter, since
+    [gamma_3(F), F] = gamma_4(F).  There [R,F] is the (t, u, v) lattice
     spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.
     Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
     when ``decide`` is negative.
@@ -234,8 +236,8 @@ def _relation_lattice(p: TypeParams) -> CommLattice:
     if not verdict.capable:
         raise NotCapableError(verdict.rationale)
     gens = []
-    for lhs, rhs in Class2Group(p).relations():
-        rho = class2.relator_coords(lhs, rhs)
+    for row in Class2Group(p).lattice.rows:
+        rho = (*row, 0, 0)
         for x in (hall.A, hall.B):
             rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])

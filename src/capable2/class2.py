@@ -116,10 +116,10 @@ def type_iii(gamma) -> TypeParams:
     return validate("iii", gamma=gamma)
 
 
-def relator_coords(lhs: Word, rhs: Word) -> tuple[int, int, int, int, int]:
-    """Coordinates of the relator lhs * rhs^-1 in hall_core's free
-    class-three group, the exponents of a, b, [a,b], [a,b,a] and [a,b,b].
-    The first three are its coordinates in the free class-two group."""
+def relator_coords(lhs: Word, rhs: Word) -> tuple[int, int, int]:
+    """Coordinates (i, j, k) of the relator lhs * rhs^-1 = a^i b^j [a,b]^k
+    in the free class-two group: the exponents of a, b and [a,b] of its
+    normal form in hall_core's free class-three group."""
 
     def coords(word):
         acc = (0, 0, 0, 0, 0)
@@ -129,7 +129,7 @@ def relator_coords(lhs: Word, rhs: Word) -> tuple[int, int, int, int, int]:
             acc = hall.mul_coords(acc, power)
         return acc
 
-    return hall.mul_coords(coords(lhs), hall.inverse_coords(coords(rhs)))
+    return hall.mul_coords(coords(lhs), hall.inverse_coords(coords(rhs)))[:3]
 
 
 class Class2Group(CoordGroup):
@@ -149,7 +149,7 @@ class Class2Group(CoordGroup):
 
     def __init__(self, params: TypeParams):
         self.params = params
-        rows = [relator_coords(lhs, rhs)[:3] for lhs, rhs in self.relations()]
+        rows = [relator_coords(lhs, rhs) for lhs, rhs in self.relations()]
         g = math.gcd(*(x for row in rows for x in row[:2]))
         self.lattice = canonical_basis(rows + [(0, 0, g)])
         self.radices = self.lattice.pivots

@@ -8,10 +8,11 @@ Each law is written once, for scalars, using only ``+ - * // %`` on the
 indexed coordinates ``x[i]``.  Fed the columns ``X[..., i]`` of coordinate-row
 arrays by :func:`apply_rows`, cast to int64 one block at a time, the same code
 computes every row at once; composed with the mixed-radix key it gives
-``mul_keys``, one key per product with no product rows in between.  Rows are
-fetched by key (:meth:`CoordGroup.rows`, decoded by :func:`unravel_rows`) in
-the narrowest signed integer dtype that holds the radices, so rows cost a few
-bytes per element while every law evaluation still runs in checked int64.
+``mul_keys`` and ``commutator_keys``, one key per product or commutator
+with no rows in between.  Rows are fetched by key (:meth:`CoordGroup.rows`,
+decoded by :func:`unravel_rows`) in the narrowest signed integer dtype that
+holds the radices, so rows cost a few bytes per element while every law
+evaluation still runs in checked int64.
 
 Multiplication of the whole box by one element needs no rows at all: the
 same law runs on the box's open grid, one int64 column per coordinate laid
@@ -122,6 +123,11 @@ class CoordGroup:
         """Key of each row product x*y of broadcast row arrays, computed block
         by block without materializing the product rows."""
         return self.apply_law(lambda x, y: (self.key(self.mul(x, y)),), X, Y)[..., 0]
+
+    def commutator_keys(self, X, Y) -> np.ndarray:
+        """Key of each commutator [x, y] of broadcast row arrays, like
+        :meth:`mul_keys`: one run of :meth:`commutator` per block."""
+        return self.apply_law(lambda x, y: (self.key(self.commutator(x, y)),), X, Y)[..., 0]
 
     def _open_grid(self, first=slice(None)) -> tuple[np.ndarray, ...]:
         """The box's open grid: coordinate i is the int64 column

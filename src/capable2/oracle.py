@@ -54,16 +54,18 @@ the search that built it, which is, block for block, the quotient's own
 search of its trivial subgroup: the proof of generation and the Frattini
 labels.
 
-``iso_2gen`` works on the same index maps.  A table's squaring map (the
-index of x^2 per row, built on first use, so never for an ambient table)
-gives each row's order exponent, modulo any subgroup, and each relation side
-by gathers.  The relations, with class at most two, make the coordinate map
-a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from the target whose image
-is <g, h>.  By the Burnside basis theorem that image is the whole table
-exactly when g and h lie in distinct nontrivial cosets of the Frattini
-subgroup; each row's coset label comes from the coset search of the
-trivial subgroup, which checks it against R_a and R_b on every row.  Equal
-orders make the map bijective.
+``iso_2gen`` works on the same index maps and on keys.  A table's squaring
+map (the index of x^2 per row, built on first use, so never for an ambient
+table) gives each row's order exponent, modulo any subgroup, by gathers.
+The target is read through its canonical relator lattice alone: each row
+(e0, e1, e2) is checked as g^e0 h^e1 [g,h]^e2 = 1, by gathers, ``mul_keys``
+and one run of the commutator law.  The rows, with class at most two, make
+the coordinate map a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism from
+the target whose image is <g, h>.  By the Burnside basis theorem that image
+is the whole table exactly when g and h lie in distinct nontrivial cosets of
+the Frattini subgroup; each row's coset label comes from the coset search
+of the trivial subgroup, which checks it against R_a and R_b on every row.
+Equal orders make the map bijective.
 
 Tables are immutable after construction and deterministically ordered.
 """
@@ -356,11 +358,6 @@ def key_mask(group, rows) -> np.ndarray:
     return mask
 
 
-def _comm_with_inverses(group, X, X_inv, Y, Y_inv) -> np.ndarray:
-    """[x, y] = x^-1 y^-1 x y for broadcast rows given with their inverses."""
-    return group.mul_arrays(group.mul_arrays(X_inv, Y_inv), group.mul_arrays(X, Y))
-
-
 # ---------------------------------------------------------------------------
 # subgroup machinery
 
@@ -482,6 +479,9 @@ class QuotientGroup(CoordGroup):
 
     def mul_keys(self, X, Y) -> np.ndarray:
         return self._cid_of_key[self.parent.mul_keys(X, Y)].astype(np.int64)
+
+    def commutator_keys(self, X, Y) -> np.ndarray:
+        return self._cid_of_key[self.parent.commutator_keys(X, Y)].astype(np.int64)
 
     def right_keys(self, y) -> np.ndarray:
         """Coset id of x*y for every representative x, in coset-id order:
@@ -661,7 +661,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
 
 
 def iso_2gen(table: GroupTable, target):
-    """Explicit generator-image isomorphism from ``target`` onto the table.
+    """Explicit generator-image isomorphism from ``target``, a class-two
+    model (:class:`capable2.class2.Class2Group`), onto the table.
 
     Only a table of class at most two can match a class-two target, and only
     there is every commutator [g, h] central: ``None`` unless every
@@ -687,13 +688,16 @@ def iso_2gen(table: GroupTable, target):
     not minimally two-generated, so no pair generates it); candidates with
     label 0 are dropped, which keeps the accepted pair.
 
-    Pairs (g, h) with independent labels whose commutator has the order of
-    [a, b] are checked against every defining relation of the target's
-    presentation, each side gathered through the table's squaring map
-    (``ValueError`` for a side other than the identity or one letter to a
-    power of two).  With [g, h] central, relations holding for (g, h) make
-    the coordinate map a^i b^j [a,b]^k -> g^i h^j [g,h]^k a homomorphism
-    from the target, by the usual collection argument, and its image is
+    The relations are the rows (e0, e1, e2) of the target's canonical
+    relator lattice, ``target.lattice.rows``, never its words.  For one
+    candidate g, the commutators [g, h] with the candidates h of another
+    label are one run of the law (``commutator_keys``), and a pair is kept
+    when g^e0 h^e1 [g,h]^e2 = 1 for every row (:func:`_product_keys`).  With
+    [g, h] central, a^i b^j [a,b]^k -> g^i h^j [g,h]^k is a homomorphism
+    from F, free of class two on a and b, and the three row elements
+    generate the kernel of F -> target: their products add coordinates up
+    to collection terms, multiples of the first pivot and so of the third,
+    the third row.  So the map factors through the target, and its image is
     <g, h>, the whole table; a surjection between groups of equal order is
     an isomorphism.  Sound and complete for two-generator targets.
     """
@@ -710,11 +714,9 @@ def iso_2gen(table: GroupTable, target):
         return None
 
     ta, tb = target.gens
-    tc = target.commutator(ta, tb)
-    t_derived = set(target.closure([tc]))
-    ea, eb, ec = (target.exponent(x, {target.identity}) for x in (ta, tb, tc))
+    t_derived = set(target.closure([target.commutator(ta, tb)]))
+    ea, eb = (target.exponent(x, {target.identity}) for x in (ta, tb))
     da, db = (target.exponent(x, t_derived) for x in (ta, tb))
-    relations = [(_side(lhs), _side(rhs)) for lhs, rhs in target.relations()]
 
     plain = table.exponents()
     mod = table.exponents(key_mask(g, closure(table, comms)))
@@ -724,43 +726,29 @@ def iso_2gen(table: GroupTable, target):
         return None
 
     one = g.key(g.identity)
-    H = coords[h_idx]
-    H_inv = g.inv_arrays(H)
     for gi in g_idx:
-        # the fixed candidate g and its inverse are single rows, broadcast
-        # by the row products against every candidate h
-        g_elt = tuple(coords[gi].tolist())
-        g_inv = np.asarray([g.inverse(g_elt)], dtype=np.int64)
-        C = _comm_with_inverses(g, coords[gi][None], g_inv, H, H_inv)
-        c_idx = table.index_of(g.key_rows(C))
-        keep = (plain[c_idx] == ec) & (lab[h_idx] != lab[gi])
-        images = {None: one, "a": gi, "b": h_idx[keep], "c": c_idx[keep]}
-        ok = np.ones(len(images["b"]), dtype=bool)
-        for lhs, rhs in relations:
-            ok &= _gather(table, images, lhs) == _gather(table, images, rhs)
+        h = h_idx[lab[h_idx] != lab[gi]]
+        c = table.index_of(g.commutator_keys(coords[gi], coords[h]))
+        ok = np.ones(len(h), dtype=bool)
+        for row in target.lattice.rows:
+            ok &= _product_keys(table, (gi, h, c), row) == one
         if ok.any():
-            return g_elt, tuple(coords[images["b"][ok][0]].tolist())
+            return tuple(coords[gi].tolist()), tuple(coords[h[ok][0]].tolist())
     return None
 
 
-def _side(word):
-    """A relation side as (letter, m) for letter^(2^m), with (None, 0) for
-    the identity; ``ValueError`` for any other word."""
-    if not word:
-        return None, 0
-    if len(word) == 1:
-        sym, exp = word[0]
-        if sym in ("a", "b", "c") and exp > 0 and exp & (exp - 1) == 0:
-            return sym, exp.bit_length() - 1
-    raise ValueError(f"relation side {word} is neither 1 nor one letter to a power of two")
-
-
-def _gather(table, images, side):
-    """Table index of letter^(2^m) for each candidate image of the letter:
-    its index, m times through the squaring map (``images[None]`` is the
-    identity's)."""
-    sym, m = side
-    idx = images[sym]
-    for _ in range(m):
-        idx = table.squares[idx]
-    return idx
+def _product_keys(table, factors, exponents):
+    """Table index of x^e0 y^e1 ... for broadcast index arrays x, y, ...
+    and exponents >= 0, not all 0: one gather through the squaring map per
+    bit of an exponent, and one ``mul_keys`` per set bit after the first."""
+    coords = table.coords
+    acc = None
+    for idx, e in zip(factors, exponents):
+        while e:
+            if e & 1:
+                acc = idx if acc is None else table.index_of(
+                    table.group.mul_keys(coords[acc], coords[idx]))
+            e >>= 1
+            if e:
+                idx = table.squares[idx]
+    return acc

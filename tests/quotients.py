@@ -9,9 +9,11 @@ and each such lattice of index 2^n is an N.  In canonical form its rows are
 0 <= y, z < d3 and d3 | gcd(d1, x, d2); F/N has class exactly two iff
 d3 > 1.  :func:`check` builds each lattice as a :class:`Quotient`, and
 matches it against ``params_with_order(2^n)`` by fingerprint and an
-explicit isomorphism.  Run it to order 2^10 with
+explicit isomorphism, and splits the groups that match none into
+isomorphism classes, with a :class:`Quotient` as the target.  Run it to
+order 2^11 with
 
-    PYTHONPATH=src:tests python -c "import quotients; quotients.check(10)"
+    PYTHONPATH=src:tests python -c "import quotients; quotients.check(11)"
 """
 
 import itertools
@@ -20,16 +22,17 @@ from collections import Counter
 from capable2 import class2, oracle
 
 # per exponent n of the order 2^n: lattices, lattices whose group matches no
-# tuple, and the fingerprint classes of those groups
+# tuple, and the fingerprint classes and isomorphism classes of those groups
 EXPECTED = {
-    3: (4, 0, 0),
-    4: (12, 0, 0),
-    5: (28, 0, 0),
-    6: (76, 0, 0),
-    7: (172, 0, 0),
-    8: (364, 12, 1),
-    9: (812, 24, 1),
-    10: (1708, 60, 2),
+    3: (4, 0, 0, 0),
+    4: (12, 0, 0, 0),
+    5: (28, 0, 0, 0),
+    6: (76, 0, 0, 0),
+    7: (172, 0, 0, 0),
+    8: (364, 12, 1, 1),
+    9: (812, 24, 1, 1),
+    10: (1708, 60, 2, 2),
+    11: (3500, 180, 4, 4),
 }
 
 
@@ -60,8 +63,12 @@ def lattices(n: int):
 
 
 def check(max_exp: int) -> dict[int, Counter]:
-    """Match every lattice of index 2^n, 3 <= n <= max_exp (at most 10, the
-    last order pinned in ``EXPECTED``), against the tuples of that order.
+    """Match every lattice of index 2^n, 3 <= n <= max_exp (at most 11, the
+    last order pinned in ``EXPECTED``), against the tuples of that order,
+    and split the lattices that match none into isomorphism classes: each
+    is searched by ``iso_2gen`` against one :class:`Quotient` of each class
+    found so far with its fingerprint, and starts a class when none maps
+    onto it.
 
     Asserts that each Quotient's lattice has the rows it was built from, that
     every tuple is matched, that no lattice matches two tuples except the
@@ -72,7 +79,7 @@ def check(max_exp: int) -> dict[int, Counter]:
     outside = {}
     for n in range(3, max_exp + 1):
         params = class2.params_with_order(1 << n)
-        hit, missed, count = set(), Counter(), 0
+        hit, missed, classes, count = set(), Counter(), {}, 0
         for rows in lattices(n):
             g = Quotient(rows)
             assert g.lattice.rows == rows, g
@@ -89,8 +96,12 @@ def check(max_exp: int) -> dict[int, Counter]:
             hit.update(matches)
             if not matches:
                 missed[fp] += 1
+                reps = classes.setdefault(fp, [])
+                if all(oracle.iso_2gen(table, rep) is None for rep in reps):
+                    reps.append(g)
             count += 1
         assert hit == set(params), (n, set(params) - hit)
-        assert (count, sum(missed.values()), len(missed)) == EXPECTED[n], n
+        found = (count, sum(missed.values()), len(missed), sum(map(len, classes.values())))
+        assert found == EXPECTED[n], (n, found)
         outside[n] = missed
     return outside

@@ -3,11 +3,11 @@ unpruned reference isomorphism search."""
 
 import numpy as np
 
-from capable2.oracle import _comm_with_inverses
-
 
 def comm_rows_pairwise(group, X, Y) -> np.ndarray:
-    return _comm_with_inverses(group, X, group.inv_arrays(X), Y, group.inv_arrays(Y))
+    """[x, y] = x^-1 y^-1 x y for broadcast rows, by row products."""
+    return group.mul_arrays(group.mul_arrays(group.inv_arrays(X), group.inv_arrays(Y)),
+                            group.mul_arrays(X, Y))
 
 
 def pow_rows(group, X, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from capable2 import capability as cap
-from capable2 import class2, hall_core as hall
+from capable2 import class2, hall_core as hall, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii
 from capable2.errors import NotCapableError, ParameterError
 from capable2.hall_core import FreeElt
@@ -383,6 +383,32 @@ def test_small_witness_is_the_greedy_descent():
         center_exp = p.beta if p.kind == "i" else p.alpha
         assert build(w.ambient).order == class2.Class2Group(p).order << center_exp, p
     assert capable == 158
+
+
+def word_relation_lattice(p):
+    """K_G's relation lattice from the word relators: each relator
+    lhs * rhs^-1 collected letter by letter (``oracle.collect_word``, not
+    the closed form), all five coordinates kept, and [rho, x] and
+    [[rho, x], y] spanned for x, y in {a, b}."""
+    gens = []
+    for lhs, rhs in class2.Class2Group(p).relations():
+        word = [*lhs, *((sym, -exp) for sym, exp in reversed(rhs))]
+        rho = oracle.collect_word(word).coords()
+        for x in (hall.A, hall.B):
+            rx = hall.commutator_coords(rho, x)
+            gens.append(rx[2:])
+            gens += [hall.commutator_coords(rx, y)[2:] for y in (hall.A, hall.B)]
+    return canonical_basis(gens)
+
+
+def test_relation_lattice_lifts_the_model_rows():
+    # the three rows of the model's lattice, lifted to the free class-three
+    # group, span the [R,F] of the word relators, on every capable tuple
+    # with exponents <= 10
+    capable = [p for p in class2.iter_valid_params(10) if cap.decide(p).capable]
+    assert len(capable) == 158
+    for p in capable:
+        assert cap._relation_lattice(p) == word_relation_lattice(p), p
 
 
 def test_small_witness_refusals():

@@ -383,7 +383,8 @@ def test_lattice_model_agrees_with_the_fold_model():
 def test_the_presentation_list_is_complete_below_order_256_and_not_at_256():
     # every lattice of index 2^n, n = 3..8, as a quotient of the free
     # class-two group: each tuple is hit, and from 2^8 on some groups are
-    # on no tuple of the list, all with one fingerprint at 2^8
+    # on no tuple of the list, all with one fingerprint at 2^8 and, by
+    # iso_2gen against a Quotient target, one isomorphism class
     outside = quotients.check(8)
     assert not any(outside[n] for n in range(3, 8))
     [(fp, count)] = outside[8].items()
@@ -407,3 +408,27 @@ def test_two_relators_present_a_group_off_the_list():
         p for p in params
         if class2.model_fingerprint(p) == fp and oracle.iso_2gen(table, model(p)) is not None
     ]
+
+
+def test_a_group_off_the_list_is_an_isomorphism_target():
+    # the 12 lattices of order 256 on no tuple, found by their one
+    # fingerprint, all map onto the group of the relator rows (4,0,1),
+    # (0,16,2), (0,0,4), and the images satisfy its relators; no model of
+    # order 256 maps onto it
+    target = quotients.Quotient(((4, 0, 1), (0, 16, 2), (0, 0, 4)))
+    fp = class2.fingerprint(oracle.GroupTable.from_group(target))
+    tables = [oracle.GroupTable.from_group(quotients.Quotient(rows))
+              for rows in quotients.lattices(8)]
+    off = [t for t in tables if class2.fingerprint(t) == fp]
+    assert len(off) == 12
+    for t in off:
+        iso = oracle.iso_2gen(t, target)
+        assert iso is not None, t.group
+        g = t.group
+        images = {"a": iso[0], "b": iso[1], "c": g.commutator(*iso)}
+        for lhs, rhs in target.relations():
+            assert class2.evaluate_word(g, images, lhs) == class2.evaluate_word(g, images, rhs)
+    params = class2.params_with_order(256)
+    assert len(params) == 17
+    for p in params:
+        assert oracle.iso_2gen(oracle.GroupTable.from_group(model(p)), target) is None, p

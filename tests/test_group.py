@@ -7,6 +7,7 @@ from capable2 import group, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
+from row_ops import comm_rows_pairwise
 
 
 def quotient_group():
@@ -43,6 +44,21 @@ def test_mul_keys_matches_keys_of_products(make, n):
         keys = g.mul_keys(A, B)
         assert keys.dtype == np.int64
         assert np.array_equal(keys, g.key_rows(g.mul_arrays(A, B)))
+
+
+@pytest.mark.parametrize("n", [group.BLOCK_ROWS, group.BLOCK_ROWS + 1000])
+@four_groups
+def test_commutator_keys_match_keys_of_row_commutators(make, n):
+    # one run of the commutator law against the commutator's five row
+    # products and two row inverses; a quotient maps its parent's keys
+    g = make()
+    rng = np.random.default_rng(n + 1)
+    elements = g.rows(np.arange(g.order))
+    X, Y = (elements[rng.integers(len(elements), size=n)] for _ in range(2))
+    for A, B in [(X, Y), (X[0], Y), (X[:50, None], Y[None, :60])]:
+        keys = g.commutator_keys(A, B)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, g.key_rows(comm_rows_pairwise(g, A, B)))
 
 
 @pytest.mark.parametrize(
