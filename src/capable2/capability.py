@@ -18,10 +18,14 @@ recipe, and the largest witness in its family of quotients; ``small_witness``
 is K_G modulo one weight-three commutator, fixed by the presentation type and
 confirmed by the congruence solver's count of the center, and that is what
 the CLI's ``verify`` and ``sweep`` check (i(4,4,4): 2^16 elements, against
-K_G's 2^19).  ``verify_witness`` recomputes everything at the element
-level, for either witness: it builds K, matches its solved center keys with
-a brute-force scan of K's table, forms K/Z(K), and searches for an explicit
-generator-image isomorphism onto G.
+K_G's 2^19).  A ``WitnessSpec`` carries its built group (``spec.group``,
+cached on the spec object only), so the small witness that
+``small_witness`` builds and counts the center of is the group
+``verify_witness`` referees: a sweep row builds K and solves its center
+once.  ``verify_witness`` recomputes everything else at the element level,
+for either witness: it matches K's solved center keys with a brute-force
+scan of a table of its own, forms K/Z(K), and searches for an explicit
+generator-image isomorphism onto a fresh model of G.
 
 Negative answers are reported from the characterization; there is no finite
 bound on witness size, so non-capability cannot be refuted by search.  The
@@ -31,6 +35,7 @@ three hypothesis-gated lemma checkers at the bottom of this module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +67,14 @@ class WitnessSpec:
 
     ambient: GroupSpec
     target: TypeParams
+
+    @functools.cached_property
+    def group(self) -> NilGroup:
+        """The ambient, built once per spec object by :func:`nilprod.build`
+        and kept with it, together with any center the congruence solver
+        caches on it; a spec made afresh, even from the same ambient,
+        builds its own."""
+        return nilprod.build(self.ambient)
 
 
 @dataclass
@@ -218,7 +231,7 @@ def build_witness(p: TypeParams) -> WitnessSpec:
     return _witness_spec(p, _relation_lattice(p))
 
 
-def _relation_lattice(p: TypeParams) -> CommLattice:
+def _relation_lattice(p: TypeParams, model: Class2Group | None = None) -> CommLattice:
     """K_G's relation lattice.
 
     F is free on a, b and R is the kernel of F -> G.  Modulo gamma_3(F), R
@@ -229,14 +242,17 @@ def _relation_lattice(p: TypeParams) -> CommLattice:
     class-three group F/gamma_4(F); the lift does not matter, since
     [gamma_3(F), F] = gamma_4(F).  There [R,F] is the (t, u, v) lattice
     spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.
-    Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
-    when ``decide`` is negative.
+    Every capable tuple has alpha >= beta.  ``model`` is ``Class2Group(p)``,
+    built here when not given.  Raises :class:`NotCapableError` when
+    ``decide`` is negative.
     """
     verdict = decide(p)
     if not verdict.capable:
         raise NotCapableError(verdict.rationale)
+    if model is None:
+        model = Class2Group(p)
     gens = []
-    for row in Class2Group(p).lattice.rows:
+    for row in model.lattice.rows:
         rho = (*row, 0, 0)
         for x in (hall.A, hall.B):
             rx = hall.commutator_coords(rho, x)
@@ -264,39 +280,47 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     three, so the relator is central, and K = K_G/<relator> is F/M with
     [R,F] <= M <= R.  R/M is central in K, of order |K|/|G|, with quotient
     G; so K is a witness exactly when |Z(K)| |G| = |K|.  The congruence
-    solver counts |Z(K)| as ``len(_center_rows)`` * p1 * p2, and a count
-    that differs raises :class:`BuildIntegrityError`.  On every tuple the
-    tests check (exponents <= 10) the lattice's pivots multiply to
-    2^(beta+gamma) (type i) and 2^(alpha+sigma) (type ii), so |Z(K)| is
-    2^beta and 2^alpha.  :func:`verify_witness` referees the result.
-    Raises :class:`NotCapableError` like :func:`build_witness`, and
+    solver counts |Z(K)| as ``len(_center_rows)`` * p1 * p2 on the spec's
+    own :attr:`WitnessSpec.group`, and a count that differs raises
+    :class:`BuildIntegrityError`.  The spec returned carries that group
+    and its solved center, so :func:`verify_witness` builds K and solves
+    its center no second time.  On every tuple the tests check
+    (exponents <= 10) the lattice's pivots multiply to 2^(beta+gamma)
+    (type i) and 2^(alpha+sigma) (type ii), so |Z(K)| is 2^beta and
+    2^alpha.  :func:`verify_witness` referees the result.  Raises
+    :class:`NotCapableError` like :func:`build_witness`, and
     ``ParameterError`` when K's keys are too large for int64 (from
     i(16,16,16) on).
     """
-    rows = _relation_lattice(p).rows
+    model = Class2Group(p)
+    rows = _relation_lattice(p, model).rows
     relator = (0, 1, 0) if p.kind == "ii" else (0, 0, 1) if p.gamma < p.alpha else (0, 1, 1)
-    lattice = canonical_basis(rows + (relator,))
-    # the solver reads only alpha and beta of the spec
-    K = NilGroup(GroupSpec(p.alpha, p.beta), lattice)
-    _, p1, p2 = lattice.pivots
+    spec = _witness_spec(p, canonical_basis(rows + (relator,)))
+    K = spec.group
+    _, p1, p2 = K.comm_lattice.pivots
     center_order = len(K._center_rows) * p1 * p2
-    if center_order * Class2Group(p).order != K.order:
+    if center_order * model.order != K.order:
         raise BuildIntegrityError(
             f"K_G modulo {relator} is no witness for {p}: "
             f"|Z(K)| = {center_order}, |K| = {K.order}"
         )
-    return _witness_spec(p, lattice)
+    return spec
 
 
 def verify_witness(w: WitnessSpec, max_order: int | None = None) -> Report:
-    """Build the ambient group and certify K/Z(K) isomorphic to the target.
+    """Certify K/Z(K) isomorphic to the target, for K the spec's
+    :attr:`WitnessSpec.group` (built on first use, or carried over from
+    :func:`small_witness` with its solved center).
 
     The congruence solver's center keys (:meth:`NilGroup.center_keys`) must
     equal those of the brute-force scan of K's table before the quotient is
-    formed.  Verification stops at the first failed check.
+    formed.  The table, the scan, the quotient and the isomorphism search
+    are this call's own, and the target's model is built afresh, so the
+    referees share nothing with the solver but the group it solved.
+    Verification stops at the first failed check.
     """
     report = Report(target=w.target, ambient=w.ambient)
-    K = nilprod.build(w.ambient)
+    K = w.group
     report.group_order = K.order
     table = oracle.GroupTable.from_group(K, max_order)
 

@@ -322,11 +322,9 @@ def params_with_order(n: int) -> list[TypeParams]:
                 out.append(TypeParams("i", alpha, beta, gamma, None))
             for g in range(1, beta + 1):
                 sigma = e - alpha - beta
-                if 0 <= sigma < g:
-                    try:
-                        out.append(validate("ii", alpha, beta, g, sigma))
-                    except ParameterError:
-                        pass
+                # validate's two type-ii bounds that the loops do not meet
+                if 0 <= sigma < g and alpha + sigma >= 2 * g and alpha + beta + sigma > 3:
+                    out.append(validate("ii", alpha, beta, g, sigma))
     if e % 3 == 0 and e >= 3:
         out.append(TypeParams("iii", None, None, e // 3, None))
     return out
@@ -343,9 +341,8 @@ def iter_valid_params(max_exp: int):
         for beta in range(1, max_exp + 1):
             for gamma in range(1, beta + 1):
                 for sigma in range(0, gamma):
-                    try:
+                    # validate's two type-ii bounds that the loops do not meet
+                    if alpha + sigma >= 2 * gamma and alpha + beta + sigma > 3:
                         yield validate("ii", alpha, beta, gamma, sigma)
-                    except ParameterError:
-                        pass
     for gamma in range(1, max_exp + 1):
         yield TypeParams("iii", None, None, gamma, None)

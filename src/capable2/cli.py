@@ -63,7 +63,7 @@ def sweep_rows(max_alpha: int, max_order: int | None = None, verify: bool = True
         status = "n/a"
         if verdict.capable and verify:
             try:
-                report = capability.verify_witness(_small_witness(p, max_order), max_order)
+                report = capability.verify_witness(_small_witness(p, max_order, order), max_order)
                 status = "PASS" if report.passed else "FAIL"
             except EnumerationBudgetError as exc:
                 status = "SKIPPED"
@@ -72,15 +72,20 @@ def sweep_rows(max_alpha: int, max_order: int | None = None, verify: bool = True
     return rows, warnings
 
 
-def _small_witness(p: TypeParams, max_order: int | None) -> capability.WitnessSpec:
+def _small_witness(
+    p: TypeParams, max_order: int | None, order: int | None = None
+) -> capability.WitnessSpec:
     """``p``'s small witness, or, for a capable ``p``,
     ``EnumerationBudgetError`` before it is built when no witness fits the
     budget: K/Z(K) = G with Z(K) nontrivial, since K is a 2-group, so every
     witness has at least 2|G| elements.  The witness's center count would
     otherwise scan for a table that is refused anyway, and from exponent 16
-    on refuse its int64 keys with a ``ParameterError``."""
+    on refuse its int64 keys with a ``ParameterError``.  ``order`` is |G|,
+    taken from ``p``'s model when not given."""
     limit = oracle.DEFAULT_MAX_ORDER if max_order is None else max_order
-    least = 2 * class2.Class2Group(p).order
+    if order is None:
+        order = class2.Class2Group(p).order
+    least = 2 * order
     if is_int(limit) and least > limit and capability.decide(p).capable:
         raise EnumerationBudgetError(
             f"every witness for {p} has at least {least} elements, which exceeds "
@@ -197,12 +202,12 @@ def _cmd_decide(args) -> int:
 def _cmd_witness(args) -> int:
     p = _params_from_args(args)
     w = capability.build_witness(p)
-    K = nilprod.build(w.ambient)
+    K = w.group
     print(f"target {p}: ambient {K.describe()} of order {K.order}")
     for e in w.ambient.extra_central:
         print(f"  extra central relator: {e}")
     try:
-        small = nilprod.build(capability.small_witness(p).ambient)
+        small = capability.small_witness(p).group
     except ParameterError as exc:  # the witness's center is counted by int64 keys
         print(f"  no small witness, K_G modulo the weight-three relator of its type: {exc}")
     else:
@@ -357,7 +362,7 @@ def export_cas(p: TypeParams, w: capability.WitnessSpec, report: capability.Repo
     lines = [
         "# GAP cross-check script (generated).",
         f"# target: type {p}  --  relations: " + "; ".join(pretty),
-        f"# witness: {nilprod.build(spec).describe()} of order {report.group_order}",
+        f"# witness: {w.group.describe()} of order {report.group_order}",
         'F := FreeGroup("a", "b");;',
         "a := F.1;; b := F.2;;",
         "relsG := [",

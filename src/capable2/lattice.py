@@ -67,7 +67,10 @@ def canonical_basis(generators) -> CommLattice:
     """
     work = [list(g) for g in generators]
     for g in work:
-        if len(g) != 3 or not all(isinstance(x, numbers.Integral) for x in g):
+        # the exact type test passes plain ints without the slower abc check
+        if len(g) != 3 or not all(
+            type(x) is int or isinstance(x, numbers.Integral) for x in g
+        ):
             raise ParameterError(f"generators must be integer triples, got {g!r}")
     work = [[int(x) for x in g] for g in work if any(g)]
 

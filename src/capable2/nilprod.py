@@ -103,17 +103,17 @@ class NilGroup(CoordGroup):
         rows with p0 | r and p0 | s can be central, and only that stride of
         the box is scanned.  Its rows are kept where xg and gx, computed
         straight into their keys by ``mul_keys``, agree for both g = a and
-        g = b.  ``ParameterError`` when the radices are too large for int64.
+        g = b: the two generators are stacked along a first axis, so each
+        side is one run of the law.  ``ParameterError`` when the radices
+        are too large for int64.
         """
         check_int64(self.radices)
         p0 = self.comm_lattice.pivots[0]
         pruned = (self.r_modulus // p0, self.s_modulus // p0, p0, 1, 1)
         box = unravel_rows(np.arange(math.prod(pruned)), pruned).astype(np.int64)
         box[:, :2] *= p0
-        keep = np.ones(len(box), dtype=bool)
-        for g in self.gens:
-            g = np.asarray(g)[None]
-            keep &= self.mul_keys(box, g) == self.mul_keys(g, box)
+        gens = np.asarray(self.gens)[:, None]
+        keep = (self.mul_keys(box, gens) == self.mul_keys(gens, box)).all(axis=0)
         return box[keep]
 
     def center_keys(self) -> np.ndarray:

@@ -627,7 +627,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     rows miss the identity, are not central (naming the first such row) or
     are not closed.  Each row is checked against the designated generators
     only, zg = gz: R_g gathered at the keys of the subgroup's rows against
-    gz from one run of the law on those rows.  That makes it central
+    gz from one run of the law on those rows, both generators stacked in
+    that one run.  That makes it central
     because the generators generate the table, which the coset search of
     :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves, raising
     ``BuildIntegrityError`` when they do not.  The same search checks
@@ -642,9 +643,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     if not (Z == g.identity).all(axis=1).any():
         raise ValueError("subgroup must contain the identity")
     keys = table.index_of(g.key_rows(Z))
-    central = np.ones(len(Z), dtype=bool)
-    for right, gen in zip(table.gen_maps, g.gens):
-        central &= right[keys] == g.mul_keys(np.asarray(gen)[None], Z)
+    right = np.stack([m[keys] for m in table.gen_maps])
+    central = (right == g.mul_keys(np.asarray(g.gens)[:, None], Z)).all(axis=0)
     if not central.all():
         bad = tuple(Z[np.argmin(central)].tolist())
         raise ValueError(f"subgroup element {bad} is not central")

@@ -251,6 +251,8 @@ def test_verify_report_failure_path():
     rep = cap.verify_witness(bad)
     assert not rep.passed
     assert any(not ok for _, ok, _ in rep.checks)
+    # the hand-made spec built a group of its own
+    assert "group" not in vars(w) and bad.group.spec == w.ambient
 
 
 def test_witness_order_formulas():

@@ -228,6 +228,63 @@ def test_params_with_order():
         assert class2.Class2Group(p).order == 64
 
 
+def validated_or_none(kind, *params):
+    try:
+        return validate(kind, *params)
+    except ParameterError:
+        return None
+
+
+def params_with_order_by_exceptions(n):
+    """Reference for ``params_with_order``: every type-ii candidate goes
+    through ``validate``, and the ``ParameterError``s are discarded."""
+    e = n.bit_length() - 1
+    out = []
+    for alpha in range(1, e + 1):
+        for beta in range(1, e + 1):
+            gamma = e - alpha - beta
+            if 1 <= gamma and alpha >= beta >= gamma:
+                out.append(class2.TypeParams("i", alpha, beta, gamma, None))
+            for g in range(1, beta + 1):
+                sigma = e - alpha - beta
+                if 0 <= sigma < g:
+                    out.append(validated_or_none("ii", alpha, beta, g, sigma))
+    if e % 3 == 0 and e >= 3:
+        out.append(class2.TypeParams("iii", None, None, e // 3, None))
+    return [p for p in out if p is not None]
+
+
+def iter_valid_params_by_exceptions(max_exp):
+    """Reference for ``iter_valid_params``, like the one above."""
+    exps = range(1, max_exp + 1)
+    out = [validate("i", a, b, g) for a in exps for b in range(1, a + 1) for g in range(1, b + 1)]
+    out += [
+        validated_or_none("ii", a, b, g, s)
+        for a in exps for b in exps for g in range(1, b + 1) for s in range(g)
+    ]
+    out += [validate("iii", gamma=g) for g in exps]
+    return [p for p in out if p is not None]
+
+
+def test_enumerations_match_the_exception_driven_ones(monkeypatch):
+    # the type-ii bounds checked before validate keep the same tuples in the
+    # same order, and validate never raises on a candidate
+    def strict(*args, **kwargs):
+        try:
+            return validate(*args, **kwargs)
+        except ParameterError as exc:
+            raise AssertionError(f"candidate {args} rejected: {exc}") from exc
+
+    monkeypatch.setattr(class2, "validate", strict)
+    for e in range(1, 25):
+        assert class2.params_with_order(1 << e) == params_with_order_by_exceptions(1 << e), e
+    for max_exp in range(9):
+        assert list(class2.iter_valid_params(max_exp)) == iter_valid_params_by_exceptions(
+            max_exp
+        ), max_exp
+    assert len(class2.params_with_order(1 << 24)) == 337
+
+
 def test_distinct_parameters_give_distinct_groups_up_to_512():
     """Same-order models are separated by fingerprint or by iso search,
     except for the one known presentation coincidence, which must show up."""

@@ -1,9 +1,11 @@
 """CLI surface: exit codes, output formats, sweep table, GAP export."""
 
+import functools
 import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,33 @@ def test_sweep_rows_round_trip():
         assert p == row.params
 
 
+def test_sweep_row_builds_and_solves_its_witness_once(monkeypatch):
+    # a capable row's small witness is built and its center solved by
+    # small_witness, and verify_witness referees that same group; each row
+    # builds one model for its order, and a capable row one more in
+    # small_witness and the referee's own in verify_witness
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(nilprod, "build", counting("build", nilprod.build))
+    solve = functools.cached_property(counting("solve", nilprod.NilGroup._center_rows.func))
+    solve.__set_name__(nilprod.NilGroup, "_center_rows")
+    monkeypatch.setattr(nilprod.NilGroup, "_center_rows", solve)
+    monkeypatch.setattr(class2.Class2Group, "__init__",
+                        counting("model", class2.Class2Group.__init__))
+    rows, warnings = sweep_rows(3)
+    capable = sum(row.verdict.capable for row in rows)
+    assert not warnings and capable == 10 and len(rows) == 20
+    assert all(row.verified == "PASS" for row in rows if row.verdict.capable)
+    assert counts == {"build": capable, "solve": capable, "model": len(rows) + 2 * capable}
+
+
 def test_sweep_budget_warning(capsys):
     # a tiny budget forces SKIPPED rows plus a warning, but still exits 0
     code, out, err = run(capsys, "--max-order", "32", "sweep", "--max-alpha", "2")
@@ -280,6 +309,8 @@ def test_export_cas_refuses_unverified():
     bad = cli.capability.WitnessSpec(w.ambient, class2.type_i(2, 2, 2))
     report = cli.capability.verify_witness(bad)
     assert not report.passed
+    # the hand-made spec built a group of its own
+    assert "group" not in vars(w) and bad.group.spec == w.ambient
     with pytest.raises(NotCapableError, match="refusing to export"):
         cli.export_cas(class2.type_i(2, 2, 2), bad, report)
 

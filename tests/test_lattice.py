@@ -1,6 +1,7 @@
 """Canonical lattice bases, reduction, and membership."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ def test_non_integral_entries_rejected():
     L = canonical_basis([(np.int64(2), 0, 0), (0, 1, 0), (0, 0, 1)])
     assert L.rows == ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     assert all(type(x) is int for row in L.rows for x in row)
+
+
+@pytest.mark.parametrize("entry", [3, True, np.int64(3), np.int8(3), np.uint16(3)])
+def test_integer_entries_accepted(entry):
+    # ints, bools and numpy integers are integer entries, stored as ints
+    L = canonical_basis([(entry, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert L.rows == ((int(entry), 0, 0), (0, 1, 0), (0, 0, 1))
+    assert all(type(x) is int for row in L.rows for x in row)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [(3.0, 0, 0), (np.float64(3), 0, 0), (Fraction(3), 0, 0), ("3", 0, 0), "300",
+     (3, 0), (3, 0, 0, 0)],
+)
+def test_non_integer_triples_rejected(generator):
+    with pytest.raises(ParameterError, match="integer triples"):
+        canonical_basis([generator, (0, 1, 0), (0, 0, 1)])
 
 
 def test_wrong_length_rejected_even_when_zero():

@@ -1,6 +1,7 @@
 """Ambient class-three groups: builds, normal forms, arithmetic, centers."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -269,6 +270,41 @@ def test_center_order_of_every_capable_presentation_witness():
     for p in ps:
         g = build(capability.build_witness(p).ambient)
         assert len(g.center_keys()) * class2.Class2Group(p).order == g.order
+
+
+def center_rows_per_generator(g):
+    """Reference for ``_center_rows``: the same pruned box, kept by one run
+    of the law per generator and side."""
+    p0 = g.comm_lattice.pivots[0]
+    pruned = (g.r_modulus // p0, g.s_modulus // p0, p0, 1, 1)
+    box = group.unravel_rows(np.arange(math.prod(pruned)), pruned).astype(np.int64)
+    box[:, :2] *= p0
+    keep = np.ones(len(box), dtype=bool)
+    for x in g.gens:
+        x = np.asarray(x)[None]
+        keep &= g.mul_keys(box, x) == g.mul_keys(x, box)
+    return box[keep]
+
+
+def test_center_rows_match_the_per_generator_scan():
+    # every ambient, with and without the uniform extras, and every capable
+    # tuple's K_G and small witness, of order <= 2^16
+    specs = [
+        spec
+        for alpha in range(1, 17)
+        for beta in range(1, min(alpha, 4) + 1)
+        for spec in [GroupSpec(alpha, beta)]
+        + [GroupSpec(alpha, beta, (FreeElt(u=1 << c), FreeElt(v=1 << c))) for c in range(1, beta)]
+    ]
+    for p in class2.iter_valid_params(6):
+        if capability.decide(p).capable:
+            specs += [capability.build_witness(p).ambient, capability.small_witness(p).ambient]
+    groups = [g for g in map(build, specs) if g.order <= 1 << 16]
+    assert len(groups) == 87
+    for g in groups:
+        got = g._center_rows
+        assert got.dtype == np.int64
+        assert np.array_equal(got, center_rows_per_generator(g)), g
 
 
 def test_published_center_generators_generate_the_center():

@@ -687,6 +687,21 @@ def test_quotient_rejects_noncentral_subgroup():
         oracle.quotient_central(t, sub)
 
 
+@pytest.mark.parametrize("spec", [GroupSpec(1, 1), GroupSpec(2, 1), GroupSpec(3, 2)])
+@pytest.mark.parametrize("gen", ["a", "b", "ab", "[a,b]"])
+def test_quotient_names_the_first_noncentral_row(spec, gen):
+    # the cyclic subgroup of a commutes with a and not with b, that of b
+    # the other way round: whichever generator a row fails, the message
+    # names the first row that fails the scalar test
+    g = build(spec)
+    x = {"a": g.a, "b": g.b, "ab": g.mul(g.a, g.b), "[a,b]": g.reduce(hall.C)}[gen]
+    t = oracle.GroupTable.from_group(g)
+    sub = oracle.closure(t, [x])
+    first = next(z for z in map(tuple, sub.tolist()) if not g.is_central(z))
+    with pytest.raises(ValueError, match=re.escape(f"subgroup element {first} is not central")):
+        oracle.quotient_central(t, sub)
+
+
 def test_quotient_rejects_non_subgroups():
     g = build(GroupSpec(2, 1))
     t = oracle.GroupTable.from_group(g)
