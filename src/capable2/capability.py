@@ -231,7 +231,7 @@ def build_witness(p: TypeParams) -> WitnessSpec:
     return _witness_spec(p, _relation_lattice(p))
 
 
-def _relation_lattice(p: TypeParams, model: Class2Group | None = None) -> CommLattice:
+def _relation_lattice(p: TypeParams) -> CommLattice:
     """K_G's relation lattice.
 
     F is free on a, b and R is the kernel of F -> G.  Modulo gamma_3(F), R
@@ -242,17 +242,14 @@ def _relation_lattice(p: TypeParams, model: Class2Group | None = None) -> CommLa
     class-three group F/gamma_4(F); the lift does not matter, since
     [gamma_3(F), F] = gamma_4(F).  There [R,F] is the (t, u, v) lattice
     spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.
-    Every capable tuple has alpha >= beta.  ``model`` is ``Class2Group(p)``,
-    built here when not given.  Raises :class:`NotCapableError` when
-    ``decide`` is negative.
+    Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
+    when ``decide`` is negative.
     """
     verdict = decide(p)
     if not verdict.capable:
         raise NotCapableError(verdict.rationale)
-    if model is None:
-        model = Class2Group(p)
     gens = []
-    for row in model.lattice.rows:
+    for row in Class2Group(p).lattice.rows:
         rho = (*row, 0, 0)
         for x in (hall.A, hall.B):
             rx = hall.commutator_coords(rho, x)
@@ -279,7 +276,8 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     for type i with gamma = alpha, and [a,b,a] for type ii.  K_G has class
     three, so the relator is central, and K = K_G/<relator> is F/M with
     [R,F] <= M <= R.  R/M is central in K, of order |K|/|G|, with quotient
-    G; so K is a witness exactly when |Z(K)| |G| = |K|.  The congruence
+    G; so K is a witness exactly when |Z(K)| |G| = |K|, with |G| read
+    from the closed form ``p.order`` and no model of G built.  The congruence
     solver counts |Z(K)| as ``len(_center_rows)`` * p1 * p2 on the spec's
     own :attr:`WitnessSpec.group`, and a count that differs raises
     :class:`BuildIntegrityError`.  The spec returned carries that group
@@ -292,14 +290,13 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     ``ParameterError`` when K's keys are too large for int64 (from
     i(16,16,16) on).
     """
-    model = Class2Group(p)
-    rows = _relation_lattice(p, model).rows
+    rows = _relation_lattice(p).rows
     relator = (0, 1, 0) if p.kind == "ii" else (0, 0, 1) if p.gamma < p.alpha else (0, 1, 1)
     spec = _witness_spec(p, canonical_basis(rows + (relator,)))
     K = spec.group
     _, p1, p2 = K.comm_lattice.pivots
     center_order = len(K._center_rows) * p1 * p2
-    if center_order * model.order != K.order:
+    if center_order * p.order != K.order:
         raise BuildIntegrityError(
             f"K_G modulo {relator} is no witness for {p}: "
             f"|Z(K)| = {center_order}, |K| = {K.order}"

@@ -58,6 +58,18 @@ class TypeParams:
     gamma: int
     sigma: int | None
 
+    @property
+    def order(self) -> int:
+        """|G| in closed form: 2^(alpha+beta+gamma) for type i,
+        2^(alpha+beta+sigma) for type ii and 2^(3 gamma) for type iii.
+        The reference the tests compare it against is the index of the
+        relator lattice of ``Class2Group(self)``."""
+        if self.kind == "i":
+            return 1 << (self.alpha + self.beta + self.gamma)
+        if self.kind == "ii":
+            return 1 << (self.alpha + self.beta + self.sigma)
+        return 1 << (3 * self.gamma)
+
     def __str__(self) -> str:
         if self.kind == "i":
             return f"i({self.alpha},{self.beta},{self.gamma})"

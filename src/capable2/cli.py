@@ -33,7 +33,6 @@ TSV_COLUMNS = ("type", "alpha", "beta", "gamma", "sigma", "order", "verdict", "c
 @dataclass
 class SweepRow:
     params: TypeParams
-    order: int
     verdict: capability.Verdict
     verified: str  # 'PASS' | 'FAIL' | 'n/a' | 'SKIPPED'
 
@@ -46,7 +45,7 @@ class SweepRow:
             str(p.beta) if p.beta is not None else dash,
             str(p.gamma),
             str(p.sigma) if p.sigma is not None else dash,
-            str(self.order),
+            str(p.order),
             "capable" if self.verdict.capable else "not_capable",
             self.verdict.clause or dash,
             self.verified,
@@ -58,34 +57,29 @@ def sweep_rows(max_alpha: int, max_order: int | None = None, verify: bool = True
     rows = []
     warnings = []
     for p in class2.iter_valid_params(max_alpha):
-        order = class2.Class2Group(p).order
         verdict = capability.decide(p)
         status = "n/a"
         if verdict.capable and verify:
             try:
-                report = capability.verify_witness(_small_witness(p, max_order, order), max_order)
+                report = capability.verify_witness(_small_witness(p, max_order), max_order)
                 status = "PASS" if report.passed else "FAIL"
             except EnumerationBudgetError as exc:
                 status = "SKIPPED"
                 warnings.append(f"{p}: {exc}")
-        rows.append(SweepRow(p, order, verdict, status))
+        rows.append(SweepRow(p, verdict, status))
     return rows, warnings
 
 
-def _small_witness(
-    p: TypeParams, max_order: int | None, order: int | None = None
-) -> capability.WitnessSpec:
+def _small_witness(p: TypeParams, max_order: int | None) -> capability.WitnessSpec:
     """``p``'s small witness, or, for a capable ``p``,
     ``EnumerationBudgetError`` before it is built when no witness fits the
     budget: K/Z(K) = G with Z(K) nontrivial, since K is a 2-group, so every
-    witness has at least 2|G| elements.  The witness's center count would
-    otherwise scan for a table that is refused anyway, and from exponent 16
-    on refuse its int64 keys with a ``ParameterError``.  ``order`` is |G|,
-    taken from ``p``'s model when not given."""
+    witness has at least 2|G| elements, |G| being ``p.order``.  The
+    witness's center count would otherwise scan for a table that is refused
+    anyway, and from exponent 16 on refuse its int64 keys with a
+    ``ParameterError``."""
     limit = oracle.DEFAULT_MAX_ORDER if max_order is None else max_order
-    if order is None:
-        order = class2.Class2Group(p).order
-    least = 2 * order
+    least = 2 * p.order
     if is_int(limit) and least > limit and capability.decide(p).capable:
         raise EnumerationBudgetError(
             f"every witness for {p} has at least {least} elements, which exceeds "

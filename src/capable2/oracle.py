@@ -127,21 +127,19 @@ _AB_EXPANSION["e"] = (
 
 
 def _parse_word(w) -> list[tuple[str, int]]:
-    """Accept 'aBab'-style strings (uppercase = inverse) or (sym, exp) pairs
-    with int exponents; ``ParameterError`` for anything else."""
+    """The (letter, exponent) pairs of a word given as an 'aBab'-style string
+    (uppercase = inverse) or as (sym, exp) pairs with int exponents;
+    ``ParameterError`` for anything else."""
     if isinstance(w, str):
         w = [(ch.lower(), -1 if ch.isupper() else 1) for ch in w if ch not in " \t"]
     try:
         pairs = [(sym, exp) for sym, exp in w]
     except (TypeError, ValueError):
         raise ParameterError(f"a word is a string or (letter, exponent) pairs, got {w!r}") from None
-    letters: list[tuple[str, int]] = []
     for sym, exp in pairs:
         if not (isinstance(sym, str) and sym in _RANK and is_int(exp)):
             raise ParameterError(f"{(sym, exp)!r} is not a letter a-e with an integer exponent")
-        sign = 1 if exp > 0 else -1
-        letters.extend((sym, sign) for _ in range(abs(exp)))
-    return letters
+    return pairs
 
 
 def collect_word(w) -> FreeElt:
@@ -151,16 +149,23 @@ def collect_word(w) -> FreeElt:
     swap it, append the correction letters, and back up one position.  The
     central letters d, e go straight to counters.  Terminates because every
     correction has strictly greater weight than the swapped pair.
+
+    A step lowers len(word) - i by at most 2, so a word of more than
+    2 * ``COLLECT_MAX_STEPS`` + 1 letters a, b, c cannot finish within the
+    step cap; it is refused before its powers are expanded into letters.
     """
     u_acc = v_acc = 0
-    word = []
-    for sym, sign in _parse_word(w):
+    powers = []
+    for sym, exp in _parse_word(w):
         if sym == "d":
-            u_acc += sign
+            u_acc += exp
         elif sym == "e":
-            v_acc += sign
+            v_acc += exp
         else:
-            word.append((sym, sign))
+            powers.append((sym, exp))
+    if sum(abs(exp) for _, exp in powers) > 2 * COLLECT_MAX_STEPS + 1:
+        raise RuntimeError("collection did not terminate within the step cap")
+    word = [(sym, 1 if exp > 0 else -1) for sym, exp in powers for _ in range(abs(exp))]
 
     i = 0
     steps = 0

@@ -228,6 +228,18 @@ def test_params_with_order():
         assert class2.Class2Group(p).order == 64
 
 
+def test_closed_form_order_matches_the_lattice_index():
+    # TypeParams.order is the closed form; the model's relator lattice index
+    # is the reference, and params_with_order inverts the same arithmetic
+    params = list(class2.iter_valid_params(12))
+    assert len(params) == 1712
+    for p in params:
+        assert p.order == class2.Class2Group(p).order, p
+    for e in range(1, 25):
+        for p in class2.params_with_order(1 << e):
+            assert p.order == 1 << e, p
+
+
 def validated_or_none(kind, *params):
     try:
         return validate(kind, *params)

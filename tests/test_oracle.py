@@ -5,7 +5,9 @@ import functools
 import math
 import random
 import re
+import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +53,95 @@ def test_collect_word_refuses_malformed_words(word):
     # is neither a string nor (letter, exponent) pairs is not a TypeError
     with pytest.raises(ParameterError):
         oracle.collect_word(word)
+
+
+def collect_by_expansion(pairs):
+    """Reference for ``collect_word`` on (letter, exponent) pairs over a, b,
+    c: every power expanded into letters first, then the rewriting loop
+    under ``oracle.COLLECT_MAX_STEPS``, with no refusal ahead of it."""
+    word = [(sym, 1 if exp > 0 else -1) for sym, exp in pairs for _ in range(abs(exp))]
+    u_acc = v_acc = 0
+    i = steps = 0
+    while i < len(word) - 1:
+        steps += 1
+        if steps > oracle.COLLECT_MAX_STEPS:
+            raise RuntimeError("collection did not terminate within the step cap")
+        x, y = word[i], word[i + 1]
+        if x[0] == y[0] and x[1] == -y[1]:
+            del word[i : i + 2]
+            i = max(i - 1, 0)
+        elif oracle._RANK[x[0]] > oracle._RANK[y[0]]:
+            word[i], word[i + 1] = y, x
+            insert = []
+            for sym, sign in oracle._SWAP[(x, y)]:
+                if sym == "d":
+                    u_acc += sign
+                elif sym == "e":
+                    v_acc += sign
+                else:
+                    insert.append((sym, sign))
+            word[i + 2 : i + 2] = insert
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    counts = {"a": 0, "b": 0, "c": 0}
+    for sym, sign in word:
+        counts[sym] += sign
+    return FreeElt(counts["a"], counts["b"], counts["c"], u_acc, v_acc)
+
+
+def random_word(rng):
+    """Up to 131 pairs over a, b, c: single letters, adjacent inverse pairs
+    (in a share drawn per word, so that some long words still finish within
+    a small cap) and a few powers up to +-120."""
+    cancel_share = rng.random()
+    pairs = []
+    length = rng.randint(0, 130)
+    while len(pairs) < length:
+        sym, sign = rng.choice("abc"), rng.choice((-1, 1))
+        draw = rng.random()
+        if draw < 0.02:
+            pairs.append((sym, rng.randint(-120, 120)))
+        elif draw < cancel_share:
+            pairs += [(sym, sign), (sym, -sign)]
+        else:
+            pairs.append((sym, sign))
+    return pairs
+
+
+def test_collect_word_refuses_only_words_the_cap_would_stop(monkeypatch):
+    # a word of more than 2 * cap + 1 letters is refused before it is
+    # expanded; every other word is collected as before, or stopped by the cap
+    monkeypatch.setattr(oracle, "COLLECT_MAX_STEPS", 50)
+    rng = random.Random(3)
+    # at the bound: 101 letters cancel down to one in 50 steps, 102 need 51
+    words = [[("a", 1), ("a", -1)] * 50 + [("a", 1)], [("a", 1), ("a", -1)] * 51]
+    words += [random_word(rng) for _ in range(4000)]
+    outcomes = Counter()
+    longest = 0
+    for pairs in words:
+        letters = sum(abs(exp) for _, exp in pairs)
+        try:
+            want = collect_by_expansion(pairs)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                oracle.collect_word(pairs)
+            outcomes["capped", letters > 101] += 1
+        else:
+            assert oracle.collect_word(pairs) == want, pairs
+            outcomes["collected"] += 1
+            longest = max(longest, letters)
+    # words are collected, stopped by the cap, and refused before the loop
+    assert outcomes["collected"] and outcomes["capped", False] and outcomes["capped", True]
+    assert longest == 101
+
+
+def test_collect_word_expands_no_power_before_the_cap():
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="step cap"):
+        oracle.collect_word([("a", 10**12)])
+    assert time.perf_counter() - t0 < 1
+    assert oracle.collect_word([("d", 10**12), ("e", -3)]) == FreeElt(0, 0, 0, 10**12, -3)
 
 
 def test_round_trip_ten_thousand_random_elements():
