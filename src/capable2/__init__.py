@@ -1,12 +1,14 @@
 """Capability of two-generator 2-groups of class two, with verified witnesses.
 
-Layers, bottom up: exact normal-form arithmetic in the free class-three group
-(:mod:`hall_core`), relation lattices for the commutator block
-(:mod:`lattice`), the operations every group object derives from its law
-(:mod:`group`), the finite ambient quotients (:mod:`nilprod`), the class-two
-classification models (:mod:`class2`), the capability decision with witness
-construction and verification (:mod:`capability`), brute-force referees
-(:mod:`oracle`), and a batch CLI (:mod:`cli`).
+Layers, bottom up, each importing only layers below it: exact normal-form
+arithmetic in the free class-three group (:mod:`hall_core`) and the error
+types (:mod:`errors`); relation lattices (:mod:`lattice`) and the
+operations every group object derives from its law (:mod:`group`);
+brute-force referees (:mod:`oracle`), which cannot import the models they
+referee; the class-two classification models (:mod:`class2`);
+the finite ambient quotients (:mod:`nilprod`); the capability decision with
+witness construction and verification (:mod:`capability`); and a batch CLI
+(:mod:`cli`).  ``tests/test_layers.py`` pins this order.
 """
 
 from .capability import (

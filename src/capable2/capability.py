@@ -261,8 +261,9 @@ def _relation_lattice(p: TypeParams) -> CommLattice:
 def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
     """The quotient of the (alpha, beta) product whose relation lattice is
     ``lattice``, as a witness for ``p``.  The canonical basis rows become the
-    extras, weight-three rows first, so that each is central in the group
-    built from the ones before it."""
+    extras, weight-three rows first; :func:`nilprod.build` accepts them in
+    any order, so the rotation only fixes the order that ``witness`` and
+    ``export-cas`` print."""
     rows = lattice.rows
     extras = tuple(FreeElt(0, 0, *row) for row in rows[1:] + rows[:1])
     return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
@@ -278,8 +279,8 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     [R,F] <= M <= R.  R/M is central in K, of order |K|/|G|, with quotient
     G; so K is a witness exactly when |Z(K)| |G| = |K|, with |G| read
     from the closed form ``p.order`` and no model of G built.  The congruence
-    solver counts |Z(K)| as ``len(_center_rows)`` * p1 * p2 on the spec's
-    own :attr:`WitnessSpec.group`, and a count that differs raises
+    solver counts |Z(K)| as ``len(K.center_keys())`` on the spec's own
+    :attr:`WitnessSpec.group`, and a count that differs raises
     :class:`BuildIntegrityError`.  The spec returned carries that group
     and its solved center, so :func:`verify_witness` builds K and solves
     its center no second time.  On every tuple the tests check
@@ -294,8 +295,7 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     relator = (0, 1, 0) if p.kind == "ii" else (0, 0, 1) if p.gamma < p.alpha else (0, 1, 1)
     spec = _witness_spec(p, canonical_basis(rows + (relator,)))
     K = spec.group
-    _, p1, p2 = K.comm_lattice.pivots
-    center_order = len(K._center_rows) * p1 * p2
+    center_order = len(K.center_keys())
     if center_order * p.order != K.order:
         raise BuildIntegrityError(
             f"K_G modulo {relator} is no witness for {p}: "

@@ -18,7 +18,8 @@ dihedral group of order 8 out of type ii (it is already i with all exponents
 1).  Every two-generator 2-group of class two and order at most 2^7 is
 isomorphic to a group of one of these types; from order 2^8 on some are
 not.  The test suite checks both claims by enumerating every such group of
-order up to 2^10 as a quotient of the free class-two group by a lattice.
+order up to 2^8 as a quotient of the free class-two group by a lattice, and
+CI extends the enumeration to 2^11.
 A model (:class:`Class2Group`) is such a quotient too, by the lattice its
 ``relations()`` span.
 

@@ -1,11 +1,13 @@
 """Canonical bases for finite-index sublattices of Z^3.
 
-The three coordinates index exponents of [a,b], [a,b,a], [a,b,b].  A group
-quotient's commutator block is Z^3 modulo such a "relation lattice", and the
-canonical upper-triangular basis (positive pivots, entries above each pivot
-reduced modulo it) turns coset representatives into boxed coordinates with one
-modulus per position.  All arithmetic is exact; nothing here assumes the
-pivots are powers of two.
+Two kinds of relation lattice use them.  In :mod:`capable2.nilprod` the
+three coordinates index exponents of [a,b], [a,b,a], [a,b,b], and a group
+quotient's commutator block is Z^3 modulo such a lattice; in
+:mod:`capable2.class2` they index exponents of a, b, [a,b], and a model is
+Z^3 modulo the lattice of its relators.  The canonical upper-triangular
+basis (positive pivots, entries above each pivot reduced modulo it) turns
+coset representatives into boxed coordinates with one modulus per position.
+All arithmetic is exact; nothing here assumes the pivots are powers of two.
 """
 
 from __future__ import annotations

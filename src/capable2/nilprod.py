@@ -9,11 +9,15 @@ parts of the power relators:
 
     [a^(2^alpha), b],  [a, b^(2^beta)],  [a,b,a]^(2^beta),  [a,b,b]^(2^beta)
 
-plus one triple per extra relator.  The canonical box of that lattice gives
-the normal form; with no extras its size must reproduce the classical counts
-2^(alpha+4*beta) (alpha > beta) and 2^(alpha+4*beta-1) (alpha = beta), and
-with extras [a,b,a]^(2^gamma), [a,b,b]^(2^gamma) it must give
-2^(alpha+2*beta+2*gamma); the build fails loudly otherwise.
+plus one triple per extra relator, all reduced by one :func:`canonical_basis`
+call.  The extras are then checked together: each one's commutators with a
+and b must lie in that lattice, so the lattice is the commutator part of
+the normal closure, whatever order the extras come in.  The canonical box
+of that lattice gives the normal form; with no extras its size must
+reproduce the classical counts 2^(alpha+4*beta) (alpha > beta) and
+2^(alpha+4*beta-1) (alpha = beta), and with extras [a,b,a]^(2^gamma),
+[a,b,b]^(2^gamma) it must give 2^(alpha+2*beta+2*gamma); the build fails
+loudly otherwise.
 
 Group elements (``NilElt``) are plain 5-tuples of boxed coordinates.  The
 product is :func:`hall_core.mul_coords` followed by :meth:`NilGroup.reduce`
@@ -44,11 +48,12 @@ NilElt = tuple[int, int, int, int, int]
 class GroupSpec:
     """Build recipe: cyclic factor exponents plus extra central relators.
 
-    Extras must lie in the commutator subgroup (r = s = 0).  Each one is
-    checked to be central in the group built from the preceding relators;
-    the witness construction lists the canonical basis of its relation
-    lattice with the weight-three rows first, which is exactly that layered
-    fashion.
+    ``extra_central`` is a tuple, so that specs hash.  Extras must lie in
+    the commutator subgroup (r = s = 0), and each one must be central in the
+    group built from all the relators together: an extra that is central
+    only modulo another extra is accepted whichever of the two comes first,
+    and their order changes the built group only in its ``spec`` and its
+    ``describe()`` text.
     """
 
     alpha: int
@@ -180,9 +185,14 @@ class NilGroup(CoordGroup):
 
 
 def build(spec: GroupSpec) -> NilGroup:
-    """Construct the quotient described by ``spec``, with integrity checks;
-    ``ParameterError`` for exponents that are not integers with
-    alpha >= beta >= 1, and for extras that are not integer ``FreeElt``."""
+    """Construct the quotient described by ``spec``, with integrity checks.
+
+    Every extra is validated first: ``ParameterError`` for exponents that
+    are not integers with alpha >= beta >= 1, for ``extra_central`` that is
+    not a tuple, and for extras that are not integer ``FreeElt`` in the
+    commutator subgroup.  The power relators and the extras are reduced to
+    one lattice, and ``CentralityError`` names the first extra with a
+    commutator with a or b outside it."""
     alpha, beta = spec.alpha, spec.beta
     if not (is_int(alpha) and is_int(beta)):
         raise ParameterError(
@@ -190,6 +200,18 @@ def build(spec: GroupSpec) -> NilGroup:
         )
     if beta < 1 or alpha < beta:
         raise ParameterError(f"alpha >= beta >= 1 required, got alpha={alpha}, beta={beta}")
+    extras = spec.extra_central
+    if not isinstance(extras, tuple):
+        raise ParameterError(f"extra_central must be a tuple, got {type(extras).__name__}")
+    for x in extras:
+        if not (isinstance(x, FreeElt) and all(map(is_int, x.coords()))):
+            raise ParameterError(
+                f"extra central relator must be an integer FreeElt, got {x!r}"
+            )
+        if x.r or x.s:
+            raise ParameterError(
+                f"extra central relator must lie in the commutator subgroup: {x}"
+            )
     pa, pb = 1 << alpha, 1 << beta
 
     # a^n is (n, 0, 0, 0, 0): the commutators run on coordinate tuples
@@ -199,24 +221,15 @@ def build(spec: GroupSpec) -> NilGroup:
         (0, pb, 0),
         (0, 0, pb),
     ]
-    lat = canonical_basis(gens)
+    lat = canonical_basis(gens + [x.comm_coords() for x in extras])
 
-    for x in spec.extra_central:
-        if not (isinstance(x, FreeElt) and all(map(is_int, x.coords()))):
-            raise ParameterError(
-                f"extra central relator must be an integer FreeElt, got {x!r}"
-            )
-        if x.r or x.s:
-            raise ParameterError(
-                f"extra central relator must lie in the commutator subgroup: {x}"
-            )
+    for x in extras:
         for g, name in ((hall.A, "a"), (hall.B, "b")):
             w = hall.commutator_coords(x, g)
             if not lat.contains(w[2:]):
                 raise CentralityError(
                     f"extra relator not central: [{x}, {name}] = {FreeElt(*w)} is nontrivial"
                 )
-        lat = canonical_basis(lat.rows + (x.comm_coords(),))
 
     group = NilGroup(spec, lat)
 

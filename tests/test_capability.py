@@ -212,6 +212,24 @@ def test_build_witness_is_the_paper_recipe():
     assert capable == 92
 
 
+def test_witness_extras_build_in_canonical_row_order():
+    # K_G and the small witness list their lattice rows weight-three first;
+    # built with the rows in canonical order (row 0, the [a,b] row, first)
+    # they give the same group, since build checks the extras together
+    specs = 0
+    for p in class2.iter_valid_params(6):
+        if not cap.decide(p).capable:
+            continue
+        for w in (cap.build_witness(p), cap.small_witness(p)):
+            extras = w.ambient.extra_central
+            canonical = extras[-1:] + extras[:-1]
+            assert canonical == tuple(FreeElt(0, 0, *row) for row in w.group.comm_lattice.rows)
+            g = build(GroupSpec(p.alpha, p.beta, canonical))
+            assert (g.comm_lattice, g.order) == (w.group.comm_lattice, w.group.order), p
+            specs += 1
+    assert specs == 94
+
+
 def test_build_witness_refuses_non_capable():
     with pytest.raises(NotCapableError):
         cap.build_witness(type_iii(1))

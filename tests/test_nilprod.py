@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -56,10 +57,47 @@ def test_build_rejects_noncentral_extra():
 def test_layered_extras_accepted_in_order():
     # [a,b]^4 [a,b,b]^-1 is central only once [a,b,a]^4, [a,b,b]^4 are killed
     w = hall.mul(hall.power(hall.C, 4), hall.power(hall.E, -1))
-    with pytest.raises(CentralityError):
+    msg = "extra relator not central: [[a,b]^4 [a,b,b]^-1, a] = [a,b,a]^4 is nontrivial"
+    with pytest.raises(CentralityError, match=f"^{re.escape(msg)}$"):
         build(GroupSpec(4, 4, (w,)))
     g = build(GroupSpec(4, 4, (FreeElt(u=4), FreeElt(v=4), w)))
     assert g.order == (1 << 16) // 4
+    # the extras are checked together, so the order of the three is free
+    h = build(GroupSpec(4, 4, (w, FreeElt(u=4), FreeElt(v=4))))
+    assert (h.comm_lattice, h.order) == (g.comm_lattice, g.order)
+
+
+def test_build_reduces_the_relators_once(monkeypatch):
+    calls = []
+
+    def counting(gens):
+        calls.append(gens)
+        return canonical_basis(gens)
+
+    monkeypatch.setattr(nilprod, "canonical_basis", counting)
+    w = hall.mul(hall.power(hall.C, 4), hall.power(hall.E, -1))
+    g = build(GroupSpec(4, 4, (FreeElt(u=4), FreeElt(v=4), w)))
+    assert len(calls) == 1 and len(calls[0]) == 4 + 3
+    assert g.comm_lattice == canonical_basis(calls[0])
+
+
+def test_build_rejects_extras_not_in_a_tuple():
+    # a spec is a dict key, so its extras must hash
+    extras = (FreeElt(u=2), FreeElt(v=2))
+    gen = (x for x in extras)
+    for bad in [None, list(extras), gen, set(extras)]:
+        with pytest.raises(ParameterError, match="extra_central must be a tuple"):
+            build(GroupSpec(2, 2, bad))
+    assert tuple(gen) == extras  # refused before anything is read from it
+
+
+def test_build_validates_every_extra_first():
+    # [a,b]^2 is not central in the (4,4) product, but the malformed second
+    # extra is reported first: every extra is validated before the lattice
+    # is reduced and the centrality checked
+    for bad in ["u^4", FreeElt(r=2)]:
+        with pytest.raises(ParameterError):
+            build(GroupSpec(4, 4, (FreeElt(t=2), bad)))
 
 
 def test_reduce_examples():
