@@ -159,9 +159,7 @@ def commutator_order_condition(g: Class2Group) -> bool:
     When the generator order exponents satisfy r2 = r1 + 1, capability forces
     [a,b] to have order exactly 2^r1; otherwise the condition is vacuous.
     """
-    r1, r2 = sorted(
-        (g.order_of(g.a).bit_length() - 1, g.order_of(g.b).bit_length() - 1)
-    )
+    r1, r2 = sorted(g.order_of(x).bit_length() - 1 for x in g.gens)
     if r2 != r1 + 1:
         return True
     return g.order_of(g.commutator(g.a, g.b)) == (1 << r1)
@@ -226,39 +224,49 @@ def decide(p: TypeParams) -> Verdict:
 
 def build_witness(p: TypeParams) -> WitnessSpec:
     """The group K_G = F/[R,F]<a^(2^alpha), b^(2^beta)> of the presentation,
-    from the relation lattice of :func:`_relation_lattice`.  Raises
-    :class:`NotCapableError` when ``decide`` is negative."""
-    return _witness_spec(p, _relation_lattice(p))
+    from the relation lattice that :func:`_relation_lattice` gives for the
+    model of ``p``.  Raises :class:`NotCapableError` with ``decide``'s
+    rationale when the verdict is negative."""
+    verdict = decide(p)
+    if not verdict.capable:
+        raise NotCapableError(verdict.rationale)
+    return _witness_spec(p, *_relation_lattice(Class2Group(p)))
 
 
-def _relation_lattice(p: TypeParams) -> CommLattice:
-    """K_G's relation lattice.
+def _relation_lattice(model: Class2Group) -> tuple[int, int, CommLattice]:
+    """The exponents alpha >= beta of the generator orders 2^alpha and
+    2^beta, and K_G's relation lattice, for any model, capable or not:
+    K_G = F/[R,F]T with T = <a^ord(a), b^ord(b)>, which lies in R and is
+    central modulo [R,F].  No verdict is asked for; :func:`build_witness`
+    refuses a tuple that ``decide`` finds not capable.
+
+    When ord(a) < ord(b), a and b are exchanged first
+    (:meth:`Class2Group.exchanged`), since :func:`nilprod.build` takes the
+    larger exponent first.
 
     F is free on a, b and R is the kernel of F -> G.  Modulo gamma_3(F), R
-    is N, the elements whose coordinates lie in the lattice of
-    ``Class2Group(p)``, so R = N gamma_3(F); the three rows of that lattice
+    is N, the elements whose coordinates lie in the model's lattice, so
+    R = N gamma_3(F); the three rows of that lattice, exchanged or not,
     generate N (:func:`capable2.oracle.iso_2gen` gives the argument).  Each
     row (r, s, t) is lifted to rho = a^r b^s [a,b]^t in hall_core's free
     class-three group F/gamma_4(F); the lift does not matter, since
     [gamma_3(F), F] = gamma_4(F).  There [R,F] is the (t, u, v) lattice
-    spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.
-    Every capable tuple has alpha >= beta.  Raises :class:`NotCapableError`
-    when ``decide`` is negative.
+    spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.  Every
+    capable tuple has alpha >= beta, and its model's generator orders are
+    2^alpha and 2^beta.
     """
-    verdict = decide(p)
-    if not verdict.capable:
-        raise NotCapableError(verdict.rationale)
+    ea, eb = (model.order_of(x).bit_length() - 1 for x in model.gens)
     gens = []
-    for row in Class2Group(p).lattice.rows:
+    for row in (model if ea >= eb else model.exchanged()).lattice.rows:
         rho = (*row, 0, 0)
         for x in (hall.A, hall.B):
             rx = hall.commutator_coords(rho, x)
             gens.append(rx[2:])
             gens += [hall.commutator_coords(rx, y)[2:] for y in (hall.A, hall.B)]
-    return canonical_basis(gens)
+    return max(ea, eb), min(ea, eb), canonical_basis(gens)
 
 
-def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
+def _witness_spec(p: TypeParams, alpha: int, beta: int, lattice: CommLattice) -> WitnessSpec:
     """The quotient of the (alpha, beta) product whose relation lattice is
     ``lattice``, as a witness for ``p``.  The canonical basis rows become the
     extras, weight-three rows first; :func:`nilprod.build` accepts them in
@@ -266,7 +274,7 @@ def _witness_spec(p: TypeParams, lattice: CommLattice) -> WitnessSpec:
     ``export-cas`` print."""
     rows = lattice.rows
     extras = tuple(FreeElt(0, 0, *row) for row in rows[1:] + rows[:1])
-    return WitnessSpec(GroupSpec(p.alpha, p.beta, extras), p)
+    return WitnessSpec(GroupSpec(alpha, beta, extras), p)
 
 
 def small_witness(p: TypeParams) -> WitnessSpec:
@@ -286,14 +294,16 @@ def small_witness(p: TypeParams) -> WitnessSpec:
     its center no second time.  On every tuple the tests check
     (exponents <= 10) the lattice's pivots multiply to 2^(beta+gamma)
     (type i) and 2^(alpha+sigma) (type ii), so |Z(K)| is 2^beta and
-    2^alpha.  :func:`verify_witness` referees the result.  Raises
-    :class:`NotCapableError` like :func:`build_witness`, and
+    2^alpha.  :func:`verify_witness` referees the result.  K_G's rows are
+    read from the spec of :func:`build_witness`, which raises
+    :class:`NotCapableError` when ``decide`` is negative, and this raises
     ``ParameterError`` when K's keys are too large for int64 (from
     i(16,16,16) on).
     """
-    rows = _relation_lattice(p).rows
+    kg = build_witness(p).ambient
     relator = (0, 1, 0) if p.kind == "ii" else (0, 0, 1) if p.gamma < p.alpha else (0, 1, 1)
-    spec = _witness_spec(p, canonical_basis(rows + (relator,)))
+    rows = [x.comm_coords() for x in kg.extra_central] + [relator]
+    spec = _witness_spec(p, kg.alpha, kg.beta, canonical_basis(rows))
     K = spec.group
     center_order = len(K.center_keys())
     if center_order * p.order != K.order:

@@ -17,11 +17,21 @@ with [a,b] central throughout.  The bound alpha+beta+sigma > 3 keeps the
 dihedral group of order 8 out of type ii (it is already i with all exponents
 1).  Every two-generator 2-group of class two and order at most 2^7 is
 isomorphic to a group of one of these types; from order 2^8 on some are
-not.  The test suite checks both claims by enumerating every such group of
-order up to 2^8 as a quotient of the free class-two group by a lattice, and
-CI extends the enumeration to 2^11.
-A model (:class:`Class2Group`) is such a quotient too, by the lattice its
-``relations()`` span.
+not.  Each group off the list that the tests meet is isomorphic to exactly
+one
+
+  iv   a^(2^alpha) = [a,b]^(2^sigma), b^(2^beta) = [a,b]^(2^rho),
+       [a,b]^(2^gamma) = 1,
+       0 <= sigma < rho < gamma <= alpha, beta-alpha > rho-sigma,
+
+of order 2^(alpha+beta+gamma), which is not a type here.  The test suite
+checks these claims by enumerating every such group of order up to 2^8 as a
+quotient of the free class-two group by a lattice, and CI extends the
+enumeration to 2^11; past 2^11 nothing is claimed.
+A model (:class:`Class2Group`) is such a quotient too: it is built from
+integer relator rows (i, j, k), each the relator a^i b^j [a,b]^k, or from a
+tuple, whose rows its ``relations()`` give.  Any model has a K_G
+(:func:`capable2.capability._relation_lattice`).
 
 One coincidence survives these constraint lists: i(b,b,b) and
 ii(b+1, b, b, b-1) present isomorphic groups for every b >= 2.  In the
@@ -146,9 +156,16 @@ def relator_coords(lhs: Word, rhs: Word) -> tuple[int, int, int]:
 
 
 class Class2Group(CoordGroup):
-    """Coordinate model a^i b^j [a,b]^k of the group F/N that ``relations()``
-    present, F free of class two on a and b, N the normal closure of the
-    relators.
+    """Coordinate model a^i b^j [a,b]^k of the group F/N, F free of class
+    two on a and b and N the normal closure of the relators.
+
+    ``relators`` is a tuple or list of integer rows (i, j, k), each the
+    relator a^i b^j [a,b]^k, or a :class:`TypeParams` p, which is kept as
+    ``params`` (``None`` for rows) and whose rows are those of
+    ``relations()``, placed by :func:`relator_coords`.  Rows raise
+    ``ParameterError`` unless each is three ints, not bools, their (a, b)
+    parts have rank 2 and the index of their lattice is a power of two: a
+    finite 2-group.
 
     In F, (i1,j1,k1)*(i2,j2,k2) = (i1+i2, j1+j2, k1+k2-j1*i2): the -j1*i2
     term comes from b a = a b [a,b]^-1 with [a,b] central.  For a relator
@@ -160,11 +177,20 @@ class Class2Group(CoordGroup):
     is the box of its pivots.
     """
 
-    def __init__(self, params: TypeParams):
-        self.params = params
-        rows = [relator_coords(lhs, rhs) for lhs, rhs in self.relations()]
+    def __init__(self, relators):
+        self.params = relators if isinstance(relators, TypeParams) else None
+        rows = [relator_coords(*r) for r in self.relations()] if self.params else relators
+        _need(isinstance(rows, (tuple, list)) and all(
+            isinstance(r, (tuple, list)) and len(r) == 3 and all(map(is_int, r)) for r in rows),
+            "relator rows are a tuple or list of three ints each, not bools")
+        # the gcd of the 2x2 minors is the index of the (a, b) parts' lattice,
+        # which g and so the pivot of [a,b] divide; the messages repr nothing,
+        # since they are formatted on every model built
+        det = math.gcd(*(r[0] * s[1] - r[1] * s[0] for r in rows for s in rows))
+        _need(det, "the relator rows' (a, b) parts have rank 2")
+        _need(not det & (det - 1), f"the relator rows' (a, b) index is a power of two, got {det}")
         g = math.gcd(*(x for row in rows for x in row[:2]))
-        self.lattice = canonical_basis(rows + [(0, 0, g)])
+        self.lattice = canonical_basis([*rows, (0, 0, g)])
         self.radices = self.lattice.pivots
         self.order = self.lattice.index
         self.identity = (0, 0, 0)
@@ -185,12 +211,32 @@ class Class2Group(CoordGroup):
 
     # -- presentation --------------------------------------------------------
 
+    def exchanged(self) -> "Class2Group":
+        """The model of the same group with a and b exchanged.
+
+        With a' = b and b' = a, the relator a^i b^j [a,b]^k is
+        a'^j b'^i [a',b']^(-k-ij), so each row (i, j, k) becomes
+        (j, i, -k-ij), and this model's b and a satisfy the rows of the
+        result.  Leaving out c -> c^-1 would present the image of that
+        group under a' -> a'^-1, b' -> b'^-1, which fixes [a',b']: an
+        isomorphic group, so orders and centers do not show it, only the
+        rows do.  The -ij term changes nothing on the canonical rows
+        (d1, x, y), (0, d2, z), (0, 0, d3) read here: d3 divides i and j,
+        so ij is a multiple of d3, and the rows span the same lattice
+        without it.
+        """
+        return Class2Group([(j, i, -k - i * j) for i, j, k in self.lattice.rows])
+
     def relations(self) -> list[tuple[Word, Word]]:
-        """Defining word relations over symbols a, b, c (= [a,b]).
+        """Defining word relations over symbols a, b, c (= [a,b]): the
+        tuple's presentation, or for a model built from rows, one relator
+        a^i b^j c^k = 1 per canonical row (i, j, k) of its lattice.
 
         Centrality of c is an additional implicit relation of every type.
         """
         p = self.params
+        if p is None:
+            return [((("a", i), ("b", j), ("c", k)), ()) for i, j, k in self.lattice.rows]
         if p.kind == "i":
             return [
                 ((("a", 1 << p.alpha),), ()),
@@ -212,7 +258,7 @@ class Class2Group(CoordGroup):
         ]
 
     def __repr__(self) -> str:
-        return f"Class2Group({self.params}, order={self.order})"
+        return f"Class2Group({self.params or self.lattice.rows}, order={self.order})"
 
 
 def evaluate_word(group, images: dict, word: Word):

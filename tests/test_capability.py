@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import quotients
 from capable2 import capability as cap
 from capable2 import class2, hall_core as hall, oracle
 from capable2.class2 import model, type_i, type_ii, type_iii
@@ -337,7 +338,7 @@ def greedy_descent(p):
                 break
             refused.add(z)
         else:
-            return cap._witness_spec(p, K.comm_lattice)
+            return cap._witness_spec(p, p.alpha, p.beta, K.comm_lattice)
         K = Q
         refused = {K.comm_lattice.reduce(z) for z in refused}
 
@@ -397,7 +398,8 @@ def test_small_witness_is_the_greedy_descent():
         if not cap.decide(p).capable:
             continue
         capable += 1
-        assert cap._relation_lattice(p) == build(cap.build_witness(p).ambient).comm_lattice, p
+        lattice = cap._relation_lattice(class2.Class2Group(p))
+        assert lattice == (p.alpha, p.beta, build(cap.build_witness(p).ambient).comm_lattice), p
         w = cap.small_witness(p)
         assert w == greedy_descent(p), p
         center_exp = p.beta if p.kind == "i" else p.alpha
@@ -428,7 +430,75 @@ def test_relation_lattice_lifts_the_model_rows():
     capable = [p for p in class2.iter_valid_params(10) if cap.decide(p).capable]
     assert len(capable) == 158
     for p in capable:
-        assert cap._relation_lattice(p) == word_relation_lattice(p), p
+        assert cap._relation_lattice(class2.Class2Group(p))[2] == word_relation_lattice(p), p
+
+
+def kg_of(model):
+    """K_G of any model, from the exponents and lattice of _relation_lattice."""
+    alpha, beta, lattice = cap._relation_lattice(model)
+    return build(GroupSpec(alpha, beta, tuple(FreeElt(0, 0, *row) for row in lattice.rows)))
+
+
+def test_kg_of_rows_with_ord_a_below_ord_b():
+    # a^4 [a,b] = b^16 [a,b]^2 = [a,b]^4 = 1 (the group off the list at 2^8)
+    # has ord(a) = 16 < ord(b) = 32; exchanging a and b gives the rows
+    # (16,0,2), (0,4,3), (0,0,4), and either set gives the same K_G, whose
+    # center the congruence solver and the brute-force scan both count
+    rows = ((4, 0, 1), (0, 16, 2), (0, 0, 4))
+    g = class2.Class2Group(rows)
+    assert (g.order, g.order_of(g.a), g.order_of(g.b)) == (256, 16, 32)
+    h = class2.Class2Group(((16, 0, 2), (0, 4, 3), (0, 0, 4)))
+    assert h.lattice == g.exchanged().lattice
+    assert cap._relation_lattice(g) == cap._relation_lattice(h)
+    for model in (g, h):
+        K = kg_of(model)
+        assert (K.spec.alpha, K.spec.beta, K.order) == (5, 4, 4096)
+        assert len(K.center_keys()) == 64
+        assert len(oracle.brute_center(oracle.GroupTable.from_group(K))) == 64
+    # ord(a) = 4 < ord(b) = 16, where the exchange's c -> c^-1 shows only in
+    # the rows (test_class2): K_G has 256 elements and a center of 16
+    g = class2.Class2Group(((4, 0, 0), (0, 4, 1), (0, 0, 4)))
+    assert cap._relation_lattice(g) == cap._relation_lattice(g.exchanged())
+    K = kg_of(g)
+    assert (K.order, len(K.center_keys())) == (256, 16)
+
+
+def test_relation_lattice_reads_the_exchanged_model():
+    # every lattice of index 2^5..2^8 with ord(a) < ord(b) has the exponents
+    # and K_G of its exchanged model, whose generator orders are in order
+    count = 0
+    for n in range(5, 9):
+        for rows in quotients.lattices(n):
+            g = class2.Class2Group(rows)
+            ea, eb = (g.order_of(x).bit_length() - 1 for x in g.gens)
+            if ea < eb:
+                count += 1
+                assert cap._relation_lattice(g) == (
+                    eb, ea, cap._relation_lattice(g.exchanged())[2]), rows
+    assert count == 205
+
+
+def test_kg_exists_for_every_model_and_the_guard_is_in_build_witness():
+    # _relation_lattice asks for no verdict: K_G of every tuple with
+    # exponents <= 5, capable or not, has |Z(K_G)| |G| >= |K_G|, with
+    # equality exactly on the tuples decide finds capable (then K_G/Z(K_G)
+    # is G); build_witness and small_witness refuse the others with
+    # decide's rationale
+    params = list(class2.iter_valid_params(5))
+    assert len(params) == 90
+    for p in params:
+        K = kg_of(class2.Class2Group(p))
+        center = len(K.center_keys())
+        assert center * p.order >= K.order, p
+        verdict = cap.decide(p)
+        assert (center * p.order == K.order) == verdict.capable, p
+        if not verdict.capable:
+            for witness in (cap.build_witness, cap.small_witness):
+                with pytest.raises(NotCapableError) as exc:
+                    witness(p)
+                assert str(exc.value) == verdict.rationale, p
+    alpha, beta, lattice = cap._relation_lattice(class2.Class2Group(type_iii(1)))
+    assert (alpha, beta, lattice.rows) == (2, 2, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def test_small_witness_refusals():

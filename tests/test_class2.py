@@ -453,7 +453,8 @@ def test_the_presentation_list_is_complete_below_order_256_and_not_at_256():
     # every lattice of index 2^n, n = 3..8, as a quotient of the free
     # class-two group: each tuple is hit, and from 2^8 on some groups are
     # on no tuple of the list, all with one fingerprint at 2^8 and, by
-    # iso_2gen against a Quotient target, one isomorphism class
+    # iso_2gen against a row-built target, one isomorphism class, which
+    # iv(2,4,2,0,1) hits
     outside = quotients.check(8)
     assert not any(outside[n] for n in range(3, 8))
     [(fp, count)] = outside[8].items()
@@ -466,7 +467,7 @@ def test_the_presentation_list_is_complete_below_order_256_and_not_at_256():
 def test_two_relators_present_a_group_off_the_list():
     # a^4 [a,b] and b^16 [a,b]^2 alone: their a and b exponents have gcd 4,
     # so [a,b]^4 = 1 follows, and the group has order 256
-    g = quotients.Quotient([(4, 0, 1), (0, 16, 2)])
+    g = class2.Class2Group([(4, 0, 1), (0, 16, 2)])
     assert g.order == 256
     assert g.lattice.rows == ((4, 0, 1), (0, 16, 2), (0, 0, 4))
     table = oracle.GroupTable.from_group(g)
@@ -484,9 +485,9 @@ def test_a_group_off_the_list_is_an_isomorphism_target():
     # fingerprint, all map onto the group of the relator rows (4,0,1),
     # (0,16,2), (0,0,4), and the images satisfy its relators; no model of
     # order 256 maps onto it
-    target = quotients.Quotient(((4, 0, 1), (0, 16, 2), (0, 0, 4)))
+    target = class2.Class2Group(((4, 0, 1), (0, 16, 2), (0, 0, 4)))
     fp = class2.fingerprint(oracle.GroupTable.from_group(target))
-    tables = [oracle.GroupTable.from_group(quotients.Quotient(rows))
+    tables = [oracle.GroupTable.from_group(class2.Class2Group(rows))
               for rows in quotients.lattices(8)]
     off = [t for t in tables if class2.fingerprint(t) == fp]
     assert len(off) == 12
@@ -501,3 +502,91 @@ def test_a_group_off_the_list_is_an_isomorphism_target():
     assert len(params) == 17
     for p in params:
         assert oracle.iso_2gen(oracle.GroupTable.from_group(model(p)), target) is None, p
+
+
+def test_a_model_from_rows_or_from_a_tuple():
+    # a tuple keeps its params and reads its rows from relations(); rows
+    # give the same law, with no params, and relations() as their words
+    p = type_ii(3, 2, 2, 1)
+    g = class2.Class2Group(p)
+    assert g.params == p and g.order == p.order
+    h = class2.Class2Group(list(g.lattice.rows))
+    assert h.params is None and (h.lattice, h.order) == (g.lattice, g.order)
+    assert repr(h) == f"Class2Group({g.lattice.rows}, order=64)"
+    images = {"a": h.a, "b": h.b, "c": h.commutator(h.a, h.b)}
+    assert len(h.relations()) == 3
+    for lhs, rhs in h.relations():
+        assert class2.evaluate_word(h, images, lhs) == class2.evaluate_word(h, images, rhs)
+    assert oracle.iso_2gen(oracle.GroupTable.from_group(model(p)), h) is not None
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ([(4, 0, 0)], "rank 2"),  # not the lattice's RankDeficientError, CLI exit 1
+    ([], "rank 2"),
+    ([(4, 0, 0), (8, 0, 1)], "rank 2"),
+    ([(3, 0, 0), (0, 3, 0)], "power of two"),  # not a group of order 27
+    ([(4, 0, 0), (0, 6, 0)], "power of two"),
+    ([(True, 0, 0), (0, 2, 0)], "three ints"),  # True is not read as 1
+    ([(2.0, 0, 0), (0, 2, 0)], "three ints"),  # not a bare TypeError from math.gcd
+    ([(2, 0), (0, 2, 0)], "three ints"),
+    ([(2, 0, 0, 0), (0, 2, 0)], "three ints"),
+    ([(2, 0, 0), None], "three ints"),
+    ([(2, 0, 0), "abc"], "three ints"),
+    (None, "three ints"),
+    (7, "three ints"),
+    ({(2, 0, 0), (0, 2, 0)}, "three ints"),
+])
+def test_malformed_relator_rows_raise_parameter_error(rows, problem):
+    with pytest.raises(ParameterError, match=problem):
+        class2.Class2Group(rows)
+
+
+def satisfies(g, x, y, rows) -> bool:
+    """Whether x^i y^j [x,y]^k = 1 in ``g`` for every row (i, j, k)."""
+    c = g.commutator(x, y)
+    return all(
+        g.mul(g.mul(g.power(x, i), g.power(y, j)), g.power(c, k)) == g.identity
+        for i, j, k in rows
+    )
+
+
+def test_exchanged_rows_invert_the_commutator():
+    # a^4 = 1, b^4 [a,b] = 1, [a,b]^4 = 1, with ord(a) = 4 < ord(b) = 16:
+    # exchanging a and b sends [a,b] to its inverse, so the exchanged rows
+    # are (4,0,3), not (4,0,1), and b and a of the exchanged model satisfy
+    # the original rows; with (4,0,1) they do not, though that group is
+    # isomorphic (a -> a^-1, b -> b^-1) and has the same order and center
+    rows = ((4, 0, 0), (0, 4, 1), (0, 0, 4))
+    g = class2.Class2Group(rows)
+    assert (g.order, g.order_of(g.a), g.order_of(g.b)) == (64, 4, 16)
+    h = g.exchanged()
+    assert h.lattice.rows == ((4, 0, 3), (0, 4, 0), (0, 0, 4))
+    assert (h.order, h.order_of(h.a), h.order_of(h.b)) == (64, 16, 4)
+    assert satisfies(h, h.b, h.a, rows) and satisfies(g, g.b, g.a, h.lattice.rows)
+    assert h.exchanged().lattice == g.lattice
+    w = class2.Class2Group([(4, 0, 1), (0, 4, 0), (0, 0, 4)])
+    assert not satisfies(w, w.b, w.a, rows)
+    assert class2.fingerprint(oracle.GroupTable.from_group(w)) == class2.fingerprint(
+        oracle.GroupTable.from_group(h))
+
+
+def test_exchange_on_every_lattice_of_order_32_to_256():
+    # every lattice of index 2^5..2^8 with ord(a) < ord(b): the exchanged
+    # model has ord(a) > ord(b), and the two models' generators, swapped,
+    # satisfy each other's rows; on 40 of the 205 the rows without
+    # c -> c^-1 differ, and there b and a fail them
+    exchanged = without_inverse = 0
+    for n in range(5, 9):
+        for rows in quotients.lattices(n):
+            g = class2.Class2Group(rows)
+            if g.order_of(g.a) >= g.order_of(g.b):
+                continue
+            exchanged += 1
+            h = g.exchanged()
+            assert (h.order_of(h.a), h.order_of(h.b)) == (g.order_of(g.b), g.order_of(g.a))
+            assert satisfies(h, h.b, h.a, rows) and satisfies(g, g.b, g.a, h.lattice.rows), rows
+            w = class2.Class2Group([(j, i, k - i * j) for i, j, k in rows])
+            if w.lattice != h.lattice:
+                without_inverse += 1
+                assert not satisfies(w, w.b, w.a, rows), rows
+    assert (exchanged, without_inverse) == (205, 40)
