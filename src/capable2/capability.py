@@ -254,8 +254,14 @@ def _relation_lattice(model: Class2Group) -> tuple[int, int, CommLattice]:
     spanned by [rho, x] and [[rho, x], y] for x, y in {a, b}.  Every
     capable tuple has alpha >= beta, and its model's generator orders are
     2^alpha and 2^beta.
+
+    ``ParameterError`` naming the generator when a or b is trivial: the
+    model is cyclic, and :func:`nilprod.build` takes beta >= 1.
     """
     ea, eb = (model.order_of(x).bit_length() - 1 for x in model.gens)
+    if not ea or not eb:
+        raise ParameterError(f"generator {'ab'[ea > 0]} of the model is trivial "
+                             "(a cyclic model): K_G needs two nontrivial generators")
     gens = []
     for row in (model if ea >= eb else model.exchanged()).lattice.rows:
         rho = (*row, 0, 0)

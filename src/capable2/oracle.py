@@ -34,22 +34,26 @@ generators generate the table, is central.  The cosets of a subgroup Z
 are numbered by one breadth-first search over blocks of rows
 (:func:`_cosets`): the identity's block is Z, each child block is
 R_g[block], since R_g maps the right coset Zx onto Zxg, and a new block
-takes the next id.  The blocks must partition the table, which proves Z
-closed; the ids are then renumbered in key order of the blocks' minima,
-the representatives.  A few gathers per row and generator, and no row
-products.  The same search proves, once per table, that the generators
-generate it: a child block that is not new shows an element of Z in
-<a, b>, and by Schreier's lemma these elements generate Z ∩ <a, b>.  The
-search grows the subgroup S that they generate inside Z by cosets S z,
-S z^2, ..., one gather each through the map "multiply by z" on Z's rows
-that the blocks' columns give, and asks that S reach all of Z; no table
-is walked.  The search also carries each block's label for its coset of
-the Frattini subgroup and checks it on every block.  On a table not yet
-proved generated, ``brute_center`` runs the search on the subgroup it
-keeps, C(a) ∩ C(b), and the table holds it for ``quotient_central``,
-which checks the rows of its Z for centrality, R_g[z] against the key of
-gz from one run of the law per designated generator on those rows only,
-and reuses the search when Z is those rows.  A quotient table is handed
+takes the next id.  Each step reads a level's children once per
+generator, one gather through R_g and one of their ids, which shows both
+the new blocks and that every child carries one id.  The blocks must
+partition the table, which proves Z closed; the ids are then renumbered
+in key order of the blocks' minima, the representatives.  A few gathers
+per row and generator, and no row products.  The same search proves,
+once per table, that the generators generate it: a child block that is
+not new shows an element of Z in <a, b>, and by Schreier's lemma these
+elements generate Z ∩ <a, b>.  The search grows the subgroup S that
+they generate inside Z by cosets S z, S z^2, ..., one gather each
+through the map "multiply by z" on Z's rows that the blocks' columns
+give, and asks that S reach all of Z; no table is walked.  The search
+also carries each block's label for its coset of the Frattini subgroup,
+and after its loop checks the labels on every block against the child
+ids that each step kept.  On a table not yet proved generated,
+``brute_center`` runs the search on the subgroup it keeps, C(a) ∩ C(b),
+and the table holds it for ``quotient_central``, which checks the rows
+of its Z for centrality, R_g[z] against the key of gz from one run of
+the law per designated generator on those rows only, and reuses the
+search when Z is those rows.  A quotient table is handed
 the search that built it, which is, block for block, the quotient's own
 search of its trivial subgroup: the proof of generation and the Frattini
 labels.
@@ -516,13 +520,14 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     sorted distinct keys of a set Z that holds the identity, whose key is
     0 in every table, so Z's row 0 is the identity.
 
-    The identity's block is Z, with id 0.  The child blocks R_g[block] of a
-    level come from one 2-D gather per generator.  A child whose first row
-    is unlabelled is new: it takes the next id on all its rows, and each of
-    its rows stores its column, in the narrowest unsigned dtype that holds
-    |Z|-1, until the columns have shown all of Z in <a, b> (below).  Two
-    checks follow:
-    - every child that is not new carries one id on all its rows;
+    The identity's block is Z, with id 0.  Each step of the search reads a
+    level's child blocks R_g[block] once per generator: one 2-D gather
+    through R_g, widened once to intp, and one gather of their ids.  A
+    child whose first row carries no id is new: it takes the next id on
+    all its rows, and each of its rows stores its column, in the narrowest
+    unsigned dtype that holds |Z|-1, until the columns have shown all of Z
+    in <a, b> (below).  Two checks follow, on the ids read:
+    - every child carries one id on all its rows, none when it is new;
     - no level hands out more than |table|//|Z| ids.
     With every row reached, the blocks, at most |Z| rows each, cover the
     table, so the ids number at least |table|/|Z|; by the second check
@@ -535,11 +540,15 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     both checks.
 
     Labels: Z's block has label 0, and a new child of a block by the s-th
-    generator takes the block's label xor 2^s.  A child that is not new
-    must already carry that label, or the labels are ``None``: each block
-    is a parent once per generator, so the labels that pass are a
-    homomorphism from the blocks onto (Z/2)^2, with a -> 1 and b -> 2.
-    With Z trivial the blocks are the rows, and they give
+    generator takes the block's label xor 2^s; a level's blocks hold the
+    last ids given, so a step reads its parents' labels as one slice.  A
+    child that is not new must already carry that label, or the labels
+    are ``None``.  That check is made once per generator after the loop:
+    each step keeps its children's ids, -1 for a new child, which make
+    one |table|/|Z|-long array per generator, indexed by the parent's id.
+    Each block is a parent once per generator, so the labels that pass
+    are a homomorphism from the blocks onto (Z/2)^2, with a -> 1 and
+    b -> 2.  With Z trivial the blocks are the rows, and they give
     :attr:`GroupTable.frattini`; with Z central they are the quotient's.
 
     Generation: column j of the block whose first row is t holds z_j t,
@@ -554,13 +563,16 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     Z ∩ <a, b>, the stabilizer of the block Z, for the tree of first rows,
     so by Schreier's lemma they generate it.  The search keeps the
     subgroup S that the z_j found so far generate, as a mask over Z's
-    rows.  A z = z_j outside S marks the cosets S z, S z^2, ..., each one
-    gather of the previous one's rows through z's map, and stops at the
-    first coset that meets a marked row.  Every marked row is a product of
-    z_j, so S stays inside Z ∩ <a, b> whether or not Z is central.  In a
-    generated table Z is central, hence abelian, and the cosets S z^k are
-    disjoint until z^k lies in S, so the marked rows are <S, z>.  Each pass
-    marks only unmarked rows, so the loop ends.  Once S = Z the columns
+    rows.  A step reads one column per child, that of its first row, and
+    a new child's is 0, the identity's, in S; only a child whose z_j lies
+    outside S has its row of columns read.  Such a z = z_j marks the
+    cosets S z, S z^2, ..., each one gather of the previous one's rows
+    through z's map, and stops at the first coset that meets a marked
+    row.  Every marked row is a product of z_j, so S stays inside
+    Z ∩ <a, b> whether or not Z is central.  In a generated table Z is
+    central, hence abelian, and the cosets S z^k are disjoint until z^k
+    lies in S, so the marked rows are <S, z>.  Each pass marks only
+    unmarked rows, so the loop ends.  Once S = Z the columns
     are dropped.  After the checks, S = Z puts Z inside <a, b>,
     the blocks Zw, w in <a, b>, cover the table, and <a, b> is the table;
     otherwise Z ⊄ <a, b> and ``BuildIntegrityError``.  Once the generators
@@ -571,53 +583,61 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
     block of rows at a time, so a coset id counts the representatives in
     key order, and the labels are permuted to match.  Ids are stored in
-    :func:`capable2.group.index_dtype`.
+    :func:`capable2.group.index_dtype`; a step frees its gather of ids
+    before it takes the new children, so besides the ids and the columns
+    the search holds arrays of a level's size.
     """
     n = table.order
     index = index_dtype(n)
     lab = np.full(n, -1, dtype=index)
     blocks = n // len(sub_keys)
     labels = np.zeros(blocks, dtype=np.int8)  # per id; Z's is 0
-    homomorphic = True
+    children = np.empty((len(table.gen_maps), blocks), dtype=index)  # by parent id; -1 if new
     columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
     col = np.empty(n, dtype=columns.dtype)
     inside = columns == 0  # S, first the identity's row
-    frontier = np.asarray(sub_keys, dtype=index)[None]
+    frontier = np.asarray(sub_keys, dtype=np.intp)[None]
     lab[frontier] = 0
     col[frontier] = columns
     minima = [frontier[:, 0]]
     count = 1
     while len(frontier):
         level = []
-        ids = lab[frontier[:, 0]]
+        ids = slice(count - len(frontier), count)  # the frontier's, the last given
         for s, step in enumerate(table.gen_maps):
-            kids = step[frontier]
-            new = lab[kids[:, 0]] < 0
-            fresh, stale = kids[new], kids[~new]
-            got = lab[stale]
-            if (got != got[:, :1]).any() or count + len(fresh) > blocks:
+            kids = step[frontier].astype(np.intp)
+            got = lab[kids]
+            first = children[s, ids]
+            first[...] = got[:, 0]
+            one_id = (got == first[:, None]).all()
+            del got
+            new = first < 0
+            fresh = kids[new]
+            if count + len(fresh) > blocks or not one_id:
                 raise ValueError("input is not closed under multiplication")
-            up = labels[ids] ^ (1 << s)
-            homomorphic = homomorphic and np.array_equal(labels[got[:, 0]], up[~new])
             lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
-            labels[count:count + len(fresh)] = up[new]
+            labels[count:count + len(fresh)] = labels[ids][new] ^ (1 << s)
             count += len(fresh)
             level.append(fresh)
             minima.append(fresh.min(axis=1))
             if col is not None:
-                for kid in stale[~inside[col[stale[:, 0]]]]:
+                col[fresh] = columns  # a new child's first row is its column 0
+                for kid in kids[~inside[col[kids[:, 0]]]]:
                     if not inside[col[kid[0]]]:  # S may have grown since the filter
                         by_z, coset = col[kid], np.flatnonzero(inside)
                         while not inside[coset := by_z[coset]].any():
                             inside[coset] = True
-                col[fresh] = columns
                 if inside.all():
                     col = None  # S = Z
+            del kids
         frontier = np.concatenate(level)
+        del level
     del col
     if (lab < 0).any() or not inside.all():
         raise BuildIntegrityError("the designated generators do not generate the table")
-    minima = np.concatenate(minima)
+    homomorphic = all(((kid < 0) | (labels[kid] == labels ^ (1 << s))).all()
+                      for s, kid in enumerate(children))
+    minima = np.concatenate(minima, dtype=index)
     by_min = np.argsort(minima)
     rank = np.empty(count, dtype=index)
     rank[by_min] = np.arange(count, dtype=index)

@@ -478,6 +478,18 @@ def test_relation_lattice_reads_the_exchanged_model():
     assert count == 205
 
 
+@pytest.mark.parametrize("rows, trivial", [([(4, 0, 0), (0, 1, 0)], "b"),
+                                            ([(1, 0, 0), (0, 4, 0)], "a")])
+def test_relation_lattice_refuses_a_cyclic_model(rows, trivial):
+    # a model with a trivial generator is cyclic, here of order 4, and
+    # K_G's product needs beta >= 1: the refusal names the generator
+    # instead of handing nilprod.build an exponent 0
+    g = class2.Class2Group(rows)
+    assert g.order == 4
+    with pytest.raises(ParameterError, match=f"generator {trivial} of the model is trivial"):
+        cap._relation_lattice(g)
+
+
 def test_kg_exists_for_every_model_and_the_guard_is_in_build_witness():
     # _relation_lattice asks for no verdict: K_G of every tuple with
     # exponents <= 5, capable or not, has |Z(K_G)| |G| >= |K_G|, with

@@ -505,6 +505,70 @@ def test_a_search_that_finds_few_elements_of_z_needs_no_walk(monkeypatch):
     assert walked == [] and q.order == t.order // len(zc) == 16
 
 
+def benchmark_groups(monkeypatch):
+    """The groups of the 37 tables of test_no_ambient_is_walked: the 19
+    ambients of cli.sweep_rows(4) and the 18 ambients with exponents <= 4
+    and |K| <= 2^16."""
+    groups = []
+    real = oracle.GroupTable.from_group
+    with monkeypatch.context() as m:
+        m.setattr(oracle.GroupTable, "from_group",
+                  staticmethod(lambda *args: groups.append(args[0]) or real(*args)))
+        cli.sweep_rows(4, 1 << 19)
+        for K in small_ambients(1 << 16, max_alpha=4, max_beta=4):
+            K.central_quotient()
+    return groups
+
+
+def test_coset_search_matches_the_references_on_the_benchmark_tables(monkeypatch):
+    # up to 2^16 rows: the search of Z(K) against the least of all |Z|
+    # translates of each row, and the search of the trivial subgroup on a
+    # fresh table against the labels carried along a walk
+    groups = benchmark_groups(monkeypatch)
+    assert len(groups) == 37 and max(g.order for g in groups) == 1 << 16
+    for g in groups:
+        t = oracle.GroupTable(g)
+        zc = oracle.brute_center(t)
+        q = oracle.quotient_central(t, zc)
+        reps, cid = reference_cosets(t, zc)
+        assert np.array_equal(q.coords, reps), g.spec
+        assert np.array_equal(q.group._cid_of_key.astype(np.int64), cid), g.spec
+        assert assert_frattini_by_walk(oracle.GroupTable(g)) is not None, g.spec
+
+
+def test_quotient_refuses_exactly_the_sets_that_are_not_closed():
+    # sets S of central rows that hold the identity and have a power-of-two
+    # size, on the 18 ambients up to 2^12: quotient_central refuses S as
+    # not closed exactly when S is not a subgroup, and otherwise its coset
+    # ids and the Frattini labels it hands the quotient match the
+    # references.  A random set is seldom closed, so every other draw is
+    # the subgroup that two random central rows generate
+    rng = random.Random(32)
+    refused = accepted = 0
+    for K in small_ambients():
+        t = oracle.GroupTable.from_group(K)
+        zc = oracle.brute_center(t)
+        assert np.array_equal(zc[0], K.identity)
+        for draw in range(8):
+            if draw % 2:
+                S = oracle.closure(t, zc[rng.sample(range(len(zc)), 2)])
+            else:
+                size = 1 << rng.randrange(len(zc).bit_length())
+                S = zc[[0, *rng.sample(range(1, len(zc)), size - 1)]]
+            if len(oracle.closure(t, S)) != len(S):
+                refused += 1
+                with pytest.raises(ValueError, match="not closed"):
+                    oracle.quotient_central(t, S)
+                continue
+            accepted += 1
+            q = oracle.quotient_central(t, S)
+            reps, cid = reference_cosets(t, S)
+            assert np.array_equal(q.coords, reps), (K.spec, S)
+            assert np.array_equal(q.group._cid_of_key.astype(np.int64), cid), (K.spec, S)
+            assert_frattini_by_walk(q)
+    assert (refused, accepted) == (37, 107)
+
+
 def test_brute_center_rejects_generators_of_a_proper_subgroup():
     g = build(GroupSpec(2, 1))
     stub = copy.copy(g)
