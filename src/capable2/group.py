@@ -17,10 +17,14 @@ evaluation still runs in checked int64.
 Multiplication of the whole box by one element needs no rows at all: the
 same law runs on the box's open grid, one int64 column per coordinate laid
 along its own axis, and broadcasting spans each intermediate over only the
-coordinates it depends on.  ``right_keys`` runs x*y once on the whole grid;
-``left_keys`` runs y*x one slab of the first coordinate at a time, since
-every intermediate of a left product depends on that coordinate, and writes
-each slab's keys straight into an :func:`index_dtype` map.
+coordinates it depends on.  The constant element enters as Python ints,
+each zero coordinate as the exact :data:`ZERO`, so a term that vanishes is
+never computed and spans no axis: a generator's left product y*x spans only
+what its right product x*y spans.  ``right_keys`` and ``left_keys`` each run
+the law once on the whole grid; each output coordinate, a small-dimensional
+column, is checked against its radix and cast to :func:`index_dtype`, and
+only the key's last step, written straight into the int32 map, spans the
+whole box.
 """
 
 from __future__ import annotations
@@ -84,6 +88,45 @@ def apply_rows(law, *arrays) -> np.ndarray:
     return out.reshape(shape[:-1] + out.shape[1:])
 
 
+class _Zero:
+    """Exact zero for a law run on the open grid: it absorbs products, adds
+    nothing and supports ``- // %``, so the terms it would zero out are never
+    computed.  ``__array_ufunc__ = None`` makes numpy hand it every operator
+    with an array or a numpy scalar."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __repr__(self) -> str:
+        return "ZERO"
+
+    def __add__(self, other):
+        return other
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return self
+
+    __radd__ = __add__
+    __rmul__ = __floordiv__ = __mod__ = __mul__
+
+
+ZERO = _Zero()
+
+
+def fold(x) -> tuple:
+    """A constant element's coordinates as Python ints, each 0 as :data:`ZERO`."""
+    return tuple(int(c) or ZERO for c in x)
+
+
 def index_dtype(n: int) -> type:
     """int32 for indices into n <= 2^31 rows, which halves a stored index
     map; intp beyond."""
@@ -129,43 +172,42 @@ class CoordGroup:
         :meth:`mul_keys`: one run of :meth:`commutator` per block."""
         return self.apply_law(lambda x, y: (self.key(self.commutator(x, y)),), X, Y)[..., 0]
 
-    def _open_grid(self, first=slice(None)) -> tuple[np.ndarray, ...]:
-        """The box's open grid: coordinate i is the int64 column
-        ``range(radices[i])`` laid along axis i, the first column cut to the
-        slice ``first``."""
-        cols = [np.arange(m, dtype=np.int64) for m in self.radices]
-        cols[0] = cols[0][first]
-        return np.ix_(*cols)
+    def _grid_map(self, law) -> np.ndarray:
+        """The index map x -> key of law(x) for every x of the box, in key
+        order, as :func:`index_dtype` indices: ``law`` runs once on the box's
+        open grid, coordinate i being the int64 column ``range(radices[i])``
+        laid along axis i.  Each coordinate of the result is checked against
+        its radix (``BuildIntegrityError`` when a product leaves the box) and
+        cast to the index dtype; only the key's last step spans the box, and
+        it writes into the map.  ``ParameterError`` when the radices are too
+        large for int64."""
+        check_int64(self.radices)
+        index = index_dtype(math.prod(self.radices))
+        grid = np.ix_(*(np.arange(m, dtype=np.int64) for m in self.radices))
+        cols = []
+        for col, m in zip(law(grid), self.radices, strict=True):
+            col = np.asarray(0 if col is ZERO else col)
+            if col.min() < 0 or col.max() >= m:
+                raise BuildIntegrityError("a product left the table")
+            cols.append(col.astype(index))
+        out = np.empty(self.radices, dtype=index)
+        self.key(cols, out=out)
+        return out.reshape(-1)
 
     def right_keys(self, y) -> np.ndarray:
         """Key of x*y for every x of the box, in key order (the group's
-        elements when its order is the product of the radices), by one run
-        of the scalar law on the box's open grid (:meth:`_open_grid`), y
-        staying Python ints.  Each intermediate spans only the coordinates
-        it depends on; only the final key has one entry per element.
-        ``ParameterError`` when the radices are too large for int64."""
-        check_int64(self.radices)
-        keys = self.key(self.mul(self._open_grid(), tuple(map(int, y))))
-        return np.broadcast_to(keys, tuple(self.radices)).reshape(-1)
+        elements when its order is the product of the radices), as an
+        :func:`index_dtype` map: one run of the scalar law on the open grid
+        (:meth:`_grid_map`), y :func:`fold`-ed."""
+        y = fold(y)
+        return self._grid_map(lambda x: self.mul(x, y))
 
     def left_keys(self, y) -> np.ndarray:
-        """Key of y*x for every x of the box, in key order, as an
-        :func:`index_dtype` map: the scalar law on the box's open grid, run
-        one slab of about ``BLOCK_ROWS`` rows (at least one value of the
-        first coordinate) at a time.  Every intermediate of a left product
-        depends on the first coordinate, so the slabs repeat no work, and
-        each slab's keys are written straight into the map.
-        ``ParameterError`` when the radices are too large for int64."""
-        check_int64(self.radices)
-        y = tuple(map(int, y))
-        n = math.prod(self.radices)
-        head, *tail = self.radices
-        out = np.empty(n, dtype=index_dtype(n))
-        box = out.reshape(self.radices)
-        width = max(1, BLOCK_ROWS // math.prod(tail))
-        for lo in range(0, head, width):
-            box[lo:lo + width] = self.key(self.mul(y, self._open_grid(slice(lo, lo + width))))
-        return out
+        """Key of y*x for every x of the box, like :meth:`right_keys`.  With
+        y's zero coordinates :data:`ZERO`, the left product of a generator
+        spans no more of the grid than its right product."""
+        y = fold(y)
+        return self._grid_map(lambda x: self.mul(y, x))
 
     def power(self, x, n: int):
         """x^n by binary exponentiation; n may be negative."""
@@ -234,12 +276,18 @@ class CoordGroup:
         """The boxed coordinate row of each key, in :func:`coord_dtype`."""
         return unravel_rows(keys, self.radices)
 
-    def key(self, x):
-        """Mixed-radix key of a boxed coordinate tuple (or of coordinate columns)."""
+    def key(self, x, out=None):
+        """Mixed-radix key of a boxed coordinate tuple (or of coordinate
+        columns); with ``out``, the last step writes the key into it."""
         key = x[0]
         for i, m in enumerate(self.radices[1:], start=1):
+            if out is not None and i == len(self.radices) - 1:
+                return np.add(key * m, x[i], out=out)
             key = key * m + x[i]
-        return key
+        if out is None:
+            return key
+        out[...] = key  # one coordinate: the key is that coordinate
+        return out
 
     def key_rows(self, X) -> np.ndarray:
         """Mixed-radix int64 key of each boxed coordinate row."""

@@ -40,15 +40,18 @@ class CommLattice:
         """Unique representative of vec + L with coordinate i in [0, pivot_i).
 
         The entries of ``vec`` may be ints or int64 arrays (one lattice vector
-        per position); arrays are never modified.
+        per position); arrays are never modified.  A zero entry above a pivot
+        adds no term, and each coordinate's remainder is one ``%``.
         """
         t, u, v = vec
         (p0, a01, a02), (_, p1, a12), (_, _, p2) = self.rows
-        k = t // p0
-        t, u, v = t - k * p0, u - k * a01, v - k * a02
-        k = u // p1
-        u, v = u - k * p1, v - k * a12
-        return (t, u, v % p2)
+        if a01 or a02:
+            k = t // p0
+            u = u - k * a01 if a01 else u
+            v = v - k * a02 if a02 else v
+        if a12:
+            v = v - u // p1 * a12
+        return (t % p0, u % p1, v % p2)
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) == (0, 0, 0)

@@ -25,10 +25,13 @@ a designated generator", each product computed straight into its key,
 never into a |K|-by-5 array of rows.  The rows of an ambient or model
 table are ``rows(0..n-1)``, the box of the radices in key order, so there
 each map is one run of the law on the box's open grid
-(:meth:`capable2.group.CoordGroup.right_keys`); a quotient runs its
-representatives through ``mul_keys``.  ``brute_center`` keeps the rows
-where R_a equals L_a, "left-multiply by a", one more run of the law on the
-open grid (:meth:`capable2.group.CoordGroup.left_keys`), and checks b only
+(:meth:`capable2.group.CoordGroup.right_keys`), with the generator's zero
+coordinates folded to an exact zero and the key written straight into
+int32 storage; a quotient table is handed its maps by the coset search
+that built it.  ``brute_center`` keeps the rows
+where R_a equals L_a, "left-multiply by a", one more such run of the law
+(:meth:`capable2.group.CoordGroup.left_keys`), which spans no more of the
+grid than R_a's, and checks b only
 on those survivors: a row that commutes with the generators, when the
 generators generate the table, is central.  The cosets of a subgroup Z
 are numbered by one breadth-first search over blocks of rows
@@ -55,8 +58,9 @@ of its Z for centrality, R_g[z] against the key of gz from one run of
 the law per designated generator on those rows only, and reuses the
 search when Z is those rows.  A quotient table is handed
 the search that built it, which is, block for block, the quotient's own
-search of its trivial subgroup: the proof of generation and the Frattini
-labels.
+search of its trivial subgroup: the proof of generation, the Frattini
+labels, and R_a and R_b, since the search keeps the id of every child of
+every block.
 
 ``iso_2gen`` works on the same index maps and on keys.  A table's squaring
 map (the index of x^2 per row, built on first use, so never for an ambient
@@ -242,8 +246,9 @@ class GroupTable:
     once, by the first coset search (:meth:`cosets`), which also carries
     each row's coset of the Frattini subgroup (:attr:`frattini`) when its
     subgroup is trivial.  A table built by :func:`quotient_central` is
-    given that search, since the coset search that built the quotient
-    reached every coset from Z and labelled each.
+    given that search and its maps, since the coset search that built the
+    quotient reached every coset from Z, labelled each and kept each
+    block's child by each generator.
     """
 
     def __init__(self, group):
@@ -288,25 +293,23 @@ class GroupTable:
             raise BuildIntegrityError("a product left the table")
         return keys
 
-    def right_mul(self, x) -> np.ndarray:
-        """The index map "right-multiply by x": the group's ``right_keys``,
-        one run of the law on the open grid of an ambient or model's box
-        (:meth:`capable2.group.CoordGroup.right_keys`), or a quotient's
-        representatives through ``mul_keys``."""
-        return self.index_of(self.group.right_keys(x))
-
     @functools.cached_property
     def gen_maps(self) -> tuple[np.ndarray, ...]:
         """R_g, the index map "right-multiply by g", for each designated
-        generator g, built on first use and stored as int32 indices
-        (:func:`capable2.group.index_dtype`)."""
-        index = index_dtype(self.order)
-        return tuple(self.right_mul(g).astype(index) for g in self.group.gens)
+        generator g, as int32 indices (:func:`capable2.group.index_dtype`).
+        Built on first use by the group's ``right_keys``: on an ambient or
+        model's box one run of the law on the open grid, written straight
+        into the int32 map (:meth:`capable2.group.CoordGroup.right_keys`),
+        on a quotient its representatives through ``mul_keys``.  A table
+        built by :func:`quotient_central` is handed its maps by the coset
+        search instead, and runs no law for them."""
+        return tuple(self.group.right_keys(g) for g in self.group.gens)
 
-    def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Each row's coset id, the representatives and the Frattini labels
-        of the blocks of the sorted keys ``sub_keys``, by the coset search
-        (:func:`_cosets`), which also proves generation.  The search stays
+    def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple]:
+        """Each row's coset id, the representatives, the Frattini labels
+        and the quotient's R_a and R_b of the blocks of the sorted keys
+        ``sub_keys``, by the coset search (:func:`_cosets`), which also
+        proves generation.  The search stays
         on the table, and a second call with the same keys reuses it:
         :func:`brute_center` runs it on the keys it keeps, and
         :func:`quotient_central` reuses it."""
@@ -449,7 +452,8 @@ class QuotientGroup(CoordGroup):
     place, in key order of the blocks' minima, the representatives.  No
     row products: O(|K|) gathers.  The search's Frattini label of each
     coset, in coset-id order, is kept as ``labels`` (``None`` when the
-    quotient has none) for :func:`quotient_central`.  Products are
+    quotient has none), and the search's R_a and R_b on the cosets as
+    ``maps``, both for :func:`quotient_central`.  Products are
     computed in the parent and mapped to coset ids through the search's
     parent-key-indexed int32 ids (:func:`capable2.group.index_dtype`),
     widened to int64 only in the query-sized results of ``key`` and
@@ -459,7 +463,7 @@ class QuotientGroup(CoordGroup):
     def __init__(self, table: GroupTable, sub_keys):
         parent = table.group
         self.parent = parent
-        self._cid_of_key, reps, self.labels = table.cosets(sub_keys)
+        self._cid_of_key, reps, self.labels, self.maps = table.cosets(sub_keys)
         self._rep = parent.rows(reps)
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -493,14 +497,15 @@ class QuotientGroup(CoordGroup):
         return self._cid_of_key[self.parent.commutator_keys(X, Y)].astype(np.int64)
 
     def right_keys(self, y) -> np.ndarray:
-        """Coset id of x*y for every representative x, in coset-id order:
-        the representatives are not a box, so through ``mul_keys``."""
-        return self.mul_keys(self._rep, np.asarray(y)[None])
+        """Coset id of x*y for every representative x, in coset-id order, as
+        an index map (:func:`capable2.group.index_dtype`): the
+        representatives are not a box, so through ``mul_keys``."""
+        return self.mul_keys(self._rep, np.asarray(y)[None]).astype(index_dtype(self.order))
 
     def left_keys(self, y) -> np.ndarray:
-        """Coset id of y*x for every representative x, in coset-id order,
-        through ``mul_keys``."""
-        return self.mul_keys(np.asarray(y)[None], self._rep)
+        """Coset id of y*x for every representative x, like
+        :meth:`right_keys`."""
+        return self.mul_keys(np.asarray(y)[None], self._rep).astype(index_dtype(self.order))
 
     def mul(self, x, y):
         return self._canon(self.parent.mul(x, y))
@@ -512,11 +517,12 @@ class QuotientGroup(CoordGroup):
         return map(tuple, self._rep.tolist())
 
 
-def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple]:
     """Each row's coset id, the sorted representatives, the minimum keys
-    of the blocks Zx, and each block's Frattini label (or ``None``), by
-    one breadth-first search over blocks that also proves that the
-    designated generators generate the table.  ``sub_keys`` are the
+    of the blocks Zx, each block's Frattini label (or ``None``) and the
+    index maps R_g of the quotient by the blocks, by one breadth-first
+    search over blocks that also proves that the designated generators
+    generate the table.  ``sub_keys`` are the
     sorted distinct keys of a set Z that holds the identity, whose key is
     0 in every table, so Z's row 0 is the identity.
 
@@ -544,7 +550,7 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     last ids given, so a step reads its parents' labels as one slice.  A
     child that is not new must already carry that label, or the labels
     are ``None``.  That check is made once per generator after the loop:
-    each step keeps its children's ids, -1 for a new child, which make
+    each step keeps its children's ids, a new child's too, which make
     one |table|/|Z|-long array per generator, indexed by the parent's id.
     Each block is a parent once per generator, so the labels that pass
     are a homomorphism from the blocks onto (Z/2)^2, with a -> 1 and
@@ -582,7 +588,10 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     The ids are then renumbered to the rank of their block's minimum key
     through one |table|/|Z|-long array, in place and one ``BLOCK_ROWS``
     block of rows at a time, so a coset id counts the representatives in
-    key order, and the labels are permuted to match.  Ids are stored in
+    key order, and the labels are permuted to match.  The kept child ids
+    are the blocks' R_g in search order; renumbered at both ends,
+    ``rank[children[g]][by_min]``, they are the quotient's R_g, which
+    :func:`quotient_central` hands to the table it builds.  Ids are stored in
     :func:`capable2.group.index_dtype`; a step frees its gather of ids
     before it takes the new children, so besides the ids and the columns
     the search holds arrays of a level's size.
@@ -592,7 +601,7 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     lab = np.full(n, -1, dtype=index)
     blocks = n // len(sub_keys)
     labels = np.zeros(blocks, dtype=np.int8)  # per id; Z's is 0
-    children = np.empty((len(table.gen_maps), blocks), dtype=index)  # by parent id; -1 if new
+    children = np.empty((len(table.gen_maps), blocks), dtype=index)  # by parent id
     columns = np.arange(len(sub_keys), dtype=np.min_scalar_type(len(sub_keys) - 1))
     col = np.empty(n, dtype=columns.dtype)
     inside = columns == 0  # S, first the identity's row
@@ -615,7 +624,8 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
             fresh = kids[new]
             if count + len(fresh) > blocks or not one_id:
                 raise ValueError("input is not closed under multiplication")
-            lab[fresh] = np.arange(count, count + len(fresh), dtype=index)[:, None]
+            first[new] = given = np.arange(count, count + len(fresh), dtype=index)
+            lab[fresh] = given[:, None]
             labels[count:count + len(fresh)] = labels[ids][new] ^ (1 << s)
             count += len(fresh)
             level.append(fresh)
@@ -635,8 +645,7 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     del col
     if (lab < 0).any() or not inside.all():
         raise BuildIntegrityError("the designated generators do not generate the table")
-    homomorphic = all(((kid < 0) | (labels[kid] == labels ^ (1 << s))).all()
-                      for s, kid in enumerate(children))
+    homomorphic = all((labels[kid] == labels ^ (1 << s)).all() for s, kid in enumerate(children))
     minima = np.concatenate(minima, dtype=index)
     by_min = np.argsort(minima)
     rank = np.empty(count, dtype=index)
@@ -644,7 +653,9 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
     for lo in range(0, n, BLOCK_ROWS):
         block = lab[lo:lo + BLOCK_ROWS]
         block[...] = rank[block]
-    return lab, minima[by_min], labels[by_min] if homomorphic else None
+    for kid in children:  # in place: the quotient's R_g
+        kid[...] = rank[kid[by_min]]
+    return lab, minima[by_min], labels[by_min] if homomorphic else None, tuple(children)
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
@@ -662,7 +673,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     trivial subgroup, whose ids and representatives are the quotient's
     keys, and the new table is handed it, so it is
     :attr:`GroupTable.generated` and has its :attr:`GroupTable.frattini`
-    labels without a search or an index map of its own."""
+    labels and its :attr:`GroupTable.gen_maps` without a search or a run
+    of the law of its own."""
     g = table.group
     Z = np.asarray(sub, dtype=np.int64).reshape(-1, len(g.radices))
     if not (Z == g.identity).all(axis=1).any():
@@ -677,7 +689,8 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
     q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
     out = GroupTable(q)
     ids = np.arange(q.order, dtype=index_dtype(q.order))
-    out._search = ([0], ids, ids, q.labels)
+    out._search = ([0], ids, ids, q.labels, q.maps)
+    out.gen_maps = q.maps
     return out
 
 

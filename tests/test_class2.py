@@ -115,9 +115,10 @@ def test_second_recognition_fingerprints_no_new_model(monkeypatch):
         assert sorted(models, key=str) == (sorted(candidates, key=str) if first else [])
         assert fingerprinted.count("quotient") == 1
         assert tables == [K]
-        # R_a, R_b, L_a and the squaring map, each one row product per row,
-        # and L_b on the 32 rows of the centralizer of a
-        assert sorted(rows) == [32] + [1 << 7] * 4
+        # L_a and the squaring map, each one row product per row, and L_b
+        # on the 32 rows of the centralizer of a; R_a and R_b are handed to
+        # the quotient table by the coset search that built it
+        assert sorted(rows) == [32] + [1 << 7] * 2
 
 
 def per_k_abelian_invariants(exps, order: int, derived: int) -> tuple[int, ...]:

@@ -87,9 +87,9 @@ def test_right_keys_match_the_law_on_the_rows(make):
     ids=["nilgroup", "class2-ii", "quotient", "nilgroup-2^16"],
 )
 def test_left_keys_match_the_law_on_the_rows(monkeypatch, make, block_rows):
-    # slabs of the open grid against the law run on every materialized row;
-    # with 7 rows a slab is one value of the first coordinate, and the 2^16
-    # rows of G(4,3) span 8 slabs of BLOCK_ROWS
+    # one run of the law on the open grid against the law run on every
+    # materialized row, in blocks of BLOCK_ROWS rows or of 7: the map's size
+    # follows neither
     monkeypatch.setattr(group, "BLOCK_ROWS", block_rows)
     g = make()
     rows = g.rows(np.arange(g.order))
@@ -147,3 +147,62 @@ def test_is_central_matches_the_commutator_definition(make):
         all(g.commutator(x, y) == g.identity for y in g.gens) for x in g.elements()
     ]
     assert any(central) and not all(central)
+
+
+def test_zero_is_an_exact_zero_that_spans_no_axis():
+    # each operator with ZERO on either side against the same operator with
+    # 0, on ints, int64 arrays (numpy hands ZERO its operators) and ZERO;
+    # the result is ZERO itself exactly where the value is 0 for every input
+    Z = group.ZERO
+    ints = [0, 5, -3]
+    arrays = [np.arange(-3, 4, dtype=np.int64), np.int64(6)]
+    divisors = [1, 4, np.array([1, 2, 7], dtype=np.int64)]
+    plain = lambda v: 0 if v is Z else v  # noqa: E731
+    table = [
+        (lambda x: Z + x, "other", ints + arrays + [Z]),
+        (lambda x: x + Z, "other", ints + arrays + [Z]),
+        (lambda x: Z - x, "negated", ints + arrays + [Z]),
+        (lambda x: x - Z, "other", ints + arrays + [Z]),
+        (lambda x: Z * x, "zero", ints + arrays + [Z]),
+        (lambda x: x * Z, "zero", ints + arrays + [Z]),
+        (lambda x: Z // x, "zero", divisors),
+        (lambda x: Z % x, "zero", divisors),
+    ]
+    reference = [
+        lambda x: 0 + x, lambda x: x + 0, lambda x: 0 - x, lambda x: x - 0,
+        lambda x: 0 * x, lambda x: x * 0, lambda x: 0 // x, lambda x: 0 % x,
+    ]
+    for (op, kind, operands), ref in zip(table, reference, strict=True):
+        for x in operands:
+            got = op(x)
+            # ZERO stands for a zero of any shape
+            assert np.all(np.asarray(plain(got)) == ref(plain(x))), (kind, x)
+            if kind == "other":
+                assert got is x
+            elif kind == "zero":
+                assert got is Z
+            elif x is Z:
+                assert got is Z
+    assert -Z is Z and repr(Z) == "ZERO"
+    assert group.fold((0, 3, np.int64(0), np.int8(-2))) == (Z, 3, Z, -2)
+    assert all(type(c) is int for c in group.fold((1, np.int64(3))))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build(GroupSpec(4, 3)), lambda: build(GroupSpec(3, 3, (FreeElt(u=2), FreeElt(v=2)))),
+     lambda: model(type_ii(4, 4, 2, 1)), lambda: model(type_iii(2))],
+    ids=["nilgroup", "nilgroup-extras", "class2-ii", "class2-iii"],
+)
+def test_left_product_of_a_spans_no_more_of_the_grid_than_its_right_product(make):
+    # with a's zero coordinates ZERO, no output column of a*x is wider than
+    # the widest of x*a; on an ambient none spans the whole box, which one
+    # with the zeros as ints did
+    g = make()
+    grid = np.ix_(*(np.arange(m, dtype=np.int64) for m in g.radices))
+    a = group.fold(g.gens[0])
+    widest = lambda cols: max(np.size(c) for c in cols)  # noqa: E731
+    assert widest(g.mul(a, grid)) <= widest(g.mul(grid, a))
+    if len(g.radices) == 5:
+        assert widest(g.mul(a, grid)) < g.order
+        assert widest(g.mul(a, grid)) < widest(g.mul(tuple(map(int, g.gens[0])), grid))

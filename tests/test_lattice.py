@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from capable2 import class2
 from capable2.errors import ParameterError, RankDeficientError
 from capable2.lattice import canonical_basis
 
@@ -151,3 +152,43 @@ def test_reduce_on_arrays_matches_scalar_and_leaves_input_alone(gens, diag):
     assert (vecs == before).all()
     for i in range(64):
         assert tuple(int(c[i]) for c in red) == L.reduce(tuple(int(c) for c in vecs[:, i]))
+
+
+def plain_reduce(L, vec):
+    """The reduction with every term and each remainder by subtraction: the
+    reference for :meth:`CommLattice.reduce`, which skips zero terms."""
+    t, u, v = vec
+    (p0, a01, a02), (_, p1, a12), (_, _, p2) = L.rows
+    k = t // p0
+    t, u, v = t - k * p0, u - k * a01, v - k * a02
+    k = u // p1
+    u, v = u - k * p1, v - k * a12
+    return (t, u, v % p2)
+
+
+def test_reduce_matches_the_plain_formula(monkeypatch):
+    # random canonical lattices, then the lattices of the benchmark's
+    # ambients and of every model its quotients are matched against, on
+    # seeded ints and int64 arrays with negative entries
+    from test_oracle import benchmark_groups
+
+    rng = random.Random(33)
+    lattices = [canonical_basis([tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(3)]
+                                + [(rng.randint(1, 16), 0, 0), (0, rng.randint(1, 16), 0),
+                                   (0, 0, rng.randint(1, 16))])
+                for _ in range(200)]
+    groups = benchmark_groups(monkeypatch)
+    orders = {K.order // len(K.center_keys()) for K in groups}
+    lattices += [K.comm_lattice for K in groups]
+    lattices += [class2.Class2Group(p).lattice for n in orders for p in class2.params_with_order(n)]
+    assert any(a for L in lattices for a in (L.rows[0][1:] + L.rows[1][2:]))
+    assert any(not any(L.rows[0][1:] + L.rows[1][2:]) for L in lattices)
+    arrays = np.random.default_rng(33)
+    for L in lattices:
+        vecs = arrays.integers(-10**6, 10**6, size=(3, 50))
+        red = L.reduce(tuple(vecs))
+        for got, want in zip(red, plain_reduce(L, tuple(vecs)), strict=True):
+            assert got.dtype == np.int64 and np.array_equal(got, want), L
+        for _ in range(20):
+            vec = tuple(rng.randint(-10**6, 10**6) for _ in range(3))
+            assert L.reduce(vec) == plain_reduce(L, vec), (L, vec)

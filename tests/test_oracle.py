@@ -16,7 +16,7 @@ import pytest
 from capable2 import capability, class2, cli, hall_core as hall, nilprod, oracle
 from capable2.class2 import model, type_i, type_iii
 from capable2.errors import BuildIntegrityError, ParameterError
-from capable2.group import CoordGroup
+from capable2.group import CoordGroup, index_dtype
 from capable2.hall_core import FreeElt
 from capable2.nilprod import GroupSpec, build
 from row_ops import comm_rows_pairwise
@@ -382,7 +382,8 @@ def count_walks(monkeypatch):
     table: one that gathers more rows through R_a and R_b, the table's
     ``gen_maps``, than its blocks hold, len(gen_maps) * order.  The search
     gathers each block once per generator, and a walk over the table would
-    gather every row again."""
+    gather every row again.  Gathers by indexing and by ``take``, the
+    method or ``np.take``, are counted."""
     walked = []
     real = oracle._cosets
 
@@ -396,6 +397,11 @@ def count_walks(monkeypatch):
                 rows.append(out.size)
                 return out
 
+            def take(self, *args, **kwargs):
+                out = np.asarray(super().take(*args, **kwargs))
+                rows.append(out.size)
+                return out
+
         table.__dict__["gen_maps"] = tuple(m.view(Gathered) for m in maps)
         try:
             return real(table, sub_keys)
@@ -406,6 +412,33 @@ def count_walks(monkeypatch):
 
     monkeypatch.setattr(oracle, "_cosets", counted)
     return walked
+
+
+@pytest.mark.parametrize("gather", [lambda step, rows: step.take(rows), np.take,
+                                    lambda step, rows: step[rows]],
+                         ids=["method", "function", "indexing"])
+def test_count_walks_counts_every_gather(monkeypatch, gather):
+    # a search that walks the table after the real one, gathering through
+    # take or by indexing, is counted as walking
+    real = oracle._cosets
+
+    def walking(table, sub_keys):
+        out = real(table, sub_keys)
+        seen = np.zeros(table.order, dtype=bool)
+        seen[0] = True
+        frontier = np.flatnonzero(seen)
+        while len(frontier):
+            kids = np.concatenate([gather(step, frontier) for step in table.gen_maps])
+            kids = np.unique(kids[~seen[kids]])
+            seen[kids] = True
+            frontier = kids
+        return out
+
+    monkeypatch.setattr(oracle, "_cosets", walking)
+    walked = count_walks(monkeypatch)
+    t = oracle.GroupTable.from_group(build(GroupSpec(2, 1)))
+    oracle.brute_center(t)
+    assert walked == [t.order]
 
 
 def generated_by_walk(table, steps=None) -> bool:
@@ -632,6 +665,67 @@ def law_tables():
     ]
 
 
+def random_elements(rng, t, n):
+    """n seeded random rows of the table t as tuples, every other one with
+    some coordinates set to zero."""
+    rows = t.coords[rng.integers(t.order, size=n)].copy()
+    rows[::2] *= rng.integers(2, size=rows[::2].shape).astype(rows.dtype)
+    return [tuple(r) for r in rows.tolist()]
+
+
+def test_maps_equal_the_law(monkeypatch):
+    # right_keys and left_keys, one run of the law on the open grid each,
+    # against mul_keys on every row, for each designated generator, the
+    # identity and random elements with zero and nonzero coordinates
+    groups = benchmark_groups(monkeypatch)
+    tables = [oracle.GroupTable(g) for g in groups] + law_tables()
+    rng = np.random.default_rng(33)
+    for t in tables:
+        g = t.group
+        rows = t.coords
+        ys = [*g.gens, g.identity, *random_elements(rng, t, 4)]
+        assert any(0 in y and any(y) for y in ys), g
+        for y in ys:
+            Y = np.asarray(y)[None]
+            for got, want in [(g.right_keys(y), g.mul_keys(rows, Y)),
+                              (g.left_keys(y), g.mul_keys(Y, rows))]:
+                assert got.dtype == index_dtype(t.order), g
+                assert np.array_equal(got, want), (g, y)
+
+
+class Unreduced(CoordGroup):
+    """Z/8 with a law that leaves the box: x + y, or x - y, never reduced."""
+
+    order, radices, identity = 8, (8,), (0,)
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def mul(self, x, y):
+        return (x[0] + self.sign * y[0],)
+
+
+def test_a_product_outside_the_box_is_refused():
+    for sign in (1, -1):
+        g = Unreduced(sign)
+        for keys in (g.right_keys, g.left_keys):
+            with pytest.raises(BuildIntegrityError, match="left the table"):
+                keys((1,))
+        assert np.array_equal(g.right_keys((0,)), np.arange(8))
+
+
+def test_quotients_inherit_maps_equal_to_the_law(monkeypatch):
+    # the coset search hands each quotient its R_a and R_b, and they are the
+    # maps that the law gives on the representatives
+    for g in benchmark_groups(monkeypatch):
+        t = oracle.GroupTable(g)
+        q = oracle.quotient_central(t, oracle.brute_center(t))
+        assert "gen_maps" in q.__dict__, g
+        for handed, gen in zip(q.gen_maps, q.group.gens, strict=True):
+            assert handed.dtype == index_dtype(q.order), g
+            assert np.array_equal(handed, oracle.QuotientGroup.right_keys(q.group, gen)), g
+
+
 def test_left_mul_matches_the_law():
     rng = np.random.default_rng(7)
     for t in law_tables():
@@ -644,7 +738,7 @@ def test_left_mul_matches_the_law():
             left = group.left_keys(y)
             assert np.array_equal(left, group.mul_keys(np.asarray(y)[None], t.coords)), y
             if y in center:
-                assert np.array_equal(t.right_mul(y), left), y
+                assert np.array_equal(group.right_keys(y), left), y
     # the generation proof refuses designated generators that reach only
     # part of the rows, and a refused walk proves nothing for the next call
     g = build(GroupSpec(2, 1))
@@ -793,6 +887,22 @@ def test_referees_hold_key_columns_not_product_rows():
         tracemalloc.stop()
     assert center_peak < budget, center_peak / (8 * t.order)
     assert quotient_peak < budget, quotient_peak / (8 * t.order)
+
+
+def test_generator_maps_hold_no_int64_key_column():
+    # R_a and R_b are half a word per element each, written straight into
+    # their int32 storage; an int64 key column narrowed afterwards took the
+    # peak past two words
+    t = oracle.GroupTable.from_group(build(GroupSpec(4, 3)))
+    assert t.order == 1 << 16
+    tracemalloc.start()
+    try:
+        t.gen_maps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(m.dtype == np.int32 for m in t.gen_maps)
+    assert peak < 1.5 * 8 * t.order, peak / (8 * t.order)
 
 
 @pytest.mark.parametrize("target", [None, type_i(4, 4, 4)], ids=["G(4,3)", "i(4,4,4)"])
@@ -1023,7 +1133,7 @@ def set_image_fills(group, table, grow, h, c, ea, eb, ec) -> bool:
 def generates(table, x, y) -> bool:
     """Breadth-first generation test: right multiplication by x and y
     reaches every row from the identity."""
-    return generated_by_walk(table, [table.right_mul(x), table.right_mul(y)])
+    return generated_by_walk(table, [table.group.right_keys(x), table.group.right_keys(y)])
 
 
 def test_image_fills_matches_the_set_loop():
