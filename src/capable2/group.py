@@ -50,6 +50,11 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer, and not a bool."""
+    return is_int(v) or isinstance(v, np.integer)
+
+
 def check_int64(radices) -> None:
     """``ParameterError`` unless the int64 row paths stay below
     ``INT64_BOUND`` on rows with these radices: the largest mixed-radix key
@@ -252,7 +257,14 @@ class CoordGroup:
 
     def closure(self, gens):
         """Yield each element of the subgroup generated by ``gens`` once, in
-        breadth-first order over right multiplication by the generators."""
+        breadth-first order over right multiplication by the generators;
+        ``ParameterError`` for a generator with a coordinate that is not an
+        integer (:func:`is_integer`).  A generator outside the box is
+        reduced by the law."""
+        gens = [tuple(g) for g in gens]
+        for g in gens:
+            if not all(map(is_integer, g)):
+                raise ParameterError(f"generator {g} has a coordinate that is not an integer")
         gens = [tuple(map(int, g)) for g in gens]
         seen = {self.identity}
         frontier = [self.identity]

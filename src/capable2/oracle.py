@@ -51,16 +51,18 @@ through the map "multiply by z" on Z's rows that the blocks' columns
 give, and asks that S reach all of Z; no table is walked.  The search
 also carries each block's label for its coset of the Frattini subgroup,
 and after its loop checks the labels on every block against the child
-ids that each step kept.  On a table not yet proved generated,
-``brute_center`` runs the search on the subgroup it keeps, C(a) ∩ C(b),
-and the table holds it for ``quotient_central``, which checks the rows
-of its Z for centrality, R_g[z] against the key of gz from one run of
-the law per designated generator on those rows only, and reuses the
-search when Z is those rows.  A quotient table is handed
-the search that built it, which is, block for block, the quotient's own
-search of its trivial subgroup: the proof of generation, the Frattini
-labels, and R_a and R_b, since the search keeps the id of every child of
-every block.
+ids that each step kept.  A table records that its generators generate
+it as a plain flag, ``generated``, set by the first search that finishes.
+On a table not yet proved generated, ``brute_center`` runs the search on
+the subgroup it keeps, C(a) ∩ C(b), and the table holds that last search
+for ``quotient_central``, which checks the rows of its Z for centrality,
+R_g[z] against the key of gz from one run of the law per designated
+generator on those rows only, and reuses the search when Z is those
+rows.  The search is, block for block, the quotient's own search of its
+trivial subgroup, so the quotient table is handed three facts, not a
+search: that it is generated, its Frattini labels, and R_a and R_b,
+since the search keeps the id of every child of every block.  A table's
+own search of its trivial subgroup (``frattini``) keeps only its labels.
 
 ``iso_2gen`` works on the same index maps and on keys.  A table's squaring
 map (the index of x^2 per row, built on first use, so never for an ambient
@@ -85,7 +87,7 @@ import functools
 import numpy as np
 
 from .errors import BuildIntegrityError, EnumerationBudgetError, ParameterError
-from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype, is_int
+from .group import BLOCK_ROWS, CoordGroup, check_int64, index_dtype, is_int, is_integer
 from .hall_core import FreeElt
 
 DEFAULT_MAX_ORDER = 1 << 16
@@ -243,27 +245,25 @@ class GroupTable:
     designated generators (:attr:`gen_maps`), the table's only stored
     full-table maps besides the squaring map, run on the box's open grid.
     That the designated generators generate the table is proved at most
-    once, by the first coset search (:meth:`cosets`), which also carries
-    each row's coset of the Frattini subgroup (:attr:`frattini`) when its
-    subgroup is trivial.  A table built by :func:`quotient_central` is
-    given that search and its maps, since the coset search that built the
-    quotient reached every coset from Z, labelled each and kept each
-    block's child by each generator.
+    once, by the first coset search that finishes, and recorded as the
+    flag :attr:`generated`; the table keeps only the last search of
+    :meth:`cosets`, and of the search of its trivial subgroup only each
+    row's coset of the Frattini subgroup (:attr:`frattini`).  A table
+    built by :func:`quotient_central` is handed three facts, not a search:
+    it is generated, its Frattini labels and its maps, since the coset
+    search that built the quotient reached every coset from Z, labelled
+    each and kept each block's child by each generator.
     """
 
     def __init__(self, group):
         self.group = group
         self.order = group.order
-        # the last coset search: its sub_keys, coset ids, representatives
-        # and Frattini labels
+        # whether the designated generators are proved to generate the
+        # table: set by the first coset search that finishes, since a search
+        # that fails raises, or by quotient_central
+        self.generated = False
+        # the last search of cosets(): its sub_keys, then what it returned
         self._search = None
-
-    @property
-    def generated(self) -> bool:
-        """Whether the designated generators are proved to generate the
-        table: true once a coset search (:meth:`cosets`) has finished, since
-        a search that fails raises."""
-        return self._search is not None
 
     @staticmethod
     def from_group(group, max_order: int | None = None) -> "GroupTable":
@@ -301,20 +301,21 @@ class GroupTable:
         model's box one run of the law on the open grid, written straight
         into the int32 map (:meth:`capable2.group.CoordGroup.right_keys`),
         on a quotient its representatives through ``mul_keys``.  A table
-        built by :func:`quotient_central` is handed its maps by the coset
-        search instead, and runs no law for them."""
+        built by :func:`quotient_central` is handed its maps, the coset
+        search's kept child ids, instead, and runs no law for them."""
         return tuple(self.group.right_keys(g) for g in self.group.gens)
 
     def cosets(self, sub_keys) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple]:
         """Each row's coset id, the representatives, the Frattini labels
         and the quotient's R_a and R_b of the blocks of the sorted keys
         ``sub_keys``, by the coset search (:func:`_cosets`), which also
-        proves generation.  The search stays
-        on the table, and a second call with the same keys reuses it:
-        :func:`brute_center` runs it on the keys it keeps, and
+        proves generation and sets :attr:`generated`.  The last search
+        stays on the table, and a second call with the same keys reuses
+        it: :func:`brute_center` runs it on the keys it keeps, and
         :func:`quotient_central` reuses it."""
         if self._search is None or not np.array_equal(self._search[0], sub_keys):
             self._search = (sub_keys, *_cosets(self, sub_keys))
+            self.generated = True
         return self._search[1:]
 
     @functools.cached_property
@@ -324,8 +325,10 @@ class GroupTable:
         generated by its two designated generators (for example, cyclic).
 
         The labels are those of the coset search of the trivial subgroup,
-        whose blocks are the rows (:func:`_cosets`); a quotient table is
-        given that search by :func:`quotient_central`.  The search checks
+        whose blocks are the rows (:func:`_cosets`).  The table keeps only
+        the labels, sets :attr:`generated` and leaves the last search of
+        :meth:`cosets` as it was; a quotient table is handed its labels by
+        :func:`quotient_central` and runs no search.  The search checks
         lambda(R_s x) = lambda(x) xor 2^s on every row, which makes lambda a
         homomorphism onto (Z/2)^2.  In a 2-group Phi is the least normal
         subgroup with an elementary abelian quotient, of index at most 4
@@ -334,7 +337,9 @@ class GroupTable:
         generate the table."""
         if len(self.group.gens) != 2:
             return None
-        return self.cosets([0])[2]
+        labels = _cosets(self, [0])[2]
+        self.generated = True
+        return labels
 
     @functools.cached_property
     def squares(self) -> np.ndarray:
@@ -435,35 +440,25 @@ def normal_closure(table: GroupTable, gens) -> np.ndarray:
 
 
 class QuotientGroup(CoordGroup):
-    """Quotient of a table's group by the central subgroup Z whose elements
-    have the sorted keys ``sub_keys``; the caller checks that each is
-    central.
+    """Quotient of the group ``parent`` by a central subgroup Z, given by
+    its cosets: ``ids``, the coset id of each parent key, and ``reps``,
+    the parent keys of the representatives in coset-id order, as the
+    coset search of Z returns them (:meth:`GroupTable.cosets`).  The
+    caller checks that Z is central; this is only a group, and runs no
+    search.
 
     Elements are the minimum-key coset representatives, and an element's
     key is its coset id, so the quotient's own table is keyed 0..n-1 too.
     ``rows``, ``mul_arrays`` and ``inv_arrays`` return representatives in
-    the parent's narrow row dtype.
-
-    The cosets come from the table's coset search (:meth:`GroupTable.cosets`,
-    reused when :func:`brute_center` ran it on the same keys): the
-    identity's block is Z, and each child block is R_g[parent block] for
-    the table's cached R_a and R_b, since R_g maps the right coset Zx onto
-    Zxg.  A new block takes the next id, and the ids are renumbered, in
-    place, in key order of the blocks' minima, the representatives.  No
-    row products: O(|K|) gathers.  The search's Frattini label of each
-    coset, in coset-id order, is kept as ``labels`` (``None`` when the
-    quotient has none), and the search's R_a and R_b on the cosets as
-    ``maps``, both for :func:`quotient_central`.  Products are
-    computed in the parent and mapped to coset ids through the search's
-    parent-key-indexed int32 ids (:func:`capable2.group.index_dtype`),
-    widened to int64 only in the query-sized results of ``key`` and
-    ``mul_keys``.
+    the parent's narrow row dtype.  Products are computed in the parent
+    and mapped to coset ids through the parent-key-indexed int32 ids
+    (:func:`capable2.group.index_dtype`), widened to int64 only in the
+    query-sized results of ``key`` and ``mul_keys``.
     """
 
-    def __init__(self, table: GroupTable, sub_keys):
-        parent = table.group
+    def __init__(self, parent, ids, reps):
         self.parent = parent
-        self._cid_of_key, reps, self.labels, self.maps = table.cosets(sub_keys)
+        self._cid_of_key = ids
         self._rep = parent.rows(reps)
         self.order = len(self._rep)
         self.radices = parent.radices
@@ -659,24 +654,34 @@ def _cosets(table: GroupTable, sub_keys) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def quotient_central(table: GroupTable, sub) -> GroupTable:
-    """Table of the quotient by a central subgroup; ``ValueError`` when the
-    rows miss the identity, are not central (naming the first such row) or
-    are not closed.  Each row is checked against the designated generators
-    only, zg = gz: R_g gathered at the keys of the subgroup's rows against
-    gz from one run of the law on those rows, both generators stacked in
-    that one run.  That makes it central
-    because the generators generate the table, which the coset search of
-    :class:`QuotientGroup` (:meth:`GroupTable.cosets`) proves, raising
-    ``BuildIntegrityError`` when they do not.  The same search checks
-    closure and reaches every coset from Z by R_a and R_b, labelling
-    each: it is, block for block, the quotient table's search of its
-    trivial subgroup, whose ids and representatives are the quotient's
-    keys, and the new table is handed it, so it is
-    :attr:`GroupTable.generated` and has its :attr:`GroupTable.frattini`
-    labels and its :attr:`GroupTable.gen_maps` without a search or a run
-    of the law of its own."""
+    """Table of the quotient by a central subgroup, given as rows of
+    ``len(radices)`` integers (Python or numpy; bools and floats are not)
+    with coordinate i in ``range(radices[i])``.  ``ParameterError`` names
+    the first row that is not, before any other check; ``ValueError`` when
+    the rows miss the identity, are not central (naming the first such
+    row) or are not closed.  Each row is checked against the designated
+    generators only, zg = gz: R_g gathered at the keys of the subgroup's
+    rows against gz from one run of the law on those rows, both generators
+    stacked in that one run.  That makes it central because the generators
+    generate the table, which the coset search of Z
+    (:meth:`GroupTable.cosets`) proves, raising ``BuildIntegrityError``
+    when they do not.  The same search checks closure, numbers the cosets
+    that make the :class:`QuotientGroup`, and reaches every coset from Z
+    by R_a and R_b, labelling each: it is, block for block, the quotient
+    table's search of its trivial subgroup.  The new table is handed
+    three facts from it: it is :attr:`GroupTable.generated`, its
+    :attr:`GroupTable.frattini` labels and its :attr:`GroupTable.gen_maps`,
+    so it runs no search and no law for them."""
     g = table.group
-    Z = np.asarray(sub, dtype=np.int64).reshape(-1, len(g.radices))
+    width = len(g.radices)
+    rows = [tuple(r) if np.iterable(r) else r
+            for r in (sub.tolist() if isinstance(sub, np.ndarray) else sub)]
+    for row in rows:
+        if not (isinstance(row, tuple) and len(row) == width and all(
+                is_integer(c) and 0 <= c < m for c, m in zip(row, g.radices))):
+            raise ParameterError(f"subgroup row {row} is not {width} integers with "
+                                 f"coordinate i in range(radices[i]), radices {g.radices}")
+    Z = np.array(rows, dtype=np.int64).reshape(-1, width)
     if not (Z == g.identity).all(axis=1).any():
         raise ValueError("subgroup must contain the identity")
     keys = table.index_of(g.key_rows(Z))
@@ -686,11 +691,10 @@ def quotient_central(table: GroupTable, sub) -> GroupTable:
         bad = tuple(Z[np.argmin(central)].tolist())
         raise ValueError(f"subgroup element {bad} is not central")
     keys = np.sort(keys)
-    q = QuotientGroup(table, keys[np.diff(keys, prepend=-1) > 0])
-    out = GroupTable(q)
-    ids = np.arange(q.order, dtype=index_dtype(q.order))
-    out._search = ([0], ids, ids, q.labels, q.maps)
-    out.gen_maps = q.maps
+    ids, reps, labels, maps = table.cosets(keys[np.diff(keys, prepend=-1) > 0])
+    out = GroupTable(QuotientGroup(g, ids, reps))
+    out.generated, out.gen_maps = True, maps
+    out.frattini = labels if len(g.gens) == 2 else None
     return out
 
 

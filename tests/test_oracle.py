@@ -783,6 +783,12 @@ def test_generation_is_proved_once_per_table(monkeypatch):
     assert searched == [t.order, m.order]
     oracle.brute_center(m)
     assert walked == [] and searched == [t.order, m.order]
+    # the ambient's own search of {1} keeps only its labels and leaves the
+    # search of the center on the table, so a second quotient reuses it
+    assert t.frattini is not None
+    assert searched == [t.order, m.order, t.order]
+    assert oracle.quotient_central(t, zc).order == q.order
+    assert searched == [t.order, m.order, t.order] and walked == []
 
 
 def test_a_witness_builds_no_quotient_map(monkeypatch):
@@ -925,6 +931,29 @@ def test_quotient_holds_less_than_one_word_per_element(target):
     assert peak < 8 * t.order, peak / (8 * t.order)
 
 
+@pytest.mark.parametrize("target", [None, type_i(4, 4, 4)], ids=["G(4,3)", "i(4,4,4)"])
+def test_the_search_of_the_trivial_subgroup_keeps_only_its_labels(monkeypatch, target):
+    # the labels are one byte per element; the search's coset ids,
+    # representatives and R_a and R_b, which for {1} are the table's own,
+    # took 2.13 words per element when the table kept the whole search
+    g = build(GroupSpec(4, 3)) if target is None else capability.small_witness(target).group
+    t = oracle.GroupTable.from_group(g)
+    assert t.order == 1 << 16
+    t.gen_maps
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        assert t.frattini is not None
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - start < 0.5 * 8 * t.order, (held - start) / (8 * t.order)
+    assert t.generated
+    searched = []
+    monkeypatch.setattr(oracle, "_cosets", lambda *args: searched.append(args))
+    assert t.frattini is not None and searched == []
+
+
 def test_closure_examples():
     g = build(GroupSpec(2, 1))
     t = oracle.GroupTable.from_group(g)
@@ -976,6 +1005,47 @@ def test_quotient_rejects_non_subgroups():
     assert len(zc) > 3  # three central rows cannot form a 2-group
     with pytest.raises(ValueError, match="not closed"):
         oracle.quotient_central(t, zc[:3])
+
+
+@pytest.mark.parametrize("case", ["float rows", "four-wide rows", "float identity", "b^4 = 1",
+                                  "negative", "bool"])
+def test_quotient_refuses_malformed_rows(case):
+    # rows that are not five integers inside the box of G(3,2)'s radices
+    # (8, 4, 4, 4, 4) are refused, naming the first such row, before the
+    # identity and centrality checks: floats were truncated, four-wide rows
+    # were read as five-wide ones, and a row outside the box was reported
+    # as not central or as a product that left the table
+    g = build(GroupSpec(3, 2))
+    t = oracle.GroupTable.from_group(g)
+    zc = oracle.brute_center(t)
+    floats = zc.astype(float)
+    floats[1] += 0.5
+    sub, bad = {
+        "float rows": (floats, (0.0,) * 5),
+        "four-wide rows": (np.zeros((5, 4), dtype=np.int64), (0,) * 4),
+        "float identity": ([[0, 0, 0, 0, 0.9]], (0, 0, 0, 0, 0.9)),
+        "b^4 = 1": ([g.identity, (0, 4, 0, 0, 0)], (0, 4, 0, 0, 0)),
+        "negative": ([g.identity, (0, 0, 0, 0, -1)], (0, 0, 0, 0, -1)),
+        "bool": ([g.identity, (True, 0, 0, 0, 0)], (True, 0, 0, 0, 0)),
+    }[case]
+    with pytest.raises(ParameterError, match=re.escape(f"subgroup row {bad} is not 5 integers")):
+        oracle.quotient_central(t, sub)
+    # Python and numpy integers of any width are integers
+    for rows in (zc, zc.astype(np.int8), list(map(tuple, zc.tolist())), [tuple(z) for z in zc]):
+        assert oracle.quotient_central(t, rows).order == t.order // len(zc)
+
+
+def test_closure_refuses_non_integer_coordinates():
+    g = build(GroupSpec(3, 2))
+    t = oracle.GroupTable.from_group(g)
+    for x in [(1.9, 0, 0, 0, 0), (True, 0, 0, 0, 0)]:
+        with pytest.raises(ParameterError, match=re.escape(f"generator {x} has a coordinate")):
+            oracle.closure(t, [x])
+    # a row outside the box is reduced by the law: a^9 = a, as a has order 8
+    cyclic = oracle.closure(t, [g.a])
+    assert len(cyclic) == 8
+    for x in [(9, 0, 0, 0, 0), np.asarray(g.a, dtype=np.int8)]:
+        assert np.array_equal(oracle.closure(t, [x]), cyclic)
 
 
 def test_quotient_rejects_a_set_of_subgroup_size_that_is_not_closed():
